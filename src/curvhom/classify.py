@@ -28,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Expr, pretty
+from .expr import DomainError, Expr, pretty
 from .families import FamilySpec, delta_derivatives, profile_derivatives, family_f_metric, family_h_metric
-from .geometry import MetricField, Point, nabla_k_riemann, nabla_riemann_sequence
+from .geometry import DegenerateMetricError, MetricField, Point, nabla_k_riemann, nabla_riemann_sequence
 from .models import T, X, adapted_frame_f, adapted_frame_h, scaling_lambda_h
 from .tensor import pullback
 
@@ -40,6 +40,10 @@ SPREAD_FLOOR = 1e-9   # denominator floor in relative spreads
 DEGENERATE_FLOOR = 1e-10
 
 PASS, FAIL, HYP = "pass", "fail", "hypothesis-violated"
+
+# What evaluating the metric at one bad sample point can raise; the point
+# becomes an exclusion and the run carries on.
+POINT_ERRORS = (DomainError, OverflowError, DegenerateMetricError)
 
 
 class HypothesisViolation(Exception):
@@ -401,7 +405,7 @@ def classify(g: MetricField, r: int, samples: SampleSet, tol: float = 1e-6) -> H
     return _classify_custom(g, r, pts, tol)
 
 
-def _vacuous_report(family, function, r, pts, tol, note) -> HomogeneityReport:
+def _vacuous_report(family, function, r, pts, tol, note, exclusions=()) -> HomogeneityReport:
     names = ["CH_0"] + [f"CH_{k}(1,3)" for k in range(r + 1)] + [f"SCH_{k}(1,3)" for k in range(r + 1)]
     zeros = SampleSeries("xi", tuple(0.0 for _ in pts))
     return HomogeneityReport(
@@ -415,7 +419,7 @@ def _vacuous_report(family, function, r, pts, tol, note) -> HomogeneityReport:
         psi=SampleSeries("psi", tuple(0.0 for _ in pts)),
         scaled_entries=(),
         diagnostics=(),
-        exclusions=(),
+        exclusions=tuple(exclusions),
         degenerate=True,
         notes=(note,),
     )
@@ -450,35 +454,47 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
     fn = fam.function
     kmax = max(r, 1) if is_f else max(r, 2)
     exclusions: list[Exclusion] = []
+    failed: list[Exclusion] = []                     # points the metric cannot be evaluated at
     included: list[Point] = []
     pulled: dict[Point, list[np.ndarray]] = {}       # adapted (unit-lambda) frame entries
     pulled_sch: dict[Point, list[np.ndarray]] = {}   # order-aligned frame entries (h only)
     flat_scale = 0.0
     for p in pts:
-        if is_f:
-            hyp = abs(delta_derivatives(fn, p, 0)[0])
-            reason = f"|delta| = {hyp:.2e} below {FLOOR:.0e}"
-        else:
-            hyp = abs(profile_derivatives(fn, p, 2)[2])
-            reason = f"|h''| = {hyp:.2e} below {FLOOR:.0e}"
-        seq = nabla_riemann_sequence(g, p, kmax)
+        try:
+            if is_f:
+                hyp = abs(delta_derivatives(fn, p, 0)[0])
+                reason = f"|delta| = {hyp:.2e} below {FLOOR:.0e}"
+            else:
+                hyp = abs(profile_derivatives(fn, p, 2)[2])
+                reason = f"|h''| = {hyp:.2e} below {FLOOR:.0e}"
+            seq = nabla_riemann_sequence(g, p, kmax)
+            adapted = aligned = None
+            if hyp >= FLOOR:
+                frame = adapted_frame_f(fn, p, 1.0) if is_f else adapted_frame_h(fn, p, 1.0)
+                adapted = [pullback(t, frame).components for t in seq]
+                if not is_f and abs(profile_derivatives(fn, p, 3)[3]) >= FLOOR:
+                    sch_frame = adapted_frame_h(fn, p, scaling_lambda_h(fn, p))
+                    aligned = [pullback(t, sch_frame).components for t in seq]
+        except POINT_ERRORS as err:
+            failed.append(Exclusion(p, f"cannot evaluate the metric ({type(err).__name__}): {err}"))
+            exclusions.append(failed[-1])
+            continue
         flat_scale = max(flat_scale, float(np.abs(seq[0].components).max()))
-        if hyp < FLOOR:
+        if adapted is None:
             exclusions.append(Exclusion(p, reason))
             continue
         included.append(p)
-        frame = adapted_frame_f(fn, p, 1.0) if is_f else adapted_frame_h(fn, p, 1.0)
-        pulled[p] = [pullback(t, frame).components for t in seq]
-        if not is_f:
-            d3 = profile_derivatives(fn, p, 3)[3]
-            if abs(d3) >= FLOOR:
-                sch_frame = adapted_frame_h(fn, p, scaling_lambda_h(fn, p))
-                pulled_sch[p] = [pullback(t, sch_frame).components for t in seq]
-    if flat_scale < DEGENERATE_FLOOR:
-        return _vacuous_report(fam.family, pretty(fn), r, pts, tol, "degenerate: zero curvature")
+        pulled[p] = adapted
+        if aligned is not None:
+            pulled_sch[p] = aligned
+    if len(failed) < len(pts) and flat_scale < DEGENERATE_FLOOR:
+        return _vacuous_report(fam.family, pretty(fn), r, pts, tol, "degenerate: zero curvature", failed)
     if not included:
         names = ["CH_0"] + [f"CH_{k}(1,3)" for k in range(r + 1)] + [f"SCH_{k}(1,3)" for k in range(r + 1)]
-        note = "nonvanishing hypothesis fails at every sample point"
+        if len(failed) == len(pts):
+            note = "the metric cannot be evaluated at any sample point"
+        else:
+            note = "nonvanishing hypothesis fails at every sample point"
         return HomogeneityReport(
             family=fam.family, function=pretty(fn), r=r, tol=tol, points=pts,
             verdicts=tuple(Verdict(n, HYP, (note,)) for n in names),

@@ -450,6 +450,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DomainError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError as err:
+        print(f"config error: numeric overflow evaluating the function: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

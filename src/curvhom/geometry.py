@@ -1,21 +1,29 @@
-"""Levi-Civita connection, Riemann tensor and covariant derivatives on R^3.
+"""Levi-Civita connection, curvature and its covariant derivatives on R^3.
 
 A MetricField holds the 3x3 symmetric matrix of scalar expressions.  All
-curvature quantities are computed at a point on the coordinate frame:
-metric entries are evaluated to jets at a sufficient order, Christoffels
-and the curvature components become jets themselves, and each covariant
+curvature quantities are computed at a point on the coordinate frame, as
+stacked jets: coefficient arrays of shape (table_size(order), 3, ..., 3)
+that hold every raw partial derivative (see jets.py) of every component.
+
+In dimension 3 the Weyl tensor vanishes, so the curvature is the
+Kulkarni-Nomizu product of the Schouten tensor P = Ric - (s/4) g with g,
+
+    R_{ijkl} = P_il g_jk + P_jk g_il - P_ik g_jl - P_jl g_ik,
+
+and since nabla g = 0 the same expansion turns nabla^k P into nabla^k R.
+The engine builds the Ricci jets straight from the Christoffel jets, runs
+the covariant recursion on the symmetric (0, 2+k) field nabla^k P, and
+expands to the (0, 4+k) curvature only at the point.  Each covariant
 derivative trades one jet order for one extra tensor slot:
 
     (nabla T)_{i1..in; m} = d_m T_{i1..in} - sum_s Gamma^a_{m i_s} T_{..a..}
 
 New differentiation slots are appended last, so nabla^k R is a (0, 4+k)
 tensor with slots (i, j, k, l; v_1, ..., v_k).  Requesting nabla^k R
-evaluates the metric to jet order k + 2.
-
-The recursion runs on coefficient arrays stacked over all tensor
-components at once; the Leibniz products against the fixed Christoffel
-jets are precomputed as small dense operators, which keeps the order-5
-derivative of the curvature well under a second per point.
+evaluates the metric to jet order k + 2.  The algebraic curvature
+symmetries hold by construction: the expansion is antisymmetric in each
+pair exactly, and pair symmetry and the first Bianchi identity follow from
+P being symmetric, which the recursion keeps.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from . import jets
 from .expr import Expr, eval_jet
-from .jets import Jet, jet_derivative, jet_mul
+from .jets import Jet, jet_div, stacked_product
 from .tensor import DET_FLOOR, TensorAtPoint
 
 Point = tuple[float, float, float]
@@ -73,52 +81,59 @@ class MetricField:
         return TensorAtPoint(0, 2, self.component_matrix(p))
 
 
-@dataclass(frozen=True)
+class DegenerateMetricError(ValueError):
+    """The metric is singular at the requested point."""
+
+
+@dataclass(frozen=True, eq=False)
 class ConnectionJet:
-    """Christoffel symbols Gamma^a_{ij} as jets at a base point."""
+    """Christoffel symbols Gamma^a_{ij} as stacked jets at a base point,
+    with the metric and inverse-metric jets they were built from."""
 
     point: Point
     order: int
-    gamma: tuple[tuple[tuple[Jet, ...], ...], ...]  # [a][i][j], symmetric in (i, j)
+    gamma: np.ndarray = field(repr=False)    # [pos, a, i, j], symmetric in (i, j)
+    metric: np.ndarray = field(repr=False)   # [pos, i, j]
+    inverse: np.ndarray = field(repr=False)  # [pos, i, j]
 
     def symbol(self, a: int, i: int, j: int) -> Jet:
-        return self.gamma[a][i][j]
+        return Jet(self.order, self.gamma[:, a, i, j].copy())
 
     def values(self) -> np.ndarray:
-        out = np.empty((3, 3, 3))
-        for a in range(3):
-            for i in range(3):
-                for j in range(3):
-                    out[a, i, j] = self.gamma[a][i][j].value
-        return out
+        return self.gamma[0].copy()
 
 
-def _metric_jets(g: MetricField, p: Point, order: int) -> list[list[Jet]]:
-    m = [[None] * 3 for _ in range(3)]
+def _metric_jets(g: MetricField, p: Point, order: int) -> np.ndarray:
+    m = np.empty((jets.table_size(order), 3, 3))
     for i in range(3):
         for j in range(i, 3):
-            jet = eval_jet(g.entry(i, j), p, order)
-            m[i][j] = m[j][i] = jet
+            m[:, i, j] = m[:, j, i] = eval_jet(g.entry(i, j), p, order).coeffs
     return m
 
 
-def _inverse_metric_jets(m: list[list[Jet]], g: MetricField, p: Point) -> list[list[Jet]]:
-    c = {}
-    for i in range(3):
-        i1, i2 = [a for a in range(3) if a != i]
-        for j in range(3):
-            j1, j2 = [b for b in range(3) if b != j]
-            minor = jet_mul(m[i1][j1], m[i2][j2]) - jet_mul(m[i1][j2], m[i2][j1])
-            c[i, j] = minor if (i + j) % 2 == 0 else -minor
-    det = jet_mul(m[0][0], c[0, 0]) + jet_mul(m[0][1], c[0, 1]) + jet_mul(m[0][2], c[0, 2])
-    if abs(det.value) <= DET_FLOOR:
-        raise ValueError(f"metric is degenerate at {p}: |det| = {abs(det.value):.3e}")
-    recip = 1.0 / det
-    inv = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            inv[i][j] = jet_mul(c[j, i], recip)
-    return inv
+# Per row i, the two other rows in ascending order; and the cofactor signs.
+_MINOR_ROWS = ([1, 0, 0], [2, 2, 1])
+_COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+
+
+def _inverse_metric_jets(m: np.ndarray, p: Point, order: int) -> np.ndarray:
+    """Jets of g^{ij}: the cofactors of the symmetric g over det g."""
+    r1, r2 = _MINOR_ROWS
+    a, b = m[:, r1], m[:, r2]
+    cof = _COFACTOR_SIGN * (
+        stacked_product("ij,ij->ij", a[:, :, r1], b[:, :, r2], order)
+        - stacked_product("ij,ij->ij", a[:, :, r2], b[:, :, r1], order)
+    )
+    det = stacked_product("j,j->", m[:, 0], cof[:, 0], order)
+    if abs(det[0]) <= DET_FLOOR:
+        raise DegenerateMetricError(f"metric is degenerate at {p}: |det| = {abs(det[0]):.3e}")
+    recip = jet_div(jets.jet_constant(1.0, order), Jet(order, det)).coeffs
+    return stacked_product(",ij->ij", recip, cof, order)
+
+
+def _derivatives(stack: np.ndarray, order: int) -> np.ndarray:
+    """d_l of a stacked jet field of `order`, as a new axis 1 of order - 1."""
+    return np.stack([stack[jets.shift_table(order, c)] for c in range(3)], axis=1)
 
 
 def christoffel(g: MetricField, p: Point, order: int = 0) -> ConnectionJet:
@@ -130,112 +145,75 @@ def christoffel(g: MetricField, p: Point, order: int = 0) -> ConnectionJet:
     if order < 0:
         raise ValueError("order must be nonnegative")
     m = _metric_jets(g, p, order + 1)
-    inv = _inverse_metric_jets(m, g, p)
-    dg = [[[jet_derivative(m[i][j], l) for j in range(3)] for i in range(3)] for l in range(3)]
-    first = {}
-    for b in range(3):
-        for i in range(3):
-            for j in range(i, 3):
-                val = 0.5 * (dg[i][j][b] + dg[j][i][b] - dg[b][i][j])
-                first[b, i, j] = first[b, j, i] = val
-    gamma = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-    for a in range(3):
-        for i in range(3):
-            for j in range(i, 3):
-                acc = jet_mul(inv[a][0].truncate(order), first[0, i, j])
-                for b in (1, 2):
-                    acc = acc + jet_mul(inv[a][b].truncate(order), first[b, i, j])
-                gamma[a][i][j] = gamma[a][j][i] = acc
-    return ConnectionJet(p, order, tuple(tuple(tuple(row) for row in plane) for plane in gamma))
-
-
-def _riemann_jets(g: MetricField, p: Point, order: int, conn: ConnectionJet | None = None) -> np.ndarray:
-    """Stacked coefficient array of the (0,4) curvature jets R_{ijkl}."""
-    if conn is None or conn.order < order + 1:
-        conn = christoffel(g, p, order + 1)
-    ga = conn.gamma
-    m = _metric_jets(g, p, order)
-    dga = [
-        [[[jet_derivative(ga[a][i][j].truncate(order + 1), l) for j in range(3)] for i in range(3)] for a in range(3)]
-        for l in range(3)
-    ]
     n = jets.table_size(order)
-    out = np.empty((n, 3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            if j <= i:
-                continue  # antisymmetric pair; fill below
-            for k in range(3):
-                up = []
-                for a in range(3):
-                    acc = dga[i][a][j][k] - dga[j][a][i][k]
-                    for b in range(3):
-                        acc = acc + jet_mul(ga[a][i][b].truncate(order), ga[b][j][k].truncate(order))
-                        acc = acc - jet_mul(ga[a][j][b].truncate(order), ga[b][i][k].truncate(order))
-                    up.append(acc)
-                for l in range(3):
-                    acc = jet_mul(m[l][0], up[0])
-                    for a in (1, 2):
-                        acc = acc + jet_mul(m[l][a], up[a])
-                    out[:, i, j, k, l] = acc.coeffs
-    for i in range(3):
-        out[:, i, i, :, :] = 0.0
-        for j in range(i):
-            out[:, i, j, :, :] = -out[:, j, i, :, :]
-    return out
+    inv = _inverse_metric_jets(m[:n], p, order)
+    dm = _derivatives(m, order + 1)  # [pos, l, i, j] = d_l g_ij
+    first = 0.5 * (dm.transpose(0, 3, 1, 2) + dm.transpose(0, 3, 2, 1) - dm)  # [pos, b, i, j]
+    gamma = stacked_product("ab,bij->aij", inv, first, order)
+    return ConnectionJet(p, order, gamma, m[:n], inv)
 
 
-def _gamma_stack(conn: ConnectionJet, order: int) -> np.ndarray:
+def _schouten_jets(conn: ConnectionJet, order: int) -> np.ndarray:
+    """Jets of the Schouten tensor P = Ric - (s/4) g to `order` < conn.order.
+
+    Ric_jk = d_a Gamma^a_jk - d_k Gamma^a_aj + Gamma^a_ab Gamma^b_jk
+    - Gamma^a_kb Gamma^b_aj, symmetrized once; P stays symmetric after.
+    """
     n = jets.table_size(order)
-    stack = np.empty((n, 3, 3, 3))
-    for a in range(3):
-        for i in range(3):
-            for j in range(3):
-                stack[:, a, i, j] = conn.gamma[a][i][j].coeffs[:n]
-    return stack
+    ga = conn.gamma[:n]
+    dga = _derivatives(conn.gamma, conn.order)[:n]  # [pos, l, a, i, j] = d_l Gamma^a_ij
+    ric = np.einsum("naajk->njk", dga) - np.einsum("nkaaj->njk", dga)
+    ric += stacked_product("b,bjk->jk", np.einsum("naab->nb", ga), ga, order)
+    ric -= stacked_product("akb,baj->jk", ga, ga, order)
+    ric = 0.5 * (ric + ric.transpose(0, 2, 1))
+    s = stacked_product("jk,jk->", conn.inverse[:n], ric, order)
+    return ric - 0.25 * stacked_product(",jk->jk", s, conn.metric[:n], order)
 
 
-def _gamma_operator(gamma_stack: np.ndarray, order_out: int) -> np.ndarray:
+def _gamma_operator(gamma: np.ndarray, order_out: int) -> np.ndarray:
     """Dense Leibniz operator for multiplying a field by Gamma^a_{m i}.
 
-    W[p, q, a, m, i] contracts field coefficients q into product
-    coefficients p for each symbol; built once per output order.
+    A matrix from field coefficients (q, a) to product coefficients
+    (p, m, i), built once per output order.  Each (p, q) pair occurs once
+    in the product table, so one scatter fills it.
     """
     a_pos, b_pos, out_pos, coef = jets.product_table(order_out)
     n = jets.table_size(order_out)
-    w = np.zeros((n, n, 3, 3, 3))
-    np.add.at(w, (out_pos, b_pos), coef[:, None, None, None] * gamma_stack[a_pos])
-    return w
+    w = np.zeros((n, 3, 3, n, 3))
+    w[out_pos, :, :, b_pos] = coef[:, None, None, None] * gamma[a_pos].transpose(0, 2, 3, 1)
+    return w.reshape(n * 9, n * 3)
 
 
 def _covariant_step(field: np.ndarray, order_in: int, w: np.ndarray) -> np.ndarray:
-    """One covariant derivative of a stacked (0,n) jet field.
+    """One covariant derivative of a stacked (0, n) jet field that is
+    symmetric in its first two slots.
 
     field has shape (table_size(order_in), 3, ..., 3); the result gains a
     trailing slot for the derivative direction and drops one jet order.
+    The Gamma correction of each slot is one matrix product over (q, a);
+    the second slot's is the first's transposed.
     """
     n_out = jets.table_size(order_in - 1)
-    parts = [field[jets.shift_table(order_in, c)] for c in range(3)]
-    out = np.stack(parts, axis=-1)
-    nslots = field.ndim - 1
-    for s in range(nslots):
-        tmov = np.moveaxis(field[:n_out], 1 + s, -1)
-        corr = np.einsum("pqami,q...a->p...im", w, tmov)
-        out -= np.moveaxis(corr, -2, 1 + s)
-    return _impose_curvature_slot_symmetries(out)
+    out = np.stack([field[jets.shift_table(order_in, c)] for c in range(3)], axis=-1)
+    lower = field[:n_out]
+    for s in range(field.ndim - 1):
+        if s == 1:
+            continue
+        moved = np.moveaxis(lower, 1 + s, 1)  # [q, a, other slots]
+        corr = (w @ moved.reshape(n_out * 3, -1)).reshape((n_out, 3, 3) + moved.shape[2:])
+        corr = np.moveaxis(corr, (1, 2), (-1, 1 + s))  # [p, .., i at slot s, .., m]
+        if s == 0:
+            corr = corr + corr.swapaxes(1, 2)
+        out -= corr
+    return out
 
 
-def _impose_curvature_slot_symmetries(field: np.ndarray) -> np.ndarray:
-    """Project onto the exact symmetries every nabla^k R carries in its first
-    four slots: antisymmetry in (1,2) and (3,4), symmetry under pair swap.
-
-    Covariant differentiation preserves these identically, so the projection
-    changes nothing mathematically; it removes the round-off that would
-    otherwise pollute the components forced to vanish by index patterns.
-    """
-    f = 0.5 * (field - np.swapaxes(field, 1, 2))
-    f = 0.5 * (f - np.swapaxes(f, 3, 4))
-    return 0.5 * (f + np.moveaxis(f, (1, 2, 3, 4), (3, 4, 1, 2)))
+def _kulkarni_nomizu(p_comp: np.ndarray, g0: np.ndarray) -> TensorAtPoint:
+    """R_{ijkl;V} = P_{il;V} g_jk + P_{jk;V} g_il - P_{ik;V} g_jl - P_{jl;V} g_ik."""
+    t = np.einsum("il...,jk->ijkl...", p_comp, g0)
+    t = t - t.swapaxes(0, 1)
+    r = t - t.swapaxes(2, 3)
+    return TensorAtPoint(0, r.ndim, r)
 
 
 def nabla_riemann_sequence(g: MetricField, p: Point, kmax: int) -> list[TensorAtPoint]:
@@ -243,13 +221,12 @@ def nabla_riemann_sequence(g: MetricField, p: Point, kmax: int) -> list[TensorAt
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     conn = christoffel(g, p, kmax + 1)
-    field = _riemann_jets(g, p, kmax, conn)
-    seq = [TensorAtPoint(0, 4, field[0].copy())]
-    for j in range(kmax):
-        order_in = kmax - j
-        w = _gamma_operator(_gamma_stack(conn, order_in - 1), order_in - 1)
-        field = _covariant_step(field, order_in, w)
-        seq.append(TensorAtPoint(0, 4 + j + 1, field[0].copy()))
+    g0 = conn.metric[0]
+    field = _schouten_jets(conn, kmax)
+    seq = [_kulkarni_nomizu(field[0], g0)]
+    for order_in in range(kmax, 0, -1):
+        field = _covariant_step(field, order_in, _gamma_operator(conn.gamma, order_in - 1))
+        seq.append(_kulkarni_nomizu(field[0], g0))
     return seq
 
 

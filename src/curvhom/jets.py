@@ -9,7 +9,8 @@ round-off; nothing here uses finite differencing.
 
 Coefficient vectors are laid out along a graded ordering of multi-indices,
 so the table for order ``n`` is a prefix of the table for order ``n + 1``
-and truncation is a slice.
+and truncation is a slice.  ``stacked_product`` multiplies whole tensor
+fields of jets, stored as coefficient arrays with the jet axis first.
 """
 
 from __future__ import annotations
@@ -83,6 +84,31 @@ def product_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         np.asarray(out_pos, dtype=np.intp),
         np.asarray(coef, dtype=np.float64),
     )
+
+
+@lru_cache(maxsize=None)
+def _sorted_product_table(order: int):
+    """product_table sorted by output position, with each position's start."""
+    a_pos, b_pos, out_pos, coef = product_table(order)
+    perm = np.argsort(out_pos, kind="stable")
+    starts = np.searchsorted(out_pos[perm], np.arange(table_size(order)))
+    return a_pos[perm], b_pos[perm], coef[perm], starts
+
+
+def stacked_product(spec: str, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Leibniz product of two stacked jet fields, contracted over tensor slots.
+
+    a and b have shape (>= table_size(order), 3, ..., 3): coefficient
+    vectors along the first axis, tensor slots after it.  spec is an einsum
+    over the slots only, e.g. "ab,bij->aij"; the result has the jet axis
+    first, at `order`.
+    """
+    a_pos, b_pos, coef, starts = _sorted_product_table(order)
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    terms = np.einsum(f"t{sa},t{sb}->t{out}", a[a_pos], b[b_pos])
+    flat = coef[:, None] * terms.reshape(len(coef), -1)
+    return np.add.reduceat(flat, starts, axis=0).reshape((-1,) + terms.shape[1:])
 
 
 @lru_cache(maxsize=None)

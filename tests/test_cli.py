@@ -213,3 +213,29 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         "--order", "1", "--grid", "t=1:2:3", "--format", "text",
     )
     assert code == EXIT_CHECK_FAILED
+
+
+def _excluded_points(out):
+    return {tuple(e["point"]) for e in json.loads(out)["exclusions"]}
+
+
+def test_classify_excludes_point_outside_domain(capsys):
+    # log(0) is undefined; the other points are flat (delta = 0 for f = log x)
+    code, out, _ = run(capsys, "classify", "--family", "f", "--function", "log(x)", "--grid", "x=0:1:5")
+    assert code == EXIT_OK
+    assert (0.0, 0.0, 0.0) in _excluded_points(out)
+
+
+def test_classify_excludes_overflowing_points(capsys):
+    # exp(2 exp(x^2)) overflows at x = 15 and x = 30
+    code, out, err = run(capsys, "classify", "--family", "f", "--function", "exp(x^2)", "--grid", "x=0:30:3")
+    assert code in (EXIT_OK, EXIT_HYPOTHESIS)
+    excluded = _excluded_points(out)
+    assert {(0.0, 15.0, 0.0), (0.0, 30.0, 0.0)} <= excluded
+    assert (0.0, 0.0, 0.0) not in excluded
+
+
+def test_verify_overflow_exits_2(capsys):
+    code, _, err = run(capsys, "verify", "--family", "f", "--function", "exp(x^2)", "--grid", "x=0:30:3")
+    assert code == EXIT_CONFIG
+    assert "overflow" in err

@@ -117,6 +117,20 @@ def test_mul_matches_leibniz_expansion_exhaustively():
         assert partial(prod, gamma) == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [0, 2, 4])
+def test_stacked_product_matches_componentwise_jet_mul(order):
+    rng = np.random.default_rng(order)
+    n = jets.table_size(order)
+    a = rng.normal(size=(n + 3, 3, 2))  # longer than the table: only the prefix is read
+    b = rng.normal(size=(n, 2, 3))
+    got = jets.stacked_product("ik,kj->ij", a, b, order)
+    assert got.shape == (n, 3, 3)
+    for i in range(3):
+        for j in range(3):
+            want = sum(jet_mul(Jet(order, a[:n, i, k]), Jet(order, b[:, k, j])).coeffs for k in range(2))
+            np.testing.assert_allclose(got[:, i, j], want, rtol=1e-14, atol=1e-14)
+
+
 @given(finite_jets(), finite_jets())
 @settings(max_examples=60)
 def test_div_inverts_mul(a, b):
