@@ -32,7 +32,7 @@ from .expr import DomainError, Expr, pretty
 from .families import FamilySpec, delta_derivatives, profile_derivatives, family_f_metric, family_h_metric
 from .geometry import DegenerateMetricError, MetricField, Point, nabla_k_riemann, nabla_riemann_sequence
 from .models import T, X, adapted_frame_f, adapted_frame_h, scaling_lambda_h
-from .tensor import pullback
+from .tensor import TensorAtPoint, pullback
 
 FLOOR = 1e-8          # nonvanishing hypothesis floor on delta and h''
 ZERO_FLOOR = 1e-9     # entries below this (relative) count as structural zeros
@@ -185,70 +185,45 @@ class HomogeneityReport:
 # ---------------------------------------------------------------------------
 # intrinsic invariant evaluators
 
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise HypothesisViolation(message)
-
-
-def f_first_invariant(f: Expr, p: Point) -> float:
-    """Squared nabla R(T,X,X,T;X) entry on the unit-lambda adapted frame.
-
-    Equals (delta')^2 where delta = f'' + (f')^2.  Sensitive to isometries
-    that fix the curvature normalization, hence a witness against CH_1 when
-    nonconstant.
-    """
-    d = delta_derivatives(f, p, 1)
-    _require(abs(d[0]) >= FLOOR, f"|delta| = {abs(d[0]):.2e} below floor at {p}")
-    g = family_f_metric(f)
-    frame = adapted_frame_f(f, p, 1.0)
-    entry = pullback(nabla_k_riemann(g, p, 1), frame).components[T, X, X, T, X]
-    return float(entry**2)
-
-
-def f_scale_ratio(f: Expr, p: Point) -> float:
-    """nabla R entry squared over the cubed curvature entry; scale free.
-
-    Equals (delta')^2 / (-delta)^3; constancy is the order-1 simultaneous
-    scaling condition for the f-family.
-    """
-    d = delta_derivatives(f, p, 0)
-    _require(abs(d[0]) >= FLOOR, f"|delta| = {abs(d[0]):.2e} below floor at {p}")
-    g = family_f_metric(f)
-    frame = adapted_frame_f(f, p, 1.0)
-    seq = nabla_riemann_sequence(g, p, 1)
-    e0 = pullback(seq[0], frame).components[T, X, X, T]
-    e1 = pullback(seq[1], frame).components[T, X, X, T, X]
-    return float(e1**2 / e0**3)
-
-
-def h_first_invariant(h: Expr, p: Point) -> float:
-    """Squared nabla R(T,X,X,T;T) entry on the unit-curvature adapted frame.
-
-    Equals (h'''/h'')^2; an isometry invariant of the order-1 model, so
-    nonconstancy rules out CH_1.
-    """
-    d = profile_derivatives(h, p, 2)
-    _require(abs(d[2]) >= FLOOR, f"|h''| = {abs(d[2]):.2e} below floor at {p}")
-    g = family_h_metric(h)
-    lam = abs(d[2]) ** -0.5
-    frame = adapted_frame_h(h, p, lam)
-    entry = pullback(nabla_k_riemann(g, p, 1), frame).components[T, X, X, T, T]
-    return float(entry**2)
+# Sequence order each family's invariants need: xi is an order-1 entry, the
+# h-family's xi_T and xi_X are order-2 entries.
+MIN_ORDER = {"f": 1, "h": 2}
 
 
 @dataclass(frozen=True)
-class SecondOrderRatios:
-    xi_t: float
-    xi_x: float
-    psi: float
+class FamilySamples:
+    """One batched evaluation of a family metric over sample points."""
+
+    hyp: np.ndarray       # per point: |delta| (f) or |h''| (h)
+    ok: np.ndarray        # per point: hyp >= FLOOR
+    sch: np.ndarray       # per point: has an SCH frame; f: ok, h: ok and |h'''| >= FLOOR
+    flat_scale: float     # max |R| over the points
+    # at the ok points, None if there are none
+    adapted: Optional[list[np.ndarray]] = None    # nabla^k R on the unit adapted frame
+    xi: Optional[np.ndarray] = None               # order-1 invariant
+    sch_ratio: Optional[np.ndarray] = None        # f: (delta')^2 / (-delta)^3
+    xi_t_alt: Optional[np.ndarray] = None         # h: h'''' / h''^2
+    # at the sch points, None if there are none
+    aligned: Optional[list[np.ndarray]] = None    # nabla^k R on the SCH frame
+    psi: Optional[np.ndarray] = None              # |R(T,X,X,T)| on that frame
+    xi_t: Optional[np.ndarray] = None             # h: nabla^2 R(T,X,X,T;T,T) / psi^2
+    xi_x: Optional[np.ndarray] = None             # h: -nabla^2 R(T,X,X,T;X,X) / psi^2
 
 
-def h_second_ratios(h: Expr, p: Point) -> SecondOrderRatios:
-    """Second-derivative entries on the order-aligned frame, scaled by psi^2.
+def _pulled_back(seq, mask, frame) -> list[np.ndarray]:
+    return [pullback(TensorAtPoint(0, t.covariant_rank, t.components[mask]), frame).components for t in seq]
 
-    The frame uses lam^2 = (h''')^2 / |h''|^3 so the order-0 and order-1
-    entries become (+-psi, +-psi^{3/2}) with psi = (h'''/h'')^2.  Then
+
+def family_samples(g: MetricField, kmax: int, points) -> FamilySamples:
+    """R, ..., nabla^kmax R of an f- or h-family metric at all points
+    (shape (npts, 3)) at once, on the adapted frames, with the invariants.
+
+    f-family: xi = nabla R(T,X,X,T;X)^2 = (delta')^2 on the unit-lambda
+    frame, and the scale-free sch_ratio = xi / R(T,X,X,T)^3; the SCH frame
+    is that frame.  h-family: xi = (nabla R(T,X,X,T;T) / R(T,X,X,T))^2 =
+    (h'''/h'')^2; the SCH frame uses lam^2 = (h''')^2 / |h''|^3, so the
+    order-0 and order-1 entries become (+-psi, +-psi^{3/2}) with
+    psi = (h'''/h'')^2, and then
 
         xi_t = nabla^2 R(T,X,X,T;T,T) / psi^2 = h'''' h'' / (h''')^2
         xi_x = -nabla^2 R(T,X,X,T;X,X) / psi^2 = h' h''' / (h'')^2
@@ -256,20 +231,112 @@ def h_second_ratios(h: Expr, p: Point) -> SecondOrderRatios:
     The sign on xi_x compensates the recursion's -Gamma^t_{xx} term so that
     exponential profiles report +1.
     """
-    d = profile_derivatives(h, p, 4)
-    _require(abs(d[2]) >= FLOOR, f"|h''| = {abs(d[2]):.2e} below floor at {p}")
-    _require(abs(d[3]) >= FLOOR, f"|h'''| = {abs(d[3]):.2e} below floor at {p}")
-    g = family_h_metric(h)
-    frame = adapted_frame_h(h, p, scaling_lambda_h(h, p))
-    seq = nabla_riemann_sequence(g, p, 2)
-    e0 = pullback(seq[0], frame).components[T, X, X, T]
-    a2 = pullback(seq[2], frame).components
-    psi = abs(float(e0))
-    return SecondOrderRatios(
-        xi_t=float(a2[T, X, X, T, T, T]) / psi**2,
-        xi_x=-float(a2[T, X, X, T, X, X]) / psi**2,
-        psi=psi,
-    )
+    fn = g.family.function
+    is_f = g.family.family == "f"
+    points = np.asarray(points, dtype=np.float64)
+    if is_f:
+        hyp = np.abs(delta_derivatives(fn, points, 0)[0])
+    else:
+        d = profile_derivatives(fn, points, 4)
+        hyp = np.abs(d[2])
+    seq = nabla_riemann_sequence(g, points, kmax)
+    ok = hyp >= FLOOR
+    flat_scale = float(np.abs(seq[0].components).max())
+    if not ok.any():
+        return FamilySamples(hyp, ok, ok, flat_scale)
+    adapted = _pulled_back(seq, ok, (adapted_frame_f if is_f else adapted_frame_h)(fn, points[ok], 1.0))
+    e0 = adapted[0][:, T, X, X, T]
+    if is_f:
+        xi = adapted[1][:, T, X, X, T, X] ** 2
+        return FamilySamples(
+            hyp, ok, ok, flat_scale, adapted, xi, sch_ratio=xi / e0**3, aligned=adapted, psi=np.abs(e0)
+        )
+    out = dict(xi=adapted[1][:, T, X, X, T, T] ** 2 / e0**2, xi_t_alt=d[4][ok] / d[2][ok] ** 2)
+    sch = ok & (np.abs(d[3]) >= FLOOR)
+    if sch.any():
+        aligned = _pulled_back(seq, sch, adapted_frame_h(fn, points[sch], scaling_lambda_h(fn, points[sch])))
+        psi = np.abs(aligned[0][:, T, X, X, T])
+        a2 = aligned[2]
+        out.update(
+            aligned=aligned, psi=psi, xi_t=a2[:, T, X, X, T, T, T] / psi**2, xi_x=-a2[:, T, X, X, T, X, X] / psi**2
+        )
+    return FamilySamples(hyp, ok, sch, flat_scale, adapted, **out)
+
+
+def below_floor(what: str, value, point) -> str:
+    return f"|{what}| = {abs(value):.2e} below floor at {point}"
+
+
+def _require(values, what: str, points):
+    """Raise HypothesisViolation at the first point where |values| < FLOOR."""
+    low = np.ravel(~(np.abs(values) >= FLOOR))
+    if low.any():
+        i = int(np.argmax(low))
+        point = tuple(np.reshape(points, (-1, 3))[i].tolist())
+        raise HypothesisViolation(below_floor(what, np.ravel(values)[i], point))
+
+
+def _samples_at(g: MetricField, p) -> tuple[FamilySamples, tuple]:
+    """family_samples at the point(s) p, shape (..., 3), which must all
+    satisfy the hypothesis; and the leading shape of p."""
+    pts = np.reshape(np.asarray(p, dtype=np.float64), (-1, 3))
+    s = family_samples(g, MIN_ORDER[g.family.family], pts)
+    _require(s.hyp, "delta" if g.family.family == "f" else "h''", pts)
+    return s, np.shape(p)[:-1]
+
+
+# The evaluators below take one point or an array of points and return a
+# scalar or an array over them; each raises HypothesisViolation if its
+# hypothesis fails at any of the points.
+
+
+def f_first_invariant(f: Expr, p):
+    """Squared nabla R(T,X,X,T;X) entry on the unit-lambda adapted frame.
+
+    Equals (delta')^2 where delta = f'' + (f')^2.  Sensitive to isometries
+    that fix the curvature normalization, hence a witness against CH_1 when
+    nonconstant.
+    """
+    s, batch = _samples_at(family_f_metric(f), p)
+    return s.xi.reshape(batch)[()]
+
+
+def f_scale_ratio(f: Expr, p):
+    """nabla R entry squared over the cubed curvature entry; scale free.
+
+    Equals (delta')^2 / (-delta)^3; constancy is the order-1 simultaneous
+    scaling condition for the f-family.
+    """
+    s, batch = _samples_at(family_f_metric(f), p)
+    return s.sch_ratio.reshape(batch)[()]
+
+
+def h_first_invariant(h: Expr, p):
+    """Squared nabla R(T,X,X,T;T) entry on the unit-curvature adapted frame.
+
+    Equals (h'''/h'')^2; an isometry invariant of the order-1 model, so
+    nonconstancy rules out CH_1.
+    """
+    s, batch = _samples_at(family_h_metric(h), p)
+    return s.xi.reshape(batch)[()]
+
+
+@dataclass(frozen=True)
+class SecondOrderRatios:
+    """xi_t, xi_x and psi of family_samples: scalars at one point, arrays
+    over a batch."""
+
+    xi_t: np.ndarray
+    xi_x: np.ndarray
+    psi: np.ndarray
+
+
+def h_second_ratios(h: Expr, p) -> SecondOrderRatios:
+    """Second-derivative entries on the order-aligned frame, scaled by psi^2;
+    see family_samples."""
+    s, batch = _samples_at(family_h_metric(h), p)
+    _require(profile_derivatives(h, p, 3)[3], "h'''", p)
+    return SecondOrderRatios(*(v.reshape(batch)[()] for v in (s.xi_t, s.xi_x, s.psi)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +441,13 @@ def _representative_scaled(stack: np.ndarray, psi: np.ndarray, order: int) -> np
     return flat[:, c] / psi ** ((order + 2) / 2.0)
 
 
-def _fill(values_by_point: dict, pts, transform=float) -> tuple:
-    return tuple(transform(values_by_point[p]) if p in values_by_point else None for p in pts)
+def per_point(idx, values, n: int) -> tuple:
+    """A per-sample series: values at the point indices idx, None elsewhere
+    (everywhere when values is None)."""
+    out = [None] * n
+    for i, v in zip(idx, () if values is None else values):
+        out[i] = float(v)
+    return tuple(out)
 
 
 def _overall(statuses: list[str]) -> str:
@@ -388,6 +460,29 @@ def _overall(statuses: list[str]) -> str:
 
 # ---------------------------------------------------------------------------
 # classification drivers
+
+
+def evaluate_points(evaluate, pts):
+    """evaluate(points) on the whole sample grid in one batched call.
+
+    If it raises one of POINT_ERRORS, the grid is split into batches of one
+    to find the points it fails at; each becomes an Exclusion naming the
+    error, and evaluate runs once more on the rest.  Returns the indices of
+    the good points, the result on them (None if there are none) and the
+    exclusions by point index.
+    """
+    try:
+        return list(range(len(pts))), evaluate(pts), {}
+    except POINT_ERRORS:
+        pass
+    failed = {}
+    for i, p in enumerate(pts):
+        try:
+            evaluate([p])
+        except POINT_ERRORS as err:
+            failed[i] = Exclusion(p, f"cannot evaluate the metric ({type(err).__name__}): {err}")
+    good = [i for i in range(len(pts)) if i not in failed]
+    return good, (evaluate([pts[i] for i in good]) if good else None), failed
 
 
 def classify(g: MetricField, r: int, samples: SampleSet, tol: float = 1e-6) -> HomogeneityReport:
@@ -405,8 +500,11 @@ def classify(g: MetricField, r: int, samples: SampleSet, tol: float = 1e-6) -> H
     return _classify_custom(g, r, pts, tol)
 
 
+def _verdict_names(r: int) -> list[str]:
+    return ["CH_0"] + [f"CH_{k}(1,3)" for k in range(r + 1)] + [f"SCH_{k}(1,3)" for k in range(r + 1)]
+
+
 def _vacuous_report(family, function, r, pts, tol, note, exclusions=()) -> HomogeneityReport:
-    names = ["CH_0"] + [f"CH_{k}(1,3)" for k in range(r + 1)] + [f"SCH_{k}(1,3)" for k in range(r + 1)]
     zeros = SampleSeries("xi", tuple(0.0 for _ in pts))
     return HomogeneityReport(
         family=family,
@@ -414,7 +512,7 @@ def _vacuous_report(family, function, r, pts, tol, note, exclusions=()) -> Homog
         r=r,
         tol=tol,
         points=pts,
-        verdicts=tuple(Verdict(n, PASS, (note,)) for n in names),
+        verdicts=tuple(Verdict(n, PASS, (note,)) for n in _verdict_names(r)),
         invariants=(zeros,),
         psi=SampleSeries("psi", tuple(0.0 for _ in pts)),
         scaled_entries=(),
@@ -425,89 +523,69 @@ def _vacuous_report(family, function, r, pts, tol, note, exclusions=()) -> Homog
     )
 
 
-def _classify_custom(g: MetricField, r, pts, tol) -> HomogeneityReport:
-    curv = [nabla_k_riemann(g, p, 0).components for p in pts]
-    gscale = max(max(1.0, float(np.abs(g.component_matrix(p)).max())) for p in pts)
-    if max(float(np.abs(c).max()) for c in curv) < DEGENERATE_FLOOR * gscale:
-        return _vacuous_report("custom", None, r, pts, tol, "degenerate: zero curvature")
-    note = "no adapted frame construction for custom metrics; raw curvature available via verify/invariants"
-    names = ["CH_0"] + [f"CH_{k}(1,3)" for k in range(r + 1)] + [f"SCH_{k}(1,3)" for k in range(r + 1)]
+def _unevaluated_report(family, function, r, pts, tol, note, exclusions) -> HomogeneityReport:
     return HomogeneityReport(
-        family="custom",
-        function=None,
-        r=r,
-        tol=tol,
-        points=pts,
-        verdicts=tuple(Verdict(n, HYP, (note,)) for n in names),
-        invariants=(),
-        psi=None,
-        scaled_entries=(),
-        diagnostics=(),
-        exclusions=tuple(Exclusion(p, note) for p in pts),
-        degenerate=False,
-        notes=(note,),
+        family=family, function=function, r=r, tol=tol, points=pts,
+        verdicts=tuple(Verdict(n, HYP, (note,)) for n in _verdict_names(r)),
+        invariants=(), psi=None, scaled_entries=(), diagnostics=(),
+        exclusions=tuple(exclusions), degenerate=False, notes=(note,),
     )
+
+
+def _sorted_values(by_index: dict) -> tuple:
+    return tuple(by_index[i] for i in sorted(by_index))
+
+
+def _custom_samples(g: MetricField, points) -> tuple[float, float]:
+    """(max |R|, max(1, max |g_ij|)) over the points."""
+    curv = nabla_k_riemann(g, points, 0).components
+    return float(np.abs(curv).max()), max(1.0, float(np.abs(g.component_matrix(points)).max()))
+
+
+def _classify_custom(g: MetricField, r, pts, tol) -> HomogeneityReport:
+    good, scales, failed = evaluate_points(lambda p: _custom_samples(g, p), pts)
+    if good and scales[0] < DEGENERATE_FLOOR * scales[1]:
+        return _vacuous_report("custom", None, r, pts, tol, "degenerate: zero curvature", _sorted_values(failed))
+    if good:
+        note = "no adapted frame construction for custom metrics; raw curvature available via verify/invariants"
+    else:
+        note = "the metric cannot be evaluated at any sample point"
+    exclusions = [failed.get(i, Exclusion(p, note)) for i, p in enumerate(pts)]
+    return _unevaluated_report("custom", None, r, pts, tol, note, exclusions)
 
 
 def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> HomogeneityReport:
     is_f = fam.family == "f"
     fn = fam.function
-    kmax = max(r, 1) if is_f else max(r, 2)
-    exclusions: list[Exclusion] = []
-    failed: list[Exclusion] = []                     # points the metric cannot be evaluated at
-    included: list[Point] = []
-    pulled: dict[Point, list[np.ndarray]] = {}       # adapted (unit-lambda) frame entries
-    pulled_sch: dict[Point, list[np.ndarray]] = {}   # order-aligned frame entries (h only)
-    flat_scale = 0.0
-    for p in pts:
-        try:
-            if is_f:
-                hyp = abs(delta_derivatives(fn, p, 0)[0])
-                reason = f"|delta| = {hyp:.2e} below {FLOOR:.0e}"
+    kmax = max(r, MIN_ORDER[fam.family])
+    npts = len(pts)
+    good, s, failed = evaluate_points(lambda p: family_samples(g, kmax, p), pts)
+    if good and s.flat_scale < DEGENERATE_FLOOR:
+        return _vacuous_report(fam.family, pretty(fn), r, pts, tol, "degenerate: zero curvature", _sorted_values(failed))
+    excluded = dict(failed)
+    included: list[int] = []                         # indices of the hypothesis-satisfying points
+    sch_idx: list[int] = []                          # of those, the ones with an SCH frame
+    if good:
+        what = "|delta|" if is_f else "|h''|"
+        for j, i in enumerate(good):
+            if s.ok[j]:
+                included.append(i)
+                if s.sch[j]:
+                    sch_idx.append(i)
             else:
-                hyp = abs(profile_derivatives(fn, p, 2)[2])
-                reason = f"|h''| = {hyp:.2e} below {FLOOR:.0e}"
-            seq = nabla_riemann_sequence(g, p, kmax)
-            adapted = aligned = None
-            if hyp >= FLOOR:
-                frame = adapted_frame_f(fn, p, 1.0) if is_f else adapted_frame_h(fn, p, 1.0)
-                adapted = [pullback(t, frame).components for t in seq]
-                if not is_f and abs(profile_derivatives(fn, p, 3)[3]) >= FLOOR:
-                    sch_frame = adapted_frame_h(fn, p, scaling_lambda_h(fn, p))
-                    aligned = [pullback(t, sch_frame).components for t in seq]
-        except POINT_ERRORS as err:
-            failed.append(Exclusion(p, f"cannot evaluate the metric ({type(err).__name__}): {err}"))
-            exclusions.append(failed[-1])
-            continue
-        flat_scale = max(flat_scale, float(np.abs(seq[0].components).max()))
-        if adapted is None:
-            exclusions.append(Exclusion(p, reason))
-            continue
-        included.append(p)
-        pulled[p] = adapted
-        if aligned is not None:
-            pulled_sch[p] = aligned
-    if len(failed) < len(pts) and flat_scale < DEGENERATE_FLOOR:
-        return _vacuous_report(fam.family, pretty(fn), r, pts, tol, "degenerate: zero curvature", failed)
+                excluded[i] = Exclusion(pts[i], f"{what} = {s.hyp[j]:.2e} below {FLOOR:.0e}")
+    exclusions = _sorted_values(excluded)
     if not included:
-        names = ["CH_0"] + [f"CH_{k}(1,3)" for k in range(r + 1)] + [f"SCH_{k}(1,3)" for k in range(r + 1)]
-        if len(failed) == len(pts):
+        if not good:
             note = "the metric cannot be evaluated at any sample point"
         else:
             note = "nonvanishing hypothesis fails at every sample point"
-        return HomogeneityReport(
-            family=fam.family, function=pretty(fn), r=r, tol=tol, points=pts,
-            verdicts=tuple(Verdict(n, HYP, (note,)) for n in names),
-            invariants=(), psi=None, scaled_entries=(), diagnostics=(),
-            exclusions=tuple(exclusions), degenerate=False, notes=(note,),
-        )
+        return _unevaluated_report(fam.family, pretty(fn), r, pts, tol, note, exclusions)
 
-    hyp_heavy = len(included) <= len(pts) / 2.0
-    stacks = [np.stack([pulled[p][k] for p in included]) for k in range(kmax + 1)]
+    hyp_heavy = len(included) <= npts / 2.0
+    stacks = s.adapted
     e0 = stacks[0][:, T, X, X, T]
-    entry1 = stacks[1][:, T, X, X, T, X] if is_f else stacks[1][:, T, X, X, T, T]
-    xi_vals = {p: v for p, v in zip(included, entry1**2 / (1.0 if is_f else e0**2))}
-    xi = SampleSeries("xi", _fill(xi_vals, pts))
+    xi = SampleSeries("xi", per_point(included, s.xi, npts))
     xi_spread = xi.spread or 0.0
     notes: list[str] = []
     verdicts: list[Verdict] = []
@@ -539,65 +617,30 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         verdicts.append(Verdict(f"CH_{k}(1,3)", _overall(q_statuses[: k + 1]), nt))
 
     # SCH_k(1,3)
-    if is_f:
-        psi_vals = {p: abs(v) for p, v in zip(included, e0)}
-        psi_arr = np.abs(e0)
-        sch_stacks = stacks
-        sch_pts = included
-    else:
-        sch_pts = [p for p in included if p in pulled_sch]
-        if sch_pts:
-            sch_stacks = [np.stack([pulled_sch[p][k] for p in sch_pts]) for k in range(kmax + 1)]
-            psi_arr = np.abs(sch_stacks[0][:, T, X, X, T])
-            psi_vals = {p: float(v) for p, v in zip(sch_pts, psi_arr)}
-        else:
-            sch_stacks = None
-            psi_arr = None
-            psi_vals = {}
+    sch_stacks, psi_arr = s.aligned, s.psi
 
     scaled_series: list[SampleSeries] = []
-    sch_statuses: list[str] = []
-    sch_notes: list[tuple[str, ...]] = []
-    for k in range(r + 1):
-        if k == 0:
-            st = verdicts[1].status  # CH_0(1,3) == Q(0)
-            sch_statuses.append(st)
-            sch_notes.append(())
-            continue
-        if is_f:
-            analysis = _scaled_constancy(stacks[k], psi_arr, k, tol)
+    sch_statuses: list[str] = [verdicts[1].status]  # SCH_0 == CH_0(1,3) == Q(0)
+    sch_notes: list[tuple[str, ...]] = [()]
+    for k in range(1, r + 1):
+        if not is_f and float(np.abs(stacks[k]).max()) < DEGENERATE_FLOOR:
+            st, nt = status_of(_OrderAnalysis("vacuous"))
+        elif not sch_idx:
+            st, nt = HYP, ("|h'''| below floor at every hypothesis-satisfying point",)
+        elif not is_f and len(sch_idx) <= npts / 2.0:
+            st, nt = HYP, ("|h'''| below floor at more than half the sample points",)
+        else:
+            analysis = _scaled_constancy(sch_stacks[k], psi_arr, k, tol)
             st, nt = status_of(analysis)
             if analysis.status != "vacuous":
-                scaled_series.append(
-                    SampleSeries(
-                        f"scaled_order_{k}",
-                        _fill({p: v for p, v in zip(included, _representative_scaled(stacks[k], psi_arr, k))}, pts),
-                    )
+                scaled = _representative_scaled(sch_stacks[k], psi_arr, k)
+                scaled_series.append(SampleSeries(f"scaled_order_{k}", per_point(sch_idx, scaled, npts)))
+            if not is_f and k >= 2 and st == PASS and xi_spread > tol:
+                st = FAIL
+                nt = nt + (
+                    f"SCH_{k} would contradict non-CH_1: the order-1 invariant is nonconstant "
+                    f"(spread {xi_spread:.2e}) while the scaled order-{k} entries are constant",
                 )
-        else:
-            flat_k = stacks[k].reshape(len(included), -1)
-            if float(np.abs(flat_k).max()) < DEGENERATE_FLOOR:
-                st, nt = status_of(_OrderAnalysis("vacuous"))
-            elif not sch_pts:
-                st, nt = HYP, ("|h'''| below floor at every hypothesis-satisfying point",)
-            elif len(sch_pts) <= len(pts) / 2.0:
-                st, nt = HYP, ("|h'''| below floor at more than half the sample points",)
-            else:
-                analysis = _scaled_constancy(sch_stacks[k], psi_arr, k, tol)
-                st, nt = status_of(analysis)
-                if analysis.status != "vacuous":
-                    scaled_series.append(
-                        SampleSeries(
-                            f"scaled_order_{k}",
-                            _fill({p: v for p, v in zip(sch_pts, _representative_scaled(sch_stacks[k], psi_arr, k))}, pts),
-                        )
-                    )
-                if k >= 2 and st == PASS and xi_spread > tol:
-                    st = FAIL
-                    nt = nt + (
-                        f"SCH_{k} would contradict non-CH_1: the order-1 invariant is nonconstant "
-                        f"(spread {xi_spread:.2e}) while the scaled order-{k} entries are constant",
-                    )
         sch_statuses.append(st)
         sch_notes.append(nt)
     for k in range(r + 1):
@@ -612,22 +655,12 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
     invariants = [xi]
     diagnostics: list[SampleSeries] = []
     if is_f:
-        ratio_vals = {p: float(v) for p, v in zip(included, entry1**2 / e0**3)}
-        invariants.append(SampleSeries("sch_ratio", _fill(ratio_vals, pts)))
+        invariants.append(SampleSeries("sch_ratio", per_point(included, s.sch_ratio, npts)))
     else:
-        xt_vals, xx_vals, xt_alt = {}, {}, {}
-        for i, p in enumerate(sch_pts):
-            psi2 = psi_vals[p] ** 2
-            a2 = sch_stacks[2][i]
-            xt_vals[p] = float(a2[T, X, X, T, T, T]) / psi2
-            xx_vals[p] = -float(a2[T, X, X, T, X, X]) / psi2
-        for p in included:
-            d = profile_derivatives(fn, p, 4)
-            xt_alt[p] = d[4] / d[2] ** 2
-        if sch_pts:
-            invariants.append(SampleSeries("xi_T", _fill(xt_vals, pts)))
-            invariants.append(SampleSeries("xi_X", _fill(xx_vals, pts)))
-        diagnostics.append(SampleSeries("xi_T_alt", _fill(xt_alt, pts)))
+        if sch_idx:
+            invariants.append(SampleSeries("xi_T", per_point(sch_idx, s.xi_t, npts)))
+            invariants.append(SampleSeries("xi_X", per_point(sch_idx, s.xi_x, npts)))
+        diagnostics.append(SampleSeries("xi_T_alt", per_point(included, s.xi_t_alt, npts)))
     if xi_spread > tol:
         notes.append(
             f"evidence: order-1 invariant nonconstant (spread {xi_spread:.2e} > tol); "
@@ -651,10 +684,10 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         points=pts,
         verdicts=tuple(verdicts),
         invariants=tuple(invariants),
-        psi=SampleSeries("psi", _fill(psi_vals, pts)),
+        psi=SampleSeries("psi", per_point(sch_idx, psi_arr, npts)),
         scaled_entries=tuple(scaled_series),
         diagnostics=tuple(diagnostics),
-        exclusions=tuple(exclusions),
+        exclusions=exclusions,
         degenerate=False,
         notes=tuple(notes),
     )

@@ -27,16 +27,15 @@ import numpy as np
 
 from . import __version__
 from .classify import (
-    FLOOR,
+    MIN_ORDER,
     GridAxis,
     GridSpec,
-    HypothesisViolation,
     SampleSet,
+    below_floor,
     classify,
-    f_first_invariant,
-    f_scale_ratio,
-    h_first_invariant,
-    h_second_ratios,
+    evaluate_points,
+    family_samples,
+    per_point,
 )
 from .expr import DomainError, ParseError, parse
 from .families import (
@@ -261,16 +260,17 @@ def cmd_verify(config: RunConfig) -> int:
     metric = _build_metric(config)
     oracle = family_f_oracle if config.family == "f" else family_h_oracle
     points = config.grid.points()
-    per_order_rel = [0.0] * (config.order + 1)
-    per_order_abs = [0.0] * (config.order + 1)
-    for p in points:
-        # rescale so max |g_ij| is O(1) at the point; curvature scales along
-        gscale = max(1.0, float(np.abs(metric.component_matrix(p)).max()))
-        seq = nabla_riemann_sequence(metric.scaled(1.0 / gscale), p, config.order)
-        for k in range(config.order + 1):
-            rel, absdev = _compare(seq[k].components, oracle(fn, p, k).components / gscale)
-            per_order_rel[k] = max(per_order_rel[k], rel)
-            per_order_abs[k] = max(per_order_abs[k], absdev)
+    # measure each point's deviations in units of its largest |g_ij|: the
+    # (0, 4+k) curvature of the metric rescaled to unit size
+    gscale = np.maximum(1.0, np.abs(metric.component_matrix(points)).max(axis=(1, 2)))
+    seq = nabla_riemann_sequence(metric, points, config.order)
+    per_order_rel = []
+    per_order_abs = []
+    for k in range(config.order + 1):
+        scale = gscale.reshape((-1,) + (1,) * (4 + k))
+        rel, absdev = _compare(seq[k].components / scale, oracle(fn, points, k).components / scale)
+        per_order_rel.append(rel)
+        per_order_abs.append(absdev)
     ok = all(r <= REL_TOL for r in per_order_rel) and all(a <= ABS_TOL for a in per_order_abs)
     if config.format == "json":
         report = {
@@ -332,47 +332,50 @@ def cmd_classify(config: RunConfig) -> int:
 # invariants
 
 
+def _invariant_columns(metric, kmax: int, points) -> dict:
+    """Every invariants column on all points at once; None where a
+    nonvanishing hypothesis fails, and "below_floor" names the quantity."""
+    fn = metric.family.function
+    is_f = metric.family.family == "f"
+    s = family_samples(metric, MIN_ORDER[metric.family.family], points)
+
+    def scatter(mask, values) -> tuple:
+        return per_point(np.flatnonzero(mask), values, len(points))
+
+    if is_f:
+        d = delta_derivatives(fn, points, kmax)
+        cols = {f"delta_{k}" if k else "delta": d[k].tolist() for k in range(kmax + 1)}
+        cols.update(xi=scatter(s.ok, s.xi), sch_ratio=scatter(s.ok, s.sch_ratio))
+        cols["below_floor"] = [None if ok else ("delta", v) for ok, v in zip(s.ok, s.hyp)]
+        return cols
+    d = profile_derivatives(fn, points, kmax)
+    cols = {f"h_{k}": d[k].tolist() for k in range(1, kmax + 1)}
+    cols.update(xi=scatter(s.ok, s.xi), xi_T_alt=scatter(s.ok, s.xi_t_alt))
+    cols.update(xi_T=scatter(s.sch, s.xi_t), xi_X=scatter(s.sch, s.xi_x), psi=scatter(s.sch, s.psi))
+    cols["below_floor"] = [
+        None if sch else ("h'''", v3) if ok else ("h''", v2) for ok, sch, v2, v3 in zip(s.ok, s.sch, d[2], d[3])
+    ]
+    return cols
+
+
 def _invariant_rows(config: RunConfig) -> tuple[list[str], list[dict]]:
-    fn = parse(config.function)
-    rows = []
+    points = config.grid.points()
     if config.family == "f":
         kmax = max(config.order, 1)
-        header = ["t", "x", "y", *[f"delta_{k}" if k else "delta" for k in range(kmax + 1)], "xi", "sch_ratio", "excluded"]
-        for p in config.grid.points():
-            d = delta_derivatives(fn, p, kmax)
-            row = dict(zip(("t", "x", "y"), p))
-            for k in range(kmax + 1):
-                row[f"delta_{k}" if k else "delta"] = d[k]
-            try:
-                row["xi"] = f_first_invariant(fn, p)
-                row["sch_ratio"] = f_scale_ratio(fn, p)
-                row["excluded"] = ""
-            except HypothesisViolation as err:
-                row["xi"] = row["sch_ratio"] = None
-                row["excluded"] = str(err)
-            rows.append(row)
+        derivs = [f"delta_{k}" if k else "delta" for k in range(kmax + 1)]
+        header = ["t", "x", "y", *derivs, "xi", "sch_ratio", "excluded"]
     else:
+        kmax = 4
         header = ["t", "x", "y", "h_1", "h_2", "h_3", "h_4", "xi", "xi_T", "xi_X", "xi_T_alt", "psi", "excluded"]
-        for p in config.grid.points():
-            d = profile_derivatives(fn, p, 4)
-            row = dict(zip(("t", "x", "y"), p))
-            for k in range(1, 5):
-                row[f"h_{k}"] = d[k]
-            excluded = []
-            try:
-                row["xi"] = h_first_invariant(fn, p)
-            except HypothesisViolation as err:
-                row["xi"] = None
-                excluded.append(str(err))
-            try:
-                ratios = h_second_ratios(fn, p)
-                row["xi_T"], row["xi_X"], row["psi"] = ratios.xi_t, ratios.xi_x, ratios.psi
-            except HypothesisViolation as err:
-                row["xi_T"] = row["xi_X"] = row["psi"] = None
-                excluded.append(str(err))
-            row["xi_T_alt"] = d[4] / d[2] ** 2 if abs(d[2]) >= FLOOR else None
-            row["excluded"] = "; ".join(dict.fromkeys(excluded))
-            rows.append(row)
+    metric = _build_metric(config)
+    good, cols, failed = evaluate_points(lambda p: _invariant_columns(metric, kmax, p), points)
+    rows = [dict(zip(("t", "x", "y"), p)) for p in points]
+    for i, exclusion in failed.items():
+        rows[i].update({c: None for c in header[3:-1]}, excluded=exclusion.reason)
+    for j, i in enumerate(good):
+        rows[i].update({c: cols[c][j] for c in header[3:-1]})
+        low = cols["below_floor"][j]
+        rows[i]["excluded"] = below_floor(*low, points[i]) if low else ""
     return header, rows
 
 

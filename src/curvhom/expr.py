@@ -6,9 +6,9 @@ Grammar (precedence climbing, tightest first):
 
 with parentheses, function calls ``exp(...) log(...) sin(...) cos(...)
 sqrt(...) abs(...)``, and ``^`` whose exponent must be a constant
-(integer or real) subexpression.  Evaluation walks the AST with truncated
-Taylor arithmetic from :mod:`curvhom.jets`, so derivative values are exact
-to round-off.
+(integer or real) subexpression.  Evaluation walks the AST once with truncated
+Taylor arithmetic from :mod:`curvhom.jets` on all sample points at a time,
+so derivative values are exact to round-off.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from . import jets
 from .jets import Jet
@@ -254,23 +256,31 @@ def pretty(e: Expr, parent_prec: int = 0, right_of: str | None = None) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def eval_jet(e: Expr, point: tuple[float, float, float], order: int) -> Jet:
-    """Table of all partial derivatives of e at `point` up to total `order`.
+def eval_jet(e: Expr, points, order: int) -> Jet:
+    """Table of all partial derivatives of e up to total `order`.
 
-    Raises DomainError when the function is undefined at the point (log or
-    sqrt out of range, division by zero, abs or non-integer power at a
-    non-differentiable argument).
+    points is one point (t, x, y) or an array of them of shape (..., 3);
+    the jet's coefficients have shape (table_size(order), ...), so a whole
+    grid evaluates in one pass.  Raises DomainError when the function is
+    undefined at any of the points (log or sqrt out of range, division by
+    zero, abs or non-integer power at a non-differentiable argument); the
+    message names the first such value.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    return _eval(e, np.asarray(points, dtype=np.float64), order)
+
+
+def _eval(e: Expr, pts: np.ndarray, order: int) -> Jet:
     if isinstance(e, Num):
-        return jets.jet_constant(e.value, order)
+        return jets.jet_constant(e.value, order, pts.shape[:-1])
     if isinstance(e, Var):
-        return jets.jet_variable(COORDS.index(e.name), float(point[COORDS.index(e.name)]), order)
+        coord = COORDS.index(e.name)
+        return jets.jet_variable(coord, pts[..., coord], order)
     if isinstance(e, Neg):
-        return -eval_jet(e.arg, point, order)
+        return -_eval(e.arg, pts, order)
     if isinstance(e, Call):
-        arg = eval_jet(e.arg, point, order)
+        arg = _eval(e.arg, pts, order)
         try:
             if e.func == "exp":
                 return jets.jet_exp(arg)
@@ -285,15 +295,15 @@ def eval_jet(e: Expr, point: tuple[float, float, float], order: int) -> Jet:
         except ValueError as err:
             raise DomainError(e, str(err)) from None
         if e.func == "abs":
-            if arg.value == 0.0:
+            if np.any(arg.value == 0.0):
                 raise DomainError(e, "abs is not differentiable at 0")
-            return arg if arg.value > 0 else -arg
+            return Jet(arg.order, arg.coeffs * np.where(arg.value > 0, 1.0, -1.0))
         raise ValueError(f"unknown function {e.func!r}")
     if isinstance(e, BinOp):
         if e.op == "^":
-            return _eval_pow(e, point, order)
-        left = eval_jet(e.left, point, order)
-        right = eval_jet(e.right, point, order)
+            return _eval_pow(e, pts, order)
+        left = _eval(e.left, pts, order)
+        right = _eval(e.right, pts, order)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -301,21 +311,25 @@ def eval_jet(e: Expr, point: tuple[float, float, float], order: int) -> Jet:
         if e.op == "*":
             return jets.jet_mul(left, right)
         if e.op == "/":
-            if right.value == 0.0:
+            if np.any(right.value == 0.0):
                 raise DomainError(e, "division by zero")
             return jets.jet_div(left, right)
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _eval_pow(e: BinOp, point, order: int) -> Jet:
-    base = eval_jet(e.left, point, order)
-    exponent = eval_jet(e.right, point, order).value
+_ORIGIN = np.zeros(3)
+
+
+def _eval_pow(e: BinOp, pts: np.ndarray, order: int) -> Jet:
+    base = _eval(e.left, pts, order)
+    exponent = float(_eval(e.right, _ORIGIN, 0).value)  # a constant: the parser allows no variable
     if exponent == round(exponent):
         n = int(round(exponent))
-        if n < 0 and base.value == 0.0:
+        if n < 0 and np.any(base.value == 0.0):
             raise DomainError(e, "negative power of zero")
         return jets.jet_powi(base, n)
     # real exponent: exp(c * log(base)), defined for positive base only
-    if base.value <= 0.0:
-        raise DomainError(e, f"non-integer power of nonpositive base {base.value}")
+    bad = base.value <= 0.0
+    if np.any(bad):
+        raise DomainError(e, f"non-integer power of nonpositive base {jets.first_where(base.value, bad)}")
     return jets.jet_exp(jets.jet_log(base) * exponent)

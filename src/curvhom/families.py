@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jets
 from .expr import Expr, eval_jet, parse, pretty, variables_of
-from .geometry import MetricField, Point
+from .geometry import MetricField
 from .jets import Jet, jet_derivative, jet_mul
 from .tensor import TensorAtPoint
 
@@ -73,42 +73,44 @@ def custom_metric(matrix) -> MetricField:
     return MetricField.from_matrix(matrix, family=FamilySpec("custom", matrix=tuple(tuple(r) for r in matrix)))
 
 
-def delta_jet(f: Expr, p: Point, order: int) -> Jet:
-    """Jet of delta = f'' + (f')^2 at p, to the given order."""
+def delta_jet(f: Expr, p, order: int) -> Jet:
+    """Jet of delta = f'' + (f')^2 at the point(s) p, to the given order."""
     fj = eval_jet(f, p, order + 2)
     f1 = jet_derivative(fj, X)
     f2 = jet_derivative(f1, X)
     return f2 + jet_mul(f1.truncate(order), f1.truncate(order))
 
 
-def delta_derivatives(f: Expr, p: Point, kmax: int) -> list[float]:
-    """[delta, delta', ..., delta^(kmax)] evaluated at p."""
+def delta_derivatives(f: Expr, p, kmax: int) -> list:
+    """[delta, delta', ..., delta^(kmax)] at the point(s) p; each entry is a
+    scalar at one point, an array over a batch."""
     dj = delta_jet(f, p, kmax)
     return [jets.partial(dj, (0, k, 0)) for k in range(kmax + 1)]
 
 
-def profile_derivatives(h: Expr, p: Point, kmax: int) -> list[float]:
-    """[h, h', ..., h^(kmax)] at p for a t-profile."""
+def profile_derivatives(h: Expr, p, kmax: int) -> list:
+    """[h, h', ..., h^(kmax)] at the point(s) p for a t-profile."""
     hj = eval_jet(h, p, kmax)
     return [jets.partial(hj, (k, 0, 0)) for k in range(kmax + 1)]
 
 
-def _place_curvature_block(components: np.ndarray, pair: tuple[int, int], value: float, tail: tuple[int, ...]):
-    """Write one curvature entry and its sign images into a component array.
+def _place_curvature_block(components: np.ndarray, pair: tuple[int, int], value, tail: tuple[int, ...]):
+    """Write one curvature entry and its sign images into a component array
+    with leading point axes; value is per point.
 
     pair = (a, b) names the entry T(a, b, b, a) = value; the images
     (b, a, a, b) = value and (a, b, a, b) = (b, a, b, a) = -value follow from
     the algebraic curvature symmetries.
     """
     a, b = pair
-    components[(a, b, b, a) + tail] = value
-    components[(b, a, a, b) + tail] = value
-    components[(a, b, a, b) + tail] = -value
-    components[(b, a, b, a) + tail] = -value
+    components[(..., a, b, b, a) + tail] = value
+    components[(..., b, a, a, b) + tail] = value
+    components[(..., a, b, a, b) + tail] = -value
+    components[(..., b, a, b, a) + tail] = -value
 
 
-def family_f_oracle(f: Expr, p: Point, k: int) -> TensorAtPoint:
-    """Closed-form nabla^k R for the f-family.
+def family_f_oracle(f: Expr, p, k: int) -> TensorAtPoint:
+    """Closed-form nabla^k R for the f-family at the point(s) p.
 
     The only entries, up to curvature symmetries, are
     nabla^k R(dx, dt, dt, dx; dx, ..., dx) = -exp(2 f) * delta^(k).
@@ -117,13 +119,14 @@ def family_f_oracle(f: Expr, p: Point, k: int) -> TensorAtPoint:
         raise ValueError("k must be nonnegative")
     e2f = np.exp(2.0 * eval_jet(f, p, 0).value)
     dk = delta_derivatives(f, p, k)[k]
-    comp = np.zeros((3,) * (4 + k))
+    comp = np.zeros(np.shape(e2f) + (3,) * (4 + k))
     _place_curvature_block(comp, (X, T), -e2f * dk, (X,) * k)
     return TensorAtPoint(0, 4 + k, comp)
 
 
-def family_h_oracle(h: Expr, p: Point, k: int) -> TensorAtPoint:
-    """Closed-form nabla^k R for the h-family, available for k <= 2.
+def family_h_oracle(h: Expr, p, k: int) -> TensorAtPoint:
+    """Closed-form nabla^k R for the h-family at the point(s) p, available
+    for k <= 2.
 
     Entries up to curvature symmetries:
         R(dt, dx, dx, dt)               = h''
@@ -139,7 +142,7 @@ def family_h_oracle(h: Expr, p: Point, k: int) -> TensorAtPoint:
     if k > 2:
         raise ValueError("h-family closed forms stop at k = 2; use the geometry engine")
     d = profile_derivatives(h, p, k + 2)
-    comp = np.zeros((3,) * (4 + k))
+    comp = np.zeros(np.shape(d[0]) + (3,) * (4 + k))
     if k == 0:
         _place_curvature_block(comp, (T, X), d[2], ())
     elif k == 1:

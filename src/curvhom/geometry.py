@@ -1,9 +1,12 @@
 """Levi-Civita connection, curvature and its covariant derivatives on R^3.
 
 A MetricField holds the 3x3 symmetric matrix of scalar expressions.  All
-curvature quantities are computed at a point on the coordinate frame, as
-stacked jets: coefficient arrays of shape (table_size(order), 3, ..., 3)
-that hold every raw partial derivative (see jets.py) of every component.
+curvature quantities are computed on the coordinate frame at a whole batch
+of sample points in one pass, as stacked jets: coefficient arrays of shape
+(table_size(order), npts, 3, ..., 3) that hold every raw partial derivative
+(see jets.py) of every component at every point.  The public functions take
+points of shape (..., 3) and return results with those leading axes; a
+single point is a batch of one with the point axis dropped on the way out.
 
 In dimension 3 the Weyl tensor vanishes, so the curvature is the
 Kulkarni-Nomizu product of the Schouten tensor P = Ric - (s/4) g with g,
@@ -70,44 +73,50 @@ class MetricField:
         rows = tuple(tuple(BinOp("*", num, e) for e in row) for row in self.entries)
         return MetricField(rows, None)
 
-    def component_matrix(self, p: Point) -> np.ndarray:
-        m = np.empty((3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                m[i, j] = m[j, i] = eval_jet(self.entries[i][j], p, 0).value
-        return m
+    def component_matrix(self, points) -> np.ndarray:
+        """g_ij at the points, shape (..., 3, 3)."""
+        return _metric_jets(self, points, 0)[0]
 
-    def tensor_at(self, p: Point) -> TensorAtPoint:
-        return TensorAtPoint(0, 2, self.component_matrix(p))
+    def tensor_at(self, points) -> TensorAtPoint:
+        return TensorAtPoint(0, 2, self.component_matrix(points))
 
 
 class DegenerateMetricError(ValueError):
-    """The metric is singular at the requested point."""
+    """The metric is singular at a requested point."""
+
+
+def _as_points(points) -> tuple[np.ndarray, tuple[int, ...]]:
+    """points as an (npts, 3) array, and the leading shape to restore."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape[-1:] != (3,):
+        raise ValueError(f"points must have shape (..., 3), got {pts.shape}")
+    return pts.reshape(-1, 3), pts.shape[:-1]
 
 
 @dataclass(frozen=True, eq=False)
 class ConnectionJet:
-    """Christoffel symbols Gamma^a_{ij} as stacked jets at a base point,
+    """Christoffel symbols Gamma^a_{ij} as stacked jets at the sample points,
     with the metric and inverse-metric jets they were built from."""
 
-    point: Point
+    points: np.ndarray = field(repr=False)
     order: int
-    gamma: np.ndarray = field(repr=False)    # [pos, a, i, j], symmetric in (i, j)
-    metric: np.ndarray = field(repr=False)   # [pos, i, j]
-    inverse: np.ndarray = field(repr=False)  # [pos, i, j]
+    gamma: np.ndarray = field(repr=False)    # [pos, ..., a, i, j], symmetric in (i, j)
+    metric: np.ndarray = field(repr=False)   # [pos, ..., i, j]
+    inverse: np.ndarray = field(repr=False)  # [pos, ..., i, j]
 
     def symbol(self, a: int, i: int, j: int) -> Jet:
-        return Jet(self.order, self.gamma[:, a, i, j].copy())
+        return Jet(self.order, self.gamma[..., a, i, j].copy())
 
     def values(self) -> np.ndarray:
         return self.gamma[0].copy()
 
 
-def _metric_jets(g: MetricField, p: Point, order: int) -> np.ndarray:
-    m = np.empty((jets.table_size(order), 3, 3))
+def _metric_jets(g: MetricField, points, order: int) -> np.ndarray:
+    """Jets of g_ij, shape (table_size(order), ..., 3, 3)."""
+    m = np.empty((jets.table_size(order),) + np.shape(points)[:-1] + (3, 3))
     for i in range(3):
         for j in range(i, 3):
-            m[:, i, j] = m[:, j, i] = eval_jet(g.entry(i, j), p, order).coeffs
+            m[..., i, j] = m[..., j, i] = eval_jet(g.entry(i, j), points, order).coeffs
     return m
 
 
@@ -116,125 +125,142 @@ _MINOR_ROWS = ([1, 0, 0], [2, 2, 1])
 _COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
-def _inverse_metric_jets(m: np.ndarray, p: Point, order: int) -> np.ndarray:
+def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int) -> np.ndarray:
     """Jets of g^{ij}: the cofactors of the symmetric g over det g."""
     r1, r2 = _MINOR_ROWS
-    a, b = m[:, r1], m[:, r2]
+    a, b = m[..., r1, :], m[..., r2, :]
     cof = _COFACTOR_SIGN * (
-        stacked_product("ij,ij->ij", a[:, :, r1], b[:, :, r2], order)
-        - stacked_product("ij,ij->ij", a[:, :, r2], b[:, :, r1], order)
+        stacked_product("ij,ij->ij", a[..., r1], b[..., r2], order)
+        - stacked_product("ij,ij->ij", a[..., r2], b[..., r1], order)
     )
-    det = stacked_product("j,j->", m[:, 0], cof[:, 0], order)
-    if abs(det[0]) <= DET_FLOOR:
-        raise DegenerateMetricError(f"metric is degenerate at {p}: |det| = {abs(det[0]):.3e}")
-    recip = jet_div(jets.jet_constant(1.0, order), Jet(order, det)).coeffs
+    det = stacked_product("j,j->", m[..., 0, :], cof[..., 0, :], order)
+    bad = np.abs(det[0]) <= DET_FLOOR
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateMetricError(
+            f"metric is degenerate at {tuple(pts[i].tolist())}: |det| = {abs(det[0, i]):.3e}"
+        )
+    recip = jet_div(jets.jet_constant(1.0, order, det.shape[1:]), Jet(order, det)).coeffs
     return stacked_product(",ij->ij", recip, cof, order)
 
 
 def _derivatives(stack: np.ndarray, order: int) -> np.ndarray:
-    """d_l of a stacked jet field of `order`, as a new axis 1 of order - 1."""
-    return np.stack([stack[jets.shift_table(order, c)] for c in range(3)], axis=1)
+    """d_l of a stacked jet field of `order`, as a new axis 2 (after the
+    point axis) of order - 1."""
+    return np.stack([stack[jets.shift_table(order, c)] for c in range(3)], axis=2)
 
 
-def christoffel(g: MetricField, p: Point, order: int = 0) -> ConnectionJet:
-    """Christoffel symbols of the Levi-Civita connection as jets at p.
+def christoffel(g: MetricField, points, order: int = 0) -> ConnectionJet:
+    """Christoffel symbols of the Levi-Civita connection as jets at the points.
 
     Gamma^a_{ij} = (1/2) g^{ab} (d_i g_{jb} + d_j g_{ib} - d_b g_{ij});
     metric entries are evaluated to jet order `order` + 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    m = _metric_jets(g, p, order + 1)
+    pts, batch = _as_points(points)
+    m = _metric_jets(g, pts, order + 1)
     n = jets.table_size(order)
-    inv = _inverse_metric_jets(m[:n], p, order)
-    dm = _derivatives(m, order + 1)  # [pos, l, i, j] = d_l g_ij
-    first = 0.5 * (dm.transpose(0, 3, 1, 2) + dm.transpose(0, 3, 2, 1) - dm)  # [pos, b, i, j]
+    inv = _inverse_metric_jets(m[:n], pts, order)
+    dm = _derivatives(m, order + 1)  # [pos, pt, l, i, j] = d_l g_ij
+    first = 0.5 * (dm.transpose(0, 1, 4, 2, 3) + dm.transpose(0, 1, 4, 3, 2) - dm)  # [pos, pt, b, i, j]
     gamma = stacked_product("ab,bij->aij", inv, first, order)
-    return ConnectionJet(p, order, gamma, m[:n], inv)
+
+    def unflat(a):
+        return a.reshape((n,) + batch + a.shape[2:])
+
+    return ConnectionJet(pts.reshape(batch + (3,)), order, unflat(gamma), unflat(m[:n]), unflat(inv))
 
 
 def _schouten_jets(conn: ConnectionJet, order: int) -> np.ndarray:
-    """Jets of the Schouten tensor P = Ric - (s/4) g to `order` < conn.order.
+    """Jets of the Schouten tensor P = Ric - (s/4) g to `order` < conn.order,
+    on a connection with one point axis.
 
     Ric_jk = d_a Gamma^a_jk - d_k Gamma^a_aj + Gamma^a_ab Gamma^b_jk
     - Gamma^a_kb Gamma^b_aj, symmetrized once; P stays symmetric after.
     """
     n = jets.table_size(order)
     ga = conn.gamma[:n]
-    dga = _derivatives(conn.gamma, conn.order)[:n]  # [pos, l, a, i, j] = d_l Gamma^a_ij
-    ric = np.einsum("naajk->njk", dga) - np.einsum("nkaaj->njk", dga)
-    ric += stacked_product("b,bjk->jk", np.einsum("naab->nb", ga), ga, order)
+    dga = _derivatives(conn.gamma, conn.order)[:n]  # [pos, pt, l, a, i, j] = d_l Gamma^a_ij
+    ric = np.einsum("nzaajk->nzjk", dga) - np.einsum("nzkaaj->nzjk", dga)
+    ric += stacked_product("b,bjk->jk", np.einsum("nzaab->nzb", ga), ga, order)
     ric -= stacked_product("akb,baj->jk", ga, ga, order)
-    ric = 0.5 * (ric + ric.transpose(0, 2, 1))
+    ric = 0.5 * (ric + ric.transpose(0, 1, 3, 2))
     s = stacked_product("jk,jk->", conn.inverse[:n], ric, order)
     return ric - 0.25 * stacked_product(",jk->jk", s, conn.metric[:n], order)
 
 
 def _gamma_operator(gamma: np.ndarray, order_out: int) -> np.ndarray:
-    """Dense Leibniz operator for multiplying a field by Gamma^a_{m i}.
+    """Dense Leibniz operators for multiplying a field by Gamma^a_{m i}.
 
-    A matrix from field coefficients (q, a) to product coefficients
-    (p, m, i), built once per output order.  Each (p, q) pair occurs once
-    in the product table, so one scatter fills it.
+    One matrix per point, from field coefficients (q, a) to product
+    coefficients (p, m, i): shape (npts, p·m·i, q·a), built once per output
+    order.  Each (p, q) pair occurs once in the product table, so one
+    scatter fills it.
     """
     a_pos, b_pos, out_pos, coef = jets.product_table(order_out)
     n = jets.table_size(order_out)
-    w = np.zeros((n, 3, 3, n, 3))
-    w[out_pos, :, :, b_pos] = coef[:, None, None, None] * gamma[a_pos].transpose(0, 2, 3, 1)
-    return w.reshape(n * 9, n * 3)
+    npts = gamma.shape[1]
+    w = np.zeros((npts, n, 3, 3, n, 3))
+    w[:, out_pos, :, :, b_pos] = coef[:, None, None, None, None] * gamma[a_pos].transpose(0, 1, 3, 4, 2)
+    return w.reshape(npts, n * 9, n * 3)
 
 
 def _covariant_step(field: np.ndarray, order_in: int, w: np.ndarray) -> np.ndarray:
     """One covariant derivative of a stacked (0, n) jet field that is
     symmetric in its first two slots.
 
-    field has shape (table_size(order_in), 3, ..., 3); the result gains a
-    trailing slot for the derivative direction and drops one jet order.
-    The Gamma correction of each slot is one matrix product over (q, a);
-    the second slot's is the first's transposed.
+    field has shape (table_size(order_in), npts, 3, ..., 3); the result
+    gains a trailing slot for the derivative direction and drops one jet
+    order.  The Gamma correction of each slot is one batched matrix product
+    over (q, a); the second slot's is the first's transposed.
     """
     n_out = jets.table_size(order_in - 1)
+    npts = field.shape[1]
     out = np.stack([field[jets.shift_table(order_in, c)] for c in range(3)], axis=-1)
     lower = field[:n_out]
-    for s in range(field.ndim - 1):
+    for s in range(field.ndim - 2):
         if s == 1:
             continue
-        moved = np.moveaxis(lower, 1 + s, 1)  # [q, a, other slots]
-        corr = (w @ moved.reshape(n_out * 3, -1)).reshape((n_out, 3, 3) + moved.shape[2:])
-        corr = np.moveaxis(corr, (1, 2), (-1, 1 + s))  # [p, .., i at slot s, .., m]
+        moved = np.moveaxis(lower, (1, 2 + s), (0, 2))  # [pt, q, a, other slots]
+        rest = moved.shape[3:]
+        corr = (w @ moved.reshape(npts, n_out * 3, -1)).reshape((npts, n_out, 3, 3) + rest)
+        corr = np.moveaxis(corr, (0, 2, 3), (1, -1, 2 + s))  # [p, pt, .., i at slot s, .., m]
         if s == 0:
-            corr = corr + corr.swapaxes(1, 2)
+            corr = corr + corr.swapaxes(2, 3)
         out -= corr
     return out
 
 
-def _kulkarni_nomizu(p_comp: np.ndarray, g0: np.ndarray) -> TensorAtPoint:
-    """R_{ijkl;V} = P_{il;V} g_jk + P_{jk;V} g_il - P_{ik;V} g_jl - P_{jl;V} g_ik."""
-    t = np.einsum("il...,jk->ijkl...", p_comp, g0)
-    t = t - t.swapaxes(0, 1)
-    r = t - t.swapaxes(2, 3)
-    return TensorAtPoint(0, r.ndim, r)
+def _kulkarni_nomizu(p_comp: np.ndarray, g0: np.ndarray) -> np.ndarray:
+    """R_{ijkl;V} = P_{il;V} g_jk + P_{jk;V} g_il - P_{ik;V} g_jl - P_{jl;V} g_ik,
+    with a leading point axis on both."""
+    t = np.einsum("zil...,zjk->zijkl...", p_comp, g0)
+    t = t - t.swapaxes(1, 2)
+    return t - t.swapaxes(3, 4)
 
 
-def nabla_riemann_sequence(g: MetricField, p: Point, kmax: int) -> list[TensorAtPoint]:
-    """[R, nabla R, ..., nabla^kmax R] at p, each a (0, 4+k) TensorAtPoint."""
+def nabla_riemann_sequence(g: MetricField, points, kmax: int) -> list[TensorAtPoint]:
+    """[R, nabla R, ..., nabla^kmax R] at the points, each a (0, 4+k)
+    TensorAtPoint with the points' leading axes."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    conn = christoffel(g, p, kmax + 1)
+    pts, batch = _as_points(points)
+    conn = christoffel(g, pts, kmax + 1)
     g0 = conn.metric[0]
     field = _schouten_jets(conn, kmax)
     seq = [_kulkarni_nomizu(field[0], g0)]
     for order_in in range(kmax, 0, -1):
         field = _covariant_step(field, order_in, _gamma_operator(conn.gamma, order_in - 1))
         seq.append(_kulkarni_nomizu(field[0], g0))
-    return seq
+    return [TensorAtPoint(0, r.ndim - 1, r.reshape(batch + r.shape[1:])) for r in seq]
 
 
-def riemann(g: MetricField, p: Point) -> TensorAtPoint:
-    """Riemann tensor R(d_i, d_j, d_k, d_l) = g(R(d_i, d_j) d_k, d_l) at p."""
-    return nabla_riemann_sequence(g, p, 0)[0]
+def riemann(g: MetricField, points) -> TensorAtPoint:
+    """Riemann tensor R(d_i, d_j, d_k, d_l) = g(R(d_i, d_j) d_k, d_l) at the points."""
+    return nabla_riemann_sequence(g, points, 0)[0]
 
 
-def nabla_k_riemann(g: MetricField, p: Point, k: int) -> TensorAtPoint:
-    """k-th covariant derivative of the Riemann tensor at p; k = 0 is riemann."""
-    return nabla_riemann_sequence(g, p, k)[k]
+def nabla_k_riemann(g: MetricField, points, k: int) -> TensorAtPoint:
+    """k-th covariant derivative of the Riemann tensor at the points; k = 0 is riemann."""
+    return nabla_riemann_sequence(g, points, k)[k]

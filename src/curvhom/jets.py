@@ -9,8 +9,13 @@ round-off; nothing here uses finite differencing.
 
 Coefficient vectors are laid out along a graded ordering of multi-indices,
 so the table for order ``n`` is a prefix of the table for order ``n + 1``
-and truncation is a slice.  ``stacked_product`` multiplies whole tensor
-fields of jets, stored as coefficient arrays with the jet axis first.
+and truncation is a slice.  Coefficient arrays carry the jet axis first and
+the point axis after it: a jet over a grid of ``npts`` sample points has
+shape ``(table_size(n), npts)`` and every operation acts on all points at
+once, so one call evaluates the whole grid.  A single point is a batch of
+one, or a jet with no point axis at all; the code is the same either way.
+``stacked_product`` multiplies whole tensor fields of jets, stored as
+coefficient arrays of shape ``(table_size(n), npts, 3, ..., 3)``.
 """
 
 from __future__ import annotations
@@ -49,41 +54,22 @@ def table_size(order: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _binom_factor(alpha: tuple[int, int, int], beta: tuple[int, int, int]) -> float:
-    # multinomial weight for the Leibniz rule on raw partial derivatives
-    return float(
-        math.comb(alpha[0] + beta[0], alpha[0])
-        * math.comb(alpha[1] + beta[1], alpha[1])
-        * math.comb(alpha[2] + beta[2], alpha[2])
-    )
-
-
-@lru_cache(maxsize=None)
 def product_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index/coefficient arrays implementing the Leibniz convolution.
 
     Returns (a_pos, b_pos, out_pos, coef) so that for coefficient vectors
     a, b truncated at `order`:  out[out_pos] += coef * a[a_pos] * b[b_pos].
+    Rows run over a_pos, then b_pos, both ascending.
     """
-    idx = multi_indices(order)
-    pos = index_position(order)
-    a_pos, b_pos, out_pos, coef = [], [], [], []
-    for ai, alpha in enumerate(idx):
-        da = sum(alpha)
-        for bi, beta in enumerate(idx):
-            if da + sum(beta) > order:
-                continue
-            gamma = (alpha[0] + beta[0], alpha[1] + beta[1], alpha[2] + beta[2])
-            a_pos.append(ai)
-            b_pos.append(bi)
-            out_pos.append(pos[gamma])
-            coef.append(_binom_factor(alpha, beta))
-    return (
-        np.asarray(a_pos, dtype=np.intp),
-        np.asarray(b_pos, dtype=np.intp),
-        np.asarray(out_pos, dtype=np.intp),
-        np.asarray(coef, dtype=np.float64),
-    )
+    idx = np.asarray(multi_indices(order), dtype=np.intp)
+    degree = idx.sum(axis=1)
+    a_pos, b_pos = np.nonzero(degree[:, None] + degree[None, :] <= order)
+    gamma = idx[a_pos] + idx[b_pos]
+    lookup = np.zeros((order + 1,) * DIM, dtype=np.intp)
+    lookup[tuple(idx.T)] = np.arange(len(idx))
+    binom = np.array([[math.comb(n, k) for k in range(order + 1)] for n in range(order + 1)], dtype=np.float64)
+    coef = binom[gamma, idx[a_pos]].prod(axis=1)  # multinomial weight on raw derivatives
+    return a_pos, b_pos, lookup[tuple(gamma.T)], coef
 
 
 @lru_cache(maxsize=None)
@@ -98,17 +84,16 @@ def _sorted_product_table(order: int):
 def stacked_product(spec: str, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Leibniz product of two stacked jet fields, contracted over tensor slots.
 
-    a and b have shape (>= table_size(order), 3, ..., 3): coefficient
-    vectors along the first axis, tensor slots after it.  spec is an einsum
-    over the slots only, e.g. "ab,bij->aij"; the result has the jet axis
-    first, at `order`.
+    a and b have shape (>= table_size(order), *batch, 3, ..., 3): coefficient
+    vectors along the first axis, then the point axes, then tensor slots.
+    spec is an einsum over the slots only, e.g. "ab,bij->aij"; the point
+    axes broadcast.  The result has the jet axis first, at `order`.
     """
     a_pos, b_pos, coef, starts = _sorted_product_table(order)
     operands, out = spec.split("->")
     sa, sb = operands.split(",")
-    terms = np.einsum(f"t{sa},t{sb}->t{out}", a[a_pos], b[b_pos])
-    flat = coef[:, None] * terms.reshape(len(coef), -1)
-    return np.add.reduceat(flat, starts, axis=0).reshape((-1,) + terms.shape[1:])
+    terms = np.einsum(f"t...{sa},t...{sb}->t...{out}", a[a_pos], b[b_pos])
+    return np.add.reduceat(coef.reshape((-1,) + (1,) * (terms.ndim - 1)) * terms, starts, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -131,25 +116,27 @@ def shift_table(order: int, coord: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Jet:
-    """Derivative table of a scalar function at a fixed base point.
+    """Derivative table of a scalar function at a point or a batch of points.
 
     coeffs[p] is the raw partial derivative for the p-th graded multi-index;
-    coeffs has length table_size(order).  Jets are immutable values.
+    coeffs has shape (table_size(order), *batch), with no batch axis for a
+    single point.  Jets are immutable values.
     """
 
     order: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != (table_size(self.order),):
+        if self.coeffs.shape[:1] != (table_size(self.order),):
             raise ValueError(
-                f"coefficient vector has length {self.coeffs.shape}, "
-                f"expected {table_size(self.order)} for order {self.order}"
+                f"coefficient array has shape {self.coeffs.shape}, "
+                f"expected {table_size(self.order)} coefficients for order {self.order}"
             )
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        """Function value: a scalar at one point, an array over a batch."""
+        return self.coeffs[0]
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
@@ -161,48 +148,51 @@ class Jet:
     def as_dict(self) -> dict[tuple[int, int, int], float]:
         return {m: float(v) for m, v in zip(multi_indices(self.order), self.coeffs)}
 
-    # arithmetic sugar; scalars promote to constant jets
+    # arithmetic sugar; scalars and point arrays promote to constant jets
     def __add__(self, other):
-        return jet_add(self, _coerce(other, self.order))
+        return jet_add(self, _coerce(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return jet_sub(self, _coerce(other, self.order))
+        return jet_sub(self, _coerce(other, self))
 
     def __rsub__(self, other):
-        return jet_sub(_coerce(other, self.order), self)
+        return jet_sub(_coerce(other, self), self)
 
     def __mul__(self, other):
-        return jet_mul(self, _coerce(other, self.order))
+        return jet_mul(self, _coerce(other, self))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return jet_div(self, _coerce(other, self.order))
+        return jet_div(self, _coerce(other, self))
 
     def __rtruediv__(self, other):
-        return jet_div(_coerce(other, self.order), self)
+        return jet_div(_coerce(other, self), self)
 
     def __neg__(self):
         return Jet(self.order, -self.coeffs)
 
 
-def _coerce(v, order: int) -> Jet:
+def _coerce(v, like: Jet) -> Jet:
     if isinstance(v, Jet):
         return v
-    return jet_constant(float(v), order)
+    return jet_constant(v, like.order, like.coeffs.shape[1:])
 
 
-def jet_constant(value: float, order: int) -> Jet:
-    c = np.zeros(table_size(order))
+def jet_constant(value, order: int, batch: tuple[int, ...] = ()) -> Jet:
+    c = np.zeros((table_size(order),) + tuple(batch))
     c[0] = value
     return Jet(order, c)
 
 
-def jet_variable(coord: int, value: float, order: int) -> Jet:
-    """Jet of the coordinate function itself: value plus unit first derivative."""
-    c = np.zeros(table_size(order))
+def jet_variable(coord: int, value, order: int) -> Jet:
+    """Jet of the coordinate function itself: value plus unit first derivative.
+
+    value is the coordinate at one point or an array of it over a batch.
+    """
+    c = np.zeros((table_size(order),) + np.shape(value))
     c[0] = value
     if order >= 1:
         unit = [0, 0, 0]
@@ -227,61 +217,71 @@ def jet_sub(a: Jet, b: Jet) -> Jet:
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     n = _common_order(a, b)
-    a_pos, b_pos, out_pos, coef = product_table(n)
-    prod = coef * a.coeffs[a_pos] * b.coeffs[b_pos]
-    return Jet(n, np.bincount(out_pos, weights=prod, minlength=table_size(n)))
+    return Jet(n, stacked_product(",->", a.coeffs, b.coeffs, n))
 
 
 @lru_cache(maxsize=None)
 def _division_plan(order: int):
-    """Per output position, the convolution rows that reference lower degrees.
+    """Per total degree d >= 1, the convolution rows that reference lower degrees.
 
-    For a = q * b the position of gamma receives q[gamma] * b[0] (weight 1)
-    plus these rows, all of which touch q at strictly smaller total degree,
-    so the quotient solves in one graded sweep.
+    For a = q * b the position of gamma receives q[gamma] * b[0] plus these
+    rows, all of which touch q at strictly smaller total degree, so the
+    quotient solves in one sweep over degrees.  Each entry is
+    (lo, hi, q_pos, b_pos, coef, starts): the rows for positions lo..hi-1,
+    sorted by position, and each position's first row.
     """
     a_pos, b_pos, out_pos, coef = product_table(order)
+    keep = b_pos != 0  # b_pos == 0 is the q[gamma] * b[0] row itself
+    perm = np.argsort(out_pos[keep], kind="stable")
+    qa, bb, out, cf = (arr[keep][perm] for arr in (a_pos, b_pos, out_pos, coef))
     plan = []
-    for gi in range(table_size(order)):
-        rows = np.where((out_pos == gi) & ~((a_pos == gi) & (b_pos == 0)))[0]
-        plan.append((a_pos[rows], b_pos[rows], coef[rows]))
+    for d in range(1, order + 1):
+        lo, hi = table_size(d - 1), table_size(d)
+        r0, r1 = np.searchsorted(out, [lo, hi])
+        starts = np.searchsorted(out[r0:r1], np.arange(lo, hi))
+        plan.append((lo, hi, qa[r0:r1], bb[r0:r1], cf[r0:r1], starts))
     return tuple(plan)
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
     """Quotient jet; solves the Leibniz relation a = q * b degree by degree."""
     n = _common_order(a, b)
-    if b.coeffs[0] == 0.0:
+    ac, bc = a.coeffs[: table_size(n)], b.coeffs[: table_size(n)]
+    b0 = bc[0]
+    if np.any(b0 == 0.0):
         raise ZeroDivisionError("division by a jet with zero value")
-    q = np.zeros(table_size(n))
-    ac, bc = a.coeffs, b.coeffs
-    for gi, (qa, bb, cf) in enumerate(_division_plan(n)):
-        q[gi] = (ac[gi] - (cf * q[qa] * bc[bb]).sum()) / bc[0]
+    q = np.empty(np.broadcast_shapes(ac.shape, bc.shape))
+    q[0] = ac[0] / b0
+    for lo, hi, qa, bb, cf, starts in _division_plan(n):
+        terms = cf.reshape((-1,) + (1,) * (q.ndim - 1)) * q[qa] * bc[bb]
+        q[lo:hi] = (ac[lo:hi] - np.add.reduceat(terms, starts, axis=0)) / b0
     return Jet(n, q)
 
 
-def partial(j: Jet, m: Sequence[int]) -> float:
-    """Stored derivative value for multi-index m = (i_t, i_x, i_y)."""
+def partial(j: Jet, m: Sequence[int]):
+    """Stored derivative value for multi-index m = (i_t, i_x, i_y): a scalar
+    at one point, an array over a batch."""
     m = tuple(int(v) for v in m)
     if len(m) != DIM or min(m) < 0:
         raise ValueError(f"bad multi-index {m}")
     if sum(m) > j.order:
         raise ValueError(f"multi-index {m} exceeds jet order {j.order}")
-    return float(j.coeffs[index_position(j.order)[m]])
+    return j.coeffs[index_position(j.order)[m]]
 
 
 def jet_derivative(j: Jet, coord: int) -> Jet:
     """Jet of the partial derivative along `coord`, one order lower."""
-    return Jet(j.order - 1, j.coeffs[shift_table(j.order, coord)].copy())
+    return Jet(j.order - 1, j.coeffs[shift_table(j.order, coord)])
 
 
-def jet_compose_univariate(inner: Jet, outer_derivs: Sequence[float]) -> Jet:
+def jet_compose_univariate(inner: Jet, outer_derivs: Sequence) -> Jet:
     """Compose a univariate function (given by its derivatives at inner.value)
     with a jet.
 
     outer_derivs[k] must be the k-th derivative of the outer function at the
-    inner jet's value, for k = 0 .. inner.order.  Evaluated by Horner on the
-    zero-value perturbation, which is exact at the truncation order.
+    inner jet's value, for k = 0 .. inner.order (scalars, or arrays over the
+    jet's batch).  Evaluated by Horner on the zero-value perturbation, which
+    is exact at the truncation order.
     """
     n = inner.order
     if len(outer_derivs) < n + 1:
@@ -289,26 +289,42 @@ def jet_compose_univariate(inner: Jet, outer_derivs: Sequence[float]) -> Jet:
     w = inner.coeffs.copy()
     w[0] = 0.0
     pert = Jet(n, w)
-    acc = jet_constant(outer_derivs[n] / math.factorial(n), n)
+    acc = jet_constant(outer_derivs[n] / math.factorial(n), n, w.shape[1:])
     for k in range(n - 1, -1, -1):
         acc = jet_mul(acc, pert) + outer_derivs[k] / math.factorial(k)
     return acc
 
 
-def _apply(inner: Jet, deriv_seq: Callable[[float, int], list[float]]) -> Jet:
-    return jet_compose_univariate(inner, deriv_seq(inner.value, inner.order))
+def _apply(inner: Jet, deriv_seq: Callable[[np.ndarray, int], list]) -> Jet:
+    return jet_compose_univariate(inner, deriv_seq(np.asarray(inner.value), inner.order))
+
+
+def first_where(values, mask) -> float:
+    """The first of `values` where `mask` holds, for error messages."""
+    return float(np.asarray(values)[np.asarray(mask)][0])
+
+
+def exp_values(u):
+    """np.exp that raises OverflowError where a finite argument overflows,
+    as math.exp does."""
+    with np.errstate(over="ignore"):
+        e = np.exp(u)
+    if np.any(np.isinf(e) & np.isfinite(u)):
+        raise OverflowError("math range error")
+    return e
 
 
 def jet_exp(j: Jet) -> Jet:
-    return _apply(j, lambda u, n: [math.exp(u)] * (n + 1))
+    return _apply(j, lambda u, n: [exp_values(u)] * (n + 1))
 
 
 def jet_log(j: Jet) -> Jet:
-    if j.value <= 0.0:
-        raise ValueError(f"log of nonpositive value {j.value}")
+    bad = j.value <= 0.0
+    if np.any(bad):
+        raise ValueError(f"log of nonpositive value {first_where(j.value, bad)}")
 
     def seq(u, n):
-        d = [math.log(u)]
+        d = [np.log(u)]
         for k in range(1, n + 1):
             d.append(math.factorial(k - 1) * (-1.0) ** (k - 1) / u**k)
         return d
@@ -318,7 +334,7 @@ def jet_log(j: Jet) -> Jet:
 
 def jet_sin(j: Jet) -> Jet:
     def seq(u, n):
-        cycle = [math.sin(u), math.cos(u), -math.sin(u), -math.cos(u)]
+        cycle = [np.sin(u), np.cos(u), -np.sin(u), -np.cos(u)]
         return [cycle[k % 4] for k in range(n + 1)]
 
     return _apply(j, seq)
@@ -326,18 +342,19 @@ def jet_sin(j: Jet) -> Jet:
 
 def jet_cos(j: Jet) -> Jet:
     def seq(u, n):
-        cycle = [math.cos(u), -math.sin(u), -math.cos(u), math.sin(u)]
+        cycle = [np.cos(u), -np.sin(u), -np.cos(u), np.sin(u)]
         return [cycle[k % 4] for k in range(n + 1)]
 
     return _apply(j, seq)
 
 
 def jet_sqrt(j: Jet) -> Jet:
-    if j.value <= 0.0:
-        raise ValueError(f"sqrt of nonpositive value {j.value}")
+    bad = j.value <= 0.0
+    if np.any(bad):
+        raise ValueError(f"sqrt of nonpositive value {first_where(j.value, bad)}")
 
     def seq(u, n):
-        d = [math.sqrt(u)]
+        d = [np.sqrt(u)]
         e = 0.5
         for k in range(1, n + 1):
             d.append(d[0] * math.prod(e - i for i in range(k)) / u**k)
@@ -349,9 +366,12 @@ def jet_sqrt(j: Jet) -> Jet:
 def jet_powi(j: Jet, exponent: int) -> Jet:
     """Integer power by binary exponentiation; negative exponents via jet_div."""
     if exponent == 0:
-        return jet_constant(1.0, j.order)
+        return jet_constant(1.0, j.order, j.coeffs.shape[1:])
     if exponent < 0:
-        return jet_div(jet_constant(1.0, j.order), jet_powi(j, -exponent))
+        power = jet_powi(j, -exponent)
+        if np.any(power.value == 0.0):  # j^|exponent| underflowed, so its reciprocal overflows
+            raise OverflowError("math range error")
+        return jet_div(jet_constant(1.0, j.order, j.coeffs.shape[1:]), power)
     acc = None
     base = j
     e = exponent

@@ -30,6 +30,7 @@ import numpy as np
 from .expr import Expr, eval_jet
 from .families import delta_derivatives, profile_derivatives
 from .geometry import MetricField, Point, nabla_riemann_sequence
+from .jets import exp_values
 from .tensor import Frame, TensorAtPoint, pullback
 
 T, X, Y = 0, 1, 2
@@ -53,28 +54,30 @@ class ModelSpace:
         return self.tensors[k]
 
 
-def adapted_frame_f(f: Expr, p: Point, lam: float) -> Frame:
-    """Frame T = e^{-f} dt, X = lam dx, Y = (1/lam) dy for the f-family."""
-    if lam <= 0:
+def adapted_frame_f(f: Expr, p, lam) -> Frame:
+    """Frame T = e^{-f} dt, X = lam dx, Y = (1/lam) dy for the f-family, at
+    the point(s) p; lam is a scalar or one value per point."""
+    if np.any(np.asarray(lam) <= 0):
         raise ValueError("lam must be positive")
     fval = eval_jet(f, p, 0).value
-    m = np.zeros((3, 3))
-    m[T, 0] = math.exp(-fval)
-    m[X, 1] = lam
-    m[Y, 2] = 1.0 / lam
+    m = np.zeros(np.shape(fval) + (3, 3))
+    m[..., T, 0] = exp_values(-fval)
+    m[..., X, 1] = lam
+    m[..., Y, 2] = 1.0 / lam
     return Frame(m)
 
 
-def adapted_frame_h(h: Expr, p: Point, lam: float) -> Frame:
-    """Frame T = dt, X = lam (dx + h dy), Y = (1/lam) dy for the h-family."""
-    if lam <= 0:
+def adapted_frame_h(h: Expr, p, lam) -> Frame:
+    """Frame T = dt, X = lam (dx + h dy), Y = (1/lam) dy for the h-family, at
+    the point(s) p; lam is a scalar or one value per point."""
+    if np.any(np.asarray(lam) <= 0):
         raise ValueError("lam must be positive")
     hval = eval_jet(h, p, 0).value
-    m = np.zeros((3, 3))
-    m[T, 0] = 1.0
-    m[X, 1] = lam
-    m[Y, 1] = lam * hval
-    m[Y, 2] = 1.0 / lam
+    m = np.zeros(np.shape(hval) + (3, 3))
+    m[..., T, 0] = 1.0
+    m[..., X, 1] = lam
+    m[..., Y, 1] = lam * hval
+    m[..., Y, 2] = 1.0 / lam
     return Frame(m)
 
 
@@ -94,12 +97,13 @@ def ch0_lambda_h(h: Expr, p: Point) -> float:
     return abs(d[2]) ** -0.5
 
 
-def scaling_lambda_h(h: Expr, p: Point) -> float:
-    """lam with lam^2 = (h''')^2 / |h''|^3, aligning orders 0 and 1."""
+def scaling_lambda_h(h: Expr, p):
+    """lam with lam^2 = (h''')^2 / |h''|^3, aligning orders 0 and 1, at the
+    point(s) p."""
     d = profile_derivatives(h, p, 3)
-    if d[2] == 0.0 or d[3] == 0.0:
+    if np.any(d[2] == 0.0) or np.any(d[3] == 0.0):
         raise ZeroDivisionError("h'' and h''' must be nonzero for the aligned frame")
-    return math.sqrt(d[3] ** 2 / abs(d[2]) ** 3)
+    return np.sqrt(d[3] ** 2 / abs(d[2]) ** 3)
 
 
 def build_model(g: MetricField, p: Point, r: int, frame: Frame) -> ModelSpace:

@@ -1,7 +1,9 @@
 """Dense tensors of arbitrary valence on a 3-dimensional frame.
 
 Components are stored with all contravariant axes first, then covariant
-axes.  Basis changes follow the active convention: a Frame's matrix columns
+axes.  A tensor sampled at a batch of points carries the point axis (or
+axes) in front of those, and a frame may carry the same point axis, so one
+pullback moves a whole grid.  Basis changes follow the active convention: a Frame's matrix columns
 are the new basis vectors written in the old basis, covariant slots pull
 back by precomposition with the frame, contravariant slots transform by the
 frame's inverse.
@@ -19,13 +21,16 @@ DET_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class TensorAtPoint:
+    """Components of shape batch + (3,) * rank; batch is () at one point."""
+
     contravariant_rank: int
     covariant_rank: int
     components: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         rank = self.contravariant_rank + self.covariant_rank
-        if self.components.shape != (DIM,) * rank:
+        shape = self.components.shape
+        if len(shape) < rank or shape[len(shape) - rank:] != (DIM,) * rank:
             raise ValueError(
                 f"components of shape {self.components.shape} do not match "
                 f"rank ({self.contravariant_rank}, {self.covariant_rank})"
@@ -48,9 +53,9 @@ class Frame:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.matrix.shape != (DIM, DIM):
+        if self.matrix.shape[-2:] != (DIM, DIM):
             raise ValueError(f"frame matrix must be {DIM}x{DIM}")
-        if abs(np.linalg.det(self.matrix)) <= DET_FLOOR:
+        if np.any(np.abs(np.linalg.det(self.matrix)) <= DET_FLOOR):
             raise ValueError("frame matrix is singular")
 
     def inverse(self) -> "Frame":
@@ -87,20 +92,23 @@ def pullback(t: TensorAtPoint, frame: Frame) -> TensorAtPoint:
     """Components of the same tensor expressed on the frame's basis.
 
     Covariant slots contract with the frame matrix, contravariant slots with
-    its inverse.
+    its inverse.  A frame with a point axis pulls each point's tensor back
+    by that point's matrix.  Each step is one batched matrix product that
+    contracts the leading slot and appends the new one last, so after
+    `rank` steps the slots are back in order.
     """
-    m = frame.matrix
+    rank = t.rank
     comp = t.components
+    batch = np.broadcast_shapes(comp.shape[: comp.ndim - rank], frame.matrix.shape[:-2])
+    m = frame.matrix.reshape(-1, DIM, DIM)
+    # covariant: new_a = old_i m[i, a]; contravariant: new^a = minv[a, i] old^i
+    mats = [m] * t.covariant_rank
     if t.contravariant_rank:
-        minv = np.linalg.inv(m)
-    for axis in range(t.rank):
-        if axis < t.contravariant_rank:
-            # new^a = minv[a, i] old^i
-            comp = np.moveaxis(np.tensordot(comp, minv, axes=([axis], [1])), -1, axis)
-        else:
-            # new_a = old_i m[i, a]
-            comp = np.moveaxis(np.tensordot(comp, m, axes=([axis], [0])), -1, axis)
-    return TensorAtPoint(t.contravariant_rank, t.covariant_rank, comp)
+        mats = [np.linalg.inv(m).swapaxes(1, 2)] * t.contravariant_rank + mats
+    comp = comp.reshape((-1,) + (DIM,) * rank)
+    for mat in mats:
+        comp = comp.reshape(len(comp), DIM, DIM ** (rank - 1)).swapaxes(1, 2) @ mat
+    return TensorAtPoint(t.contravariant_rank, t.covariant_rank, comp.reshape(batch + (DIM,) * rank))
 
 
 def raise_last_index(t: TensorAtPoint, g: TensorAtPoint) -> TensorAtPoint:

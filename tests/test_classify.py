@@ -298,3 +298,17 @@ def test_grid_points_sorted_and_pinned():
     grid = GridSpec((GridAxis(1, 0, 2), None, GridAxis(0, 1, 2)))
     pts = grid.points()
     assert pts == ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0))
+
+
+def test_bad_points_excluded_with_their_own_reasons():
+    # log(0) is undefined at x = 0, and g_tt = exp(2 exp(9)) overflows at x = 3
+    g = family_f_metric(parse("exp(x^2) + log(x)"))
+    rep = classify(g, 1, SampleSet.from_grid(GridSpec((None, GridAxis(0.0, 3.0, 3), None))))
+    want = [
+        ((0.0, 0.0, 0.0), "cannot evaluate the metric (DomainError): log of nonpositive value 0.0 in 'log(x)'"),
+        ((0.0, 3.0, 0.0), "cannot evaluate the metric (OverflowError): math range error"),
+    ]
+    assert [(e.point, e.reason) for e in rep.exclusions] == want
+    for point, reason in want:
+        alone = classify(g, 1, SampleSet.from_points([point]))
+        assert [e.reason for e in alone.exclusions] == [reason]

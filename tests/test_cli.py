@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvhom.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, main
 
@@ -239,3 +241,76 @@ def test_verify_overflow_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--family", "f", "--function", "exp(x^2)", "--grid", "x=0:30:3")
     assert code == EXIT_CONFIG
     assert "overflow" in err
+
+
+def _exclusion_reasons(out):
+    return {tuple(e["point"]): e["reason"] for e in json.loads(out)["exclusions"]}
+
+
+def test_invariants_excludes_point_outside_domain(capsys):
+    # log(0) is undefined; at the other points delta = 0 for f = log x
+    code, out, _ = run(capsys, "invariants", "--family", "f", "--function", "log(x)", "--grid", "x=0:1:5")
+    assert code == EXIT_HYPOTHESIS
+    reasons = _exclusion_reasons(out)
+    assert len(reasons) == 5
+    assert reasons[(0.0, 0.0, 0.0)] == (
+        "cannot evaluate the metric (DomainError): log of nonpositive value 0.0 in 'log(x)'"
+    )
+    row = json.loads(out)["invariants"][0]
+    assert row["delta"] is None and row["xi"] is None
+
+
+def test_custom_classify_excludes_point_outside_domain(capsys):
+    code, out, _ = run(
+        capsys, "classify", "--family", "custom", "--metric", "tt=log(x)", "--metric", "xy=1",
+        "--grid", "x=0:1:3",
+    )
+    assert code == EXIT_HYPOTHESIS
+    reasons = _exclusion_reasons(out)
+    assert reasons[(0.0, 0.0, 0.0)].startswith("cannot evaluate the metric (DomainError)")
+    assert reasons[(0.0, 1.0, 0.0)].startswith("cannot evaluate the metric (DegenerateMetricError)")  # log 1 = 0
+    assert reasons[(0.0, 0.5, 0.0)].startswith("no adapted frame construction")
+
+
+def _expressions(variables):
+    leaf = st.one_of(st.sampled_from(["0", "1", "2", "0.5", "1e-9", "700", "1e300"]), st.sampled_from(variables))
+
+    def extend(inner):
+        return st.one_of(
+            st.builds("-{}".format, inner),
+            st.builds("{}({})".format, st.sampled_from(["exp", "log", "sin", "cos", "sqrt", "abs"]), inner),
+            st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+            st.builds("({})^{}".format, inner, st.sampled_from(["2", "3", "-1", "0", "0.5", "(1/2)"])),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+@st.composite
+def _cli_argv(draw):
+    family = draw(st.sampled_from(["f", "h", "custom"]))
+    coord = {"f": "x", "h": "t"}.get(family) or draw(st.sampled_from("txy"))
+    variables = [coord] * 3 + ["t", "x", "y"]  # a wrong coordinate is a config error
+    argv = [draw(st.sampled_from(["verify", "classify", "invariants"])), "--family", family]
+    argv += ["--order", str(draw(st.integers(0, 3)))]
+    if family == "custom":
+        slots = draw(st.lists(st.sampled_from(["tt", "tx", "ty", "xx", "xy", "yy"]), min_size=1, max_size=3, unique=True))
+        argv += [f"--metric={slot}={draw(_expressions(variables))}" for slot in slots]
+    else:
+        argv.append(f"--function={draw(_expressions(variables))}")
+    lo, hi = (draw(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])) for _ in range(2))
+    argv += ["--grid", f"{coord}={lo}:{hi}:{draw(st.integers(1, 5))}"]
+    return argv
+
+
+@given(_cli_argv())
+@settings(max_examples=50, deadline=None)
+def test_random_commands_exit_within_contract(argv):
+    import contextlib
+    import io
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_HYPOTHESIS)
+    assert "Traceback" not in err.getvalue()

@@ -227,6 +227,21 @@ def test_curvature_identities_random_metrics(idx):
                 assert np.abs(rhs).max() > 1e-4
 
 
+@pytest.mark.parametrize("idx", range(8))
+def test_batched_sequence_matches_batches_of_one(idx):
+    g = sample_metrics(6)[idx]
+    pts = np.random.default_rng(idx).uniform(0.2, 0.6, size=(4, 3))
+    batched = nabla_riemann_sequence(g, pts, 3)
+    for i, p in enumerate(pts):
+        alone = nabla_riemann_sequence(g, [p], 3)
+        single = nabla_riemann_sequence(g, tuple(p), 3)
+        for k in range(4):
+            want = alone[k].components[0]
+            scale = max(float(np.abs(want).max()), 1e-300)
+            np.testing.assert_allclose(batched[k].components[i], want, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_array_equal(single[k].components, want)
+
+
 def direct_riemann(g, p):
     """R_{ijkl} = g_la (d_i G^a_jk - d_j G^a_ik + G^a_ib G^b_jk - G^a_jb G^b_ik)
     from plain metric derivatives at p, without jet products: a reference

@@ -184,3 +184,62 @@ def test_combined_order_is_min_of_operands():
 def test_compose_needs_enough_outer_derivatives():
     with pytest.raises(ValueError):
         jet_compose_univariate(jet_variable(X, 0.0, 3), [1.0, 1.0])
+
+
+def _loop_product_table(order):
+    """The Leibniz convolution table built by plain loops, as a reference."""
+    idx = jets.multi_indices(order)
+    pos = jets.index_position(order)
+    rows = []
+    for ai, alpha in enumerate(idx):
+        for bi, beta in enumerate(idx):
+            if sum(alpha) + sum(beta) <= order:
+                gamma = tuple(a + b for a, b in zip(alpha, beta))
+                coef = math.prod(math.comb(a + b, a) for a, b in zip(alpha, beta))
+                rows.append((ai, bi, pos[gamma], float(coef)))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def test_tables_match_loop_reference():
+    for order in range(11):
+        table = jets.product_table(order)
+        ref = _loop_product_table(order)
+        for got, want in zip(table, ref):
+            np.testing.assert_array_equal(got, want)  # same rows, in the same order
+        a_pos, b_pos, out_pos, coef = ref
+        perm = np.argsort(out_pos, kind="stable")
+        for got, want in zip(jets._sorted_product_table(order)[:3], (a_pos[perm], b_pos[perm], coef[perm])):
+            np.testing.assert_array_equal(got, want)
+        # division: per position gamma, every row except q[gamma] * b[0]
+        plan = jets._division_plan(order)
+        assert len(plan) == order
+        for d, (lo, hi, qa, bb, cf, starts) in enumerate(plan, start=1):
+            assert (lo, hi) == (jets.table_size(d - 1), jets.table_size(d))
+            per_pos = [np.flatnonzero((out_pos == gi) & ~((a_pos == gi) & (b_pos == 0))) for gi in range(lo, hi)]
+            rows = np.concatenate(per_pos)
+            np.testing.assert_array_equal(qa, a_pos[rows])
+            np.testing.assert_array_equal(bb, b_pos[rows])
+            np.testing.assert_array_equal(cf, coef[rows])
+            np.testing.assert_array_equal(starts, np.cumsum([0] + [len(r) for r in per_pos[:-1]]))
+
+
+def test_batched_jets_match_pointwise():
+    rng = np.random.default_rng(11)
+    order = 3
+    n = jets.table_size(order)
+    a, b = rng.normal(size=(n, 5)), rng.normal(size=(n, 5)) + np.eye(n, 5)[0] * 4.0
+    for op in (jet_mul, jet_div):
+        batched = op(Jet(order, a), Jet(order, b)).coeffs
+        for i in range(5):
+            np.testing.assert_allclose(batched[:, i], op(Jet(order, a[:, i]), Jet(order, b[:, i])).coeffs, rtol=1e-14)
+    logs = jet_log(Jet(order, np.abs(a) + 1.0)).coeffs
+    for i in range(5):
+        np.testing.assert_allclose(logs[:, i], jet_log(Jet(order, np.abs(a[:, i]) + 1.0)).coeffs, rtol=1e-14)
+    with pytest.raises(ValueError, match="log of nonpositive value -2.0"):
+        jet_log(jet_variable(X, np.array([1.0, -2.0, -3.0]), 1))
+
+
+def test_negative_power_that_underflows_overflows():
+    # (1e-200)^2 underflows to 0, so (1e-200)^-2 is out of range, as in Python
+    with pytest.raises(OverflowError):
+        jet_powi(jet_variable(X, 1e-200, 2), -2)
