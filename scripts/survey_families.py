@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import argparse
 
-from curvhom import GridAxis, GridSpec, SampleSet, classify, family_f_metric, family_h_metric, parse
+from curvhom import GridAxis, GridSpec, SampleSet, classify, parse
+from curvhom.classify import FAMILIES
 
 SURVEY = [
     # family, profile, grid axis (coordinate index, lo, hi)
@@ -33,9 +34,7 @@ def run_one(family: str, profile: str, axis_spec, order: int, points: int):
     axes = [None, None, None]
     axes[coord] = GridAxis(lo, hi, points)
     samples = SampleSet.from_grid(GridSpec(tuple(axes)))
-    fn = parse(profile)
-    metric = family_f_metric(fn) if family == "f" else family_h_metric(fn)
-    return classify(metric, order, samples)
+    return classify(FAMILIES[family].metric(parse(profile)), order, samples)
 
 
 def main() -> int:

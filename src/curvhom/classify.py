@@ -19,17 +19,30 @@ Verdicts over a sample set, per order k <= r:
 counted; a verdict degrades to "hypothesis-violated" when more than half
 the points are excluded.  Identically flat metrics short-circuit to
 vacuous passes marked "degenerate: zero curvature".
+
+`FAMILIES` is the one place a built-in family is described: its metric,
+oracle, hypotheses, frames, invariants and report columns.  The classifier,
+the CLI and the survey script read it; a new family is a new entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from .expr import DomainError, Expr, pretty
-from .families import FamilySpec, delta_derivatives, profile_derivatives, family_f_metric, family_h_metric
+from .families import (
+    FamilySpec,
+    delta_derivatives,
+    family_f_metric,
+    family_f_oracle,
+    family_h_metric,
+    family_h_oracle,
+    profile_derivatives,
+)
 from .geometry import DegenerateMetricError, MetricField, Point, nabla_k_riemann, nabla_riemann_sequence
 from .models import T, X, adapted_frame_f, adapted_frame_h, scaling_lambda_h
 from .tensor import TensorAtPoint, pullback
@@ -61,7 +74,7 @@ class GridAxis:
             raise ValueError("grid count must be >= 1")
         if self.count == 1:
             return [self.lo]
-        return list(np.linspace(self.lo, self.hi, self.count))
+        return np.linspace(self.lo, self.hi, self.count).tolist()
 
 
 @dataclass(frozen=True)
@@ -183,84 +196,137 @@ class HomogeneityReport:
 
 
 # ---------------------------------------------------------------------------
-# intrinsic invariant evaluators
-
-# Sequence order each family's invariants need: xi is an order-1 entry, the
-# h-family's xi_T and xi_X are order-2 entries.
-MIN_ORDER = {"f": 1, "h": 2}
+# the built-in families
 
 
 @dataclass(frozen=True)
 class FamilySamples:
     """One batched evaluation of a family metric over sample points."""
 
-    hyp: np.ndarray       # per point: |delta| (f) or |h''| (h)
+    hyp: np.ndarray       # per point: |the family's hypothesis quantity| = |R(T,X,X,T)| on the unit adapted frame
+    sch_hyp: np.ndarray   # per point: |the quantity its SCH frame needs|
     ok: np.ndarray        # per point: hyp >= FLOOR
-    sch: np.ndarray       # per point: has an SCH frame; f: ok, h: ok and |h'''| >= FLOOR
-    flat_scale: float     # max |R| over the points
-    # at the ok points, None if there are none
-    adapted: Optional[list[np.ndarray]] = None    # nabla^k R on the unit adapted frame
-    xi: Optional[np.ndarray] = None               # order-1 invariant
-    sch_ratio: Optional[np.ndarray] = None        # f: (delta')^2 / (-delta)^3
-    xi_t_alt: Optional[np.ndarray] = None         # h: h'''' / h''^2
-    # at the sch points, None if there are none
-    aligned: Optional[list[np.ndarray]] = None    # nabla^k R on the SCH frame
-    psi: Optional[np.ndarray] = None              # |R(T,X,X,T)| on that frame
-    xi_t: Optional[np.ndarray] = None             # h: nabla^2 R(T,X,X,T;T,T) / psi^2
-    xi_x: Optional[np.ndarray] = None             # h: -nabla^2 R(T,X,X,T;X,X) / psi^2
+    sch: np.ndarray       # per point: has an SCH frame, ok and sch_hyp >= FLOOR
+    adapted: Optional[list[np.ndarray]] = None    # nabla^k R on the unit adapted frame, at the ok points
+    aligned: Optional[list[np.ndarray]] = None    # nabla^k R on the SCH frame, at the sch points
+    values: dict = field(default_factory=dict)    # invariant -> (its mask, ok or sch; its values there)
+
+    def column(self, name: str, index, n: int) -> tuple:
+        """Invariant `name` over n samples, None where undefined; this batch's point j is sample index[j]."""
+        mask, values = self.values.get(name, (self.sch, None))
+        return per_point([index[j] for j in np.flatnonzero(mask)], values, n)
 
 
 def _pulled_back(seq, mask, frame) -> list[np.ndarray]:
     return [pullback(TensorAtPoint(0, t.covariant_rank, t.components[mask]), frame).components for t in seq]
 
 
-def family_samples(g: MetricField, kmax: int, points) -> FamilySamples:
-    """R, ..., nabla^kmax R of an f- or h-family metric at all points
-    (shape (npts, 3)) at once, on the adapted frames, with the invariants.
+def _f_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
+    """xi = nabla R(T,X,X,T;X)^2 = (delta')^2 on the unit-lambda frame, and
+    the scale-free sch_ratio = xi / R(T,X,X,T)^3; the SCH frame is that
+    frame."""
+    fn = g.family.function
+    hyp = np.abs(delta_derivatives(fn, points, 0)[0])
+    seq = nabla_riemann_sequence(g, points, kmax)
+    s = FamilySamples(hyp, hyp, hyp >= FLOOR, hyp >= FLOOR)
+    if not s.ok.any():
+        return s
+    adapted = _pulled_back(seq, s.ok, adapted_frame_f(fn, points[s.ok], 1.0))
+    e0 = adapted[0][:, T, X, X, T]
+    xi = adapted[1][:, T, X, X, T, X] ** 2
+    values = dict(xi=(s.ok, xi), sch_ratio=(s.ok, xi / e0**3), psi=(s.sch, np.abs(e0)))
+    return replace(s, adapted=adapted, aligned=adapted, values=values)
 
-    f-family: xi = nabla R(T,X,X,T;X)^2 = (delta')^2 on the unit-lambda
-    frame, and the scale-free sch_ratio = xi / R(T,X,X,T)^3; the SCH frame
-    is that frame.  h-family: xi = (nabla R(T,X,X,T;T) / R(T,X,X,T))^2 =
-    (h'''/h'')^2; the SCH frame uses lam^2 = (h''')^2 / |h''|^3, so the
-    order-0 and order-1 entries become (+-psi, +-psi^{3/2}) with
-    psi = (h'''/h'')^2, and then
 
-        xi_t = nabla^2 R(T,X,X,T;T,T) / psi^2 = h'''' h'' / (h''')^2
-        xi_x = -nabla^2 R(T,X,X,T;X,X) / psi^2 = h' h''' / (h'')^2
+def _h_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
+    """xi = (nabla R(T,X,X,T;T) / R(T,X,X,T))^2 = (h'''/h'')^2; the SCH
+    frame uses lam^2 = (h''')^2 / |h''|^3, so the order-0 and order-1
+    entries become (+-psi, +-psi^{3/2}) with psi = (h'''/h'')^2, and then
 
-    The sign on xi_x compensates the recursion's -Gamma^t_{xx} term so that
-    exponential profiles report +1.
+        xi_T = nabla^2 R(T,X,X,T;T,T) / psi^2 = h'''' h'' / (h''')^2
+        xi_X = -nabla^2 R(T,X,X,T;X,X) / psi^2 = h' h''' / (h'')^2
+
+    The sign on xi_X compensates the recursion's -Gamma^t_{xx} term so that
+    exponential profiles report +1.  xi_T_alt = h'''' / h''^2.
     """
     fn = g.family.function
-    is_f = g.family.family == "f"
-    points = np.asarray(points, dtype=np.float64)
-    if is_f:
-        hyp = np.abs(delta_derivatives(fn, points, 0)[0])
-    else:
-        d = profile_derivatives(fn, points, 4)
-        hyp = np.abs(d[2])
+    d = profile_derivatives(fn, points, 4)
     seq = nabla_riemann_sequence(g, points, kmax)
-    ok = hyp >= FLOOR
-    flat_scale = float(np.abs(seq[0].components).max())
+    hyp, sch_hyp = np.abs(d[2]), np.abs(d[3])
+    ok, sch = hyp >= FLOOR, (hyp >= FLOOR) & (sch_hyp >= FLOOR)
+    s = FamilySamples(hyp, sch_hyp, ok, sch)
     if not ok.any():
-        return FamilySamples(hyp, ok, ok, flat_scale)
-    adapted = _pulled_back(seq, ok, (adapted_frame_f if is_f else adapted_frame_h)(fn, points[ok], 1.0))
+        return s
+    adapted = _pulled_back(seq, ok, adapted_frame_h(fn, points[ok], 1.0))
     e0 = adapted[0][:, T, X, X, T]
-    if is_f:
-        xi = adapted[1][:, T, X, X, T, X] ** 2
-        return FamilySamples(
-            hyp, ok, ok, flat_scale, adapted, xi, sch_ratio=xi / e0**3, aligned=adapted, psi=np.abs(e0)
-        )
-    out = dict(xi=adapted[1][:, T, X, X, T, T] ** 2 / e0**2, xi_t_alt=d[4][ok] / d[2][ok] ** 2)
-    sch = ok & (np.abs(d[3]) >= FLOOR)
-    if sch.any():
-        aligned = _pulled_back(seq, sch, adapted_frame_h(fn, points[sch], scaling_lambda_h(fn, points[sch])))
-        psi = np.abs(aligned[0][:, T, X, X, T])
-        a2 = aligned[2]
-        out.update(
-            aligned=aligned, psi=psi, xi_t=a2[:, T, X, X, T, T, T] / psi**2, xi_x=-a2[:, T, X, X, T, X, X] / psi**2
-        )
-    return FamilySamples(hyp, ok, sch, flat_scale, adapted, **out)
+    values = dict(xi=(ok, adapted[1][:, T, X, X, T, T] ** 2 / e0**2), xi_T_alt=(ok, d[4][ok] / d[2][ok] ** 2))
+    if not sch.any():
+        return replace(s, adapted=adapted, values=values)
+    aligned = _pulled_back(seq, sch, adapted_frame_h(fn, points[sch], scaling_lambda_h(fn, points[sch])))
+    psi = np.abs(aligned[0][:, T, X, X, T])
+    a2 = aligned[2]
+    values.update(
+        psi=(sch, psi), xi_T=(sch, a2[:, T, X, X, T, T, T] / psi**2), xi_X=(sch, -a2[:, T, X, X, T, X, X] / psi**2)
+    )
+    return replace(s, adapted=adapted, aligned=aligned, values=values)
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything that differs between the built-in families."""
+
+    metric: Callable                    # profile -> MetricField
+    oracle: Callable                    # (profile, points, k) -> closed-form nabla^k R
+    min_order: int                      # sequence order the invariants need
+    hypothesis: str                     # the profile quantity that must not vanish
+    samples: Callable                   # (g, kmax, points) -> FamilySamples
+    invariants: tuple[str, ...]         # what classify reports as invariants
+    columns: tuple[str, ...]            # the invariants command's invariant columns
+    derivatives: Callable               # (profile, points, kmax) -> [d^0, ..., d^kmax]
+    derivative_columns: Callable        # --order -> {column name: k} of the derivatives it prints
+    oracle_max_order: Optional[int] = None     # where the closed forms stop
+    sch_hypothesis: Optional[str] = None       # one more quantity the SCH frame needs
+    diagnostics: tuple[str, ...] = ()          # what classify reports as diagnostics
+    scale_free: Optional[str] = None           # the invariant whose constancy governs SCH_1
+    contradiction_order: float = math.inf      # SCH_k at k >= this contradicts a nonconstant xi
+
+
+# Entries call traced functions through module globals at call time: the benchmark's tracer rebinds those by name.
+FAMILIES = {
+    "f": Family(
+        metric=lambda f: family_f_metric(f),
+        oracle=lambda f, p, k: family_f_oracle(f, p, k),
+        min_order=1,
+        hypothesis="delta",
+        samples=_f_samples,
+        invariants=("xi", "sch_ratio"),
+        columns=("xi", "sch_ratio"),
+        derivatives=lambda f, p, kmax: delta_derivatives(f, p, kmax),
+        derivative_columns=lambda order: {f"delta_{k}" if k else "delta": k for k in range(max(order, 1) + 1)},
+        scale_free="sch_ratio",
+    ),
+    "h": Family(
+        metric=lambda h: family_h_metric(h),
+        oracle=lambda h, p, k: family_h_oracle(h, p, k),
+        min_order=2,
+        hypothesis="h''",
+        samples=_h_samples,
+        invariants=("xi", "xi_T", "xi_X"),
+        columns=("xi", "xi_T", "xi_X", "xi_T_alt", "psi"),
+        derivatives=lambda h, p, kmax: profile_derivatives(h, p, kmax),
+        derivative_columns=lambda order: {f"h_{k}": k for k in range(1, 5)},
+        oracle_max_order=2,
+        sch_hypothesis="h'''",
+        diagnostics=("xi_T_alt",),
+        contradiction_order=2,
+    ),
+}
+
+
+def family_samples(g: MetricField, kmax: int, points) -> FamilySamples:
+    """R, ..., nabla^kmax R of a built-in family metric at all points (shape
+    (npts, 3)) at once, on the family's adapted and SCH frames, with its invariants."""
+    return FAMILIES[g.family.family].samples(g, kmax, np.asarray(points, dtype=np.float64))
 
 
 def below_floor(what: str, value, point) -> str:
@@ -279,9 +345,10 @@ def _require(values, what: str, points):
 def _samples_at(g: MetricField, p) -> tuple[FamilySamples, tuple]:
     """family_samples at the point(s) p, shape (..., 3), which must all
     satisfy the hypothesis; and the leading shape of p."""
+    spec = FAMILIES[g.family.family]
     pts = np.reshape(np.asarray(p, dtype=np.float64), (-1, 3))
-    s = family_samples(g, MIN_ORDER[g.family.family], pts)
-    _require(s.hyp, "delta" if g.family.family == "f" else "h''", pts)
+    s = family_samples(g, spec.min_order, pts)
+    _require(s.hyp, spec.hypothesis, pts)
     return s, np.shape(p)[:-1]
 
 
@@ -298,7 +365,7 @@ def f_first_invariant(f: Expr, p):
     nonconstant.
     """
     s, batch = _samples_at(family_f_metric(f), p)
-    return s.xi.reshape(batch)[()]
+    return s.values["xi"][1].reshape(batch)[()]
 
 
 def f_scale_ratio(f: Expr, p):
@@ -308,7 +375,7 @@ def f_scale_ratio(f: Expr, p):
     scaling condition for the f-family.
     """
     s, batch = _samples_at(family_f_metric(f), p)
-    return s.sch_ratio.reshape(batch)[()]
+    return s.values["sch_ratio"][1].reshape(batch)[()]
 
 
 def h_first_invariant(h: Expr, p):
@@ -318,7 +385,7 @@ def h_first_invariant(h: Expr, p):
     nonconstancy rules out CH_1.
     """
     s, batch = _samples_at(family_h_metric(h), p)
-    return s.xi.reshape(batch)[()]
+    return s.values["xi"][1].reshape(batch)[()]
 
 
 @dataclass(frozen=True)
@@ -335,8 +402,8 @@ def h_second_ratios(h: Expr, p) -> SecondOrderRatios:
     """Second-derivative entries on the order-aligned frame, scaled by psi^2;
     see family_samples."""
     s, batch = _samples_at(family_h_metric(h), p)
-    _require(profile_derivatives(h, p, 3)[3], "h'''", p)
-    return SecondOrderRatios(*(v.reshape(batch)[()] for v in (s.xi_t, s.xi_x, s.psi)))
+    _require(s.sch_hyp, "h'''", p)
+    return SecondOrderRatios(*(s.values[n][1].reshape(batch)[()] for n in ("xi_T", "xi_X", "psi")))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +562,7 @@ def classify(g: MetricField, r: int, samples: SampleSet, tol: float = 1e-6) -> H
         raise ValueError("sample set is empty")
     pts = tuple(sorted(samples.points))
     fam: Optional[FamilySpec] = g.family
-    if fam is not None and fam.family in ("f", "h"):
+    if fam is not None and fam.family in FAMILIES:
         return _classify_family(g, fam, r, pts, tol)
     return _classify_custom(g, r, pts, tol)
 
@@ -555,25 +622,19 @@ def _classify_custom(g: MetricField, r, pts, tol) -> HomogeneityReport:
 
 
 def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> HomogeneityReport:
-    is_f = fam.family == "f"
+    spec = FAMILIES[fam.family]
     fn = fam.function
-    kmax = max(r, MIN_ORDER[fam.family])
+    kmax = max(r, spec.min_order)
     npts = len(pts)
     good, s, failed = evaluate_points(lambda p: family_samples(g, kmax, p), pts)
-    if good and s.flat_scale < DEGENERATE_FLOOR:
+    if good and float(s.hyp.max()) < DEGENERATE_FLOOR:  # scale-free: R on the unit adapted frame
         return _vacuous_report(fam.family, pretty(fn), r, pts, tol, "degenerate: zero curvature", _sorted_values(failed))
+    included = [i for j, i in enumerate(good) if s.ok[j]]  # the hypothesis-satisfying points
+    sch_idx = [i for j, i in enumerate(good) if s.sch[j]]  # of those, the ones with an SCH frame
     excluded = dict(failed)
-    included: list[int] = []                         # indices of the hypothesis-satisfying points
-    sch_idx: list[int] = []                          # of those, the ones with an SCH frame
-    if good:
-        what = "|delta|" if is_f else "|h''|"
-        for j, i in enumerate(good):
-            if s.ok[j]:
-                included.append(i)
-                if s.sch[j]:
-                    sch_idx.append(i)
-            else:
-                excluded[i] = Exclusion(pts[i], f"{what} = {s.hyp[j]:.2e} below {FLOOR:.0e}")
+    for j, i in enumerate(good):
+        if not s.ok[j]:
+            excluded[i] = Exclusion(pts[i], f"|{spec.hypothesis}| = {s.hyp[j]:.2e} below {FLOOR:.0e}")
     exclusions = _sorted_values(excluded)
     if not included:
         if not good:
@@ -585,8 +646,8 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
     hyp_heavy = len(included) <= npts / 2.0
     stacks = s.adapted
     e0 = stacks[0][:, T, X, X, T]
-    xi = SampleSeries("xi", per_point(included, s.xi, npts))
-    xi_spread = xi.spread or 0.0
+    series = {n: SampleSeries(n, s.column(n, good, npts)) for n in spec.invariants + spec.diagnostics if n in s.values}
+    xi_spread = series["xi"].spread or 0.0
     notes: list[str] = []
     verdicts: list[Verdict] = []
 
@@ -617,25 +678,25 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         verdicts.append(Verdict(f"CH_{k}(1,3)", _overall(q_statuses[: k + 1]), nt))
 
     # SCH_k(1,3)
-    sch_stacks, psi_arr = s.aligned, s.psi
 
     scaled_series: list[SampleSeries] = []
     sch_statuses: list[str] = [verdicts[1].status]  # SCH_0 == CH_0(1,3) == Q(0)
     sch_notes: list[tuple[str, ...]] = [()]
     for k in range(1, r + 1):
-        if not is_f and float(np.abs(stacks[k]).max()) < DEGENERATE_FLOOR:
+        if spec.sch_hypothesis and float(np.abs(stacks[k]).max()) < DEGENERATE_FLOOR:
             st, nt = status_of(_OrderAnalysis("vacuous"))
         elif not sch_idx:
-            st, nt = HYP, ("|h'''| below floor at every hypothesis-satisfying point",)
-        elif not is_f and len(sch_idx) <= npts / 2.0:
-            st, nt = HYP, ("|h'''| below floor at more than half the sample points",)
+            st, nt = HYP, (f"|{spec.sch_hypothesis}| below floor at every hypothesis-satisfying point",)
+        elif spec.sch_hypothesis and len(sch_idx) <= npts / 2.0:
+            st, nt = HYP, (f"|{spec.sch_hypothesis}| below floor at more than half the sample points",)
         else:
-            analysis = _scaled_constancy(sch_stacks[k], psi_arr, k, tol)
+            psi_arr = s.values["psi"][1]
+            analysis = _scaled_constancy(s.aligned[k], psi_arr, k, tol)
             st, nt = status_of(analysis)
             if analysis.status != "vacuous":
-                scaled = _representative_scaled(sch_stacks[k], psi_arr, k)
+                scaled = _representative_scaled(s.aligned[k], psi_arr, k)
                 scaled_series.append(SampleSeries(f"scaled_order_{k}", per_point(sch_idx, scaled, npts)))
-            if not is_f and k >= 2 and st == PASS and xi_spread > tol:
+            if k >= spec.contradiction_order and st == PASS and xi_spread > tol:
                 st = FAIL
                 nt = nt + (
                     f"SCH_{k} would contradict non-CH_1: the order-1 invariant is nonconstant "
@@ -652,27 +713,16 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         verdicts.append(Verdict(f"SCH_{k}(1,3)", st, nt))
 
     # invariants and evidence
-    invariants = [xi]
-    diagnostics: list[SampleSeries] = []
-    if is_f:
-        invariants.append(SampleSeries("sch_ratio", per_point(included, s.sch_ratio, npts)))
-    else:
-        if sch_idx:
-            invariants.append(SampleSeries("xi_T", per_point(sch_idx, s.xi_t, npts)))
-            invariants.append(SampleSeries("xi_X", per_point(sch_idx, s.xi_x, npts)))
-        diagnostics.append(SampleSeries("xi_T_alt", per_point(included, s.xi_t_alt, npts)))
     if xi_spread > tol:
         notes.append(
             f"evidence: order-1 invariant nonconstant (spread {xi_spread:.2e} > tol); "
             "not CH_1, hence not locally homogeneous"
         )
-        if is_f:
-            ratio_spread = invariants[1].spread or 0.0
-            if ratio_spread <= tol:
-                notes.append(
-                    "the scale-free order-1 ratio is constant; the simultaneous-scaling "
-                    "verdict is governed by the ratio, not the squared entry"
-                )
+        if spec.scale_free and (series[spec.scale_free].spread or 0.0) <= tol:
+            notes.append(
+                "the scale-free order-1 ratio is constant; the simultaneous-scaling "
+                "verdict is governed by the ratio, not the squared entry"
+            )
     else:
         notes.append("all sampled order-1 invariants constant within tol")
 
@@ -683,10 +733,10 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         tol=tol,
         points=pts,
         verdicts=tuple(verdicts),
-        invariants=tuple(invariants),
-        psi=SampleSeries("psi", per_point(sch_idx, psi_arr, npts)),
+        invariants=tuple(series[n] for n in spec.invariants if n in series),
+        psi=SampleSeries("psi", s.column("psi", good, npts)),
         scaled_entries=tuple(scaled_series),
-        diagnostics=tuple(diagnostics),
+        diagnostics=tuple(series[n] for n in spec.diagnostics if n in series),
         exclusions=exclusions,
         degenerate=False,
         notes=tuple(notes),

@@ -26,26 +26,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .classify import (
-    MIN_ORDER,
-    GridAxis,
-    GridSpec,
-    SampleSet,
-    below_floor,
-    classify,
-    evaluate_points,
-    family_samples,
-    per_point,
-)
+from .classify import FAMILIES, GridAxis, GridSpec, SampleSet, below_floor, classify, evaluate_points, family_samples
 from .expr import DomainError, ParseError, parse
-from .families import (
-    delta_derivatives,
-    family_f_metric,
-    family_f_oracle,
-    family_h_metric,
-    family_h_oracle,
-    profile_derivatives,
-)
 from .geometry import nabla_riemann_sequence
 
 EXIT_OK = 0
@@ -147,11 +129,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     family = pick("family", args.family)
     if family is None:
         raise ConfigError("missing --family (f, h or custom)")
-    if family not in ("f", "h", "custom"):
+    if family not in (*FAMILIES, "custom"):
         raise ConfigError(f"unknown family {family!r}")
 
     function = pick("function", args.function)
-    if family in ("f", "h") and function is None:
+    if family in FAMILIES and function is None:
         raise ConfigError("missing --function for a profile family")
 
     grid_args = list(args.grid or [])
@@ -209,10 +191,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_metric(config: RunConfig):
-    if config.family == "f":
-        return family_f_metric(parse(config.function))
-    if config.family == "h":
-        return family_h_metric(parse(config.function))
+    if config.family in FAMILIES:
+        return FAMILIES[config.family].metric(parse(config.function))
     from .families import custom_metric
 
     zero = parse("0")
@@ -252,13 +232,14 @@ def _compare(engine: np.ndarray, oracle: np.ndarray) -> tuple[float, float]:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    if config.family == "custom":
+    if config.family not in FAMILIES:
         raise ConfigError("verify needs a built-in family with a closed-form oracle")
-    if config.family == "h" and config.order > 2:
-        raise ConfigError("the h-family closed forms stop at order 2; rerun with --order <= 2")
+    spec = FAMILIES[config.family]
+    top = spec.oracle_max_order
+    if top is not None and config.order > top:
+        raise ConfigError(f"the {config.family}-family closed forms stop at order {top}; rerun with --order <= {top}")
     fn = parse(config.function)
     metric = _build_metric(config)
-    oracle = family_f_oracle if config.family == "f" else family_h_oracle
     points = config.grid.points()
     # measure each point's deviations in units of its largest |g_ij|: the
     # (0, 4+k) curvature of the metric rescaled to unit size
@@ -268,7 +249,7 @@ def cmd_verify(config: RunConfig) -> int:
     per_order_abs = []
     for k in range(config.order + 1):
         scale = gscale.reshape((-1,) + (1,) * (4 + k))
-        rel, absdev = _compare(seq[k].components / scale, oracle(fn, points, k).components / scale)
+        rel, absdev = _compare(seq[k].components / scale, spec.oracle(fn, points, k).components / scale)
         per_order_rel.append(rel)
         per_order_abs.append(absdev)
     ok = all(r <= REL_TOL for r in per_order_rel) and all(a <= ABS_TOL for a in per_order_abs)
@@ -332,43 +313,29 @@ def cmd_classify(config: RunConfig) -> int:
 # invariants
 
 
-def _invariant_columns(metric, kmax: int, points) -> dict:
+def _invariant_columns(metric, derivs: dict[str, int], points) -> dict:
     """Every invariants column on all points at once; None where a
     nonvanishing hypothesis fails, and "below_floor" names the quantity."""
-    fn = metric.family.function
-    is_f = metric.family.family == "f"
-    s = family_samples(metric, MIN_ORDER[metric.family.family], points)
-
-    def scatter(mask, values) -> tuple:
-        return per_point(np.flatnonzero(mask), values, len(points))
-
-    if is_f:
-        d = delta_derivatives(fn, points, kmax)
-        cols = {f"delta_{k}" if k else "delta": d[k].tolist() for k in range(kmax + 1)}
-        cols.update(xi=scatter(s.ok, s.xi), sch_ratio=scatter(s.ok, s.sch_ratio))
-        cols["below_floor"] = [None if ok else ("delta", v) for ok, v in zip(s.ok, s.hyp)]
-        return cols
-    d = profile_derivatives(fn, points, kmax)
-    cols = {f"h_{k}": d[k].tolist() for k in range(1, kmax + 1)}
-    cols.update(xi=scatter(s.ok, s.xi), xi_T_alt=scatter(s.ok, s.xi_t_alt))
-    cols.update(xi_T=scatter(s.sch, s.xi_t), xi_X=scatter(s.sch, s.xi_x), psi=scatter(s.sch, s.psi))
+    spec = FAMILIES[metric.family.family]
+    n = len(points)
+    s = family_samples(metric, spec.min_order, points)
+    d = spec.derivatives(metric.family.function, points, max(derivs.values()))
+    cols = {name: d[k].tolist() for name, k in derivs.items()}
+    cols.update((c, s.column(c, range(n), n)) for c in spec.columns)
     cols["below_floor"] = [
-        None if sch else ("h'''", v3) if ok else ("h''", v2) for ok, sch, v2, v3 in zip(s.ok, s.sch, d[2], d[3])
+        None if sch else (spec.sch_hypothesis, sch_hyp) if ok else (spec.hypothesis, hyp)
+        for ok, sch, hyp, sch_hyp in zip(s.ok, s.sch, s.hyp, s.sch_hyp)
     ]
     return cols
 
 
 def _invariant_rows(config: RunConfig) -> tuple[list[str], list[dict]]:
+    spec = FAMILIES[config.family]
     points = config.grid.points()
-    if config.family == "f":
-        kmax = max(config.order, 1)
-        derivs = [f"delta_{k}" if k else "delta" for k in range(kmax + 1)]
-        header = ["t", "x", "y", *derivs, "xi", "sch_ratio", "excluded"]
-    else:
-        kmax = 4
-        header = ["t", "x", "y", "h_1", "h_2", "h_3", "h_4", "xi", "xi_T", "xi_X", "xi_T_alt", "psi", "excluded"]
+    derivs = spec.derivative_columns(config.order)
+    header = ["t", "x", "y", *derivs, *spec.columns, "excluded"]
     metric = _build_metric(config)
-    good, cols, failed = evaluate_points(lambda p: _invariant_columns(metric, kmax, p), points)
+    good, cols, failed = evaluate_points(lambda p: _invariant_columns(metric, derivs, p), points)
     rows = [dict(zip(("t", "x", "y"), p)) for p in points]
     for i, exclusion in failed.items():
         rows[i].update({c: None for c in header[3:-1]}, excluded=exclusion.reason)
@@ -380,11 +347,10 @@ def _invariant_rows(config: RunConfig) -> tuple[list[str], list[dict]]:
 
 
 def cmd_invariants(config: RunConfig) -> int:
-    if config.family == "custom":
+    if config.family not in FAMILIES:
         raise ConfigError("invariants are defined for the built-in families only")
     header, rows = _invariant_rows(config)
-    value_cols = [c for c in header if c not in ("t", "x", "y", "excluded")]
-    all_excluded = all(all(r[c] is None for c in value_cols if c.startswith(("xi", "sch", "psi"))) for r in rows)
+    all_excluded = all(all(r[c] is None for c in FAMILIES[config.family].columns) for r in rows)
     if config.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=header)

@@ -156,7 +156,7 @@ class _Parser:
             self.advance()
             at = self.peek()[2] if self.peek() else len(self.text)
             exponent = self.unary()  # right associative, allows 2^-3
-            if _references_variable(exponent):
+            if variables_of(exponent):
                 raise ParseError(at, "exponent must be a constant expression")
             return BinOp("^", node, exponent)
         return node
@@ -195,18 +195,6 @@ def parse(text: str, variables: tuple[str, ...] = COORDS) -> Expr:
     if unknown:
         raise ParseError(0, f"coordinate name collides with function: {unknown[0]}")
     return _Parser(text, tuple(variables)).parse()
-
-
-def _references_variable(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Neg):
-        return _references_variable(e.arg)
-    if isinstance(e, Call):
-        return _references_variable(e.arg)
-    if isinstance(e, BinOp):
-        return _references_variable(e.left) or _references_variable(e.right)
-    return False
 
 
 def variables_of(e: Expr) -> set[str]:

@@ -94,7 +94,7 @@ def profile_derivatives(h: Expr, p, kmax: int) -> list:
     return [jets.partial(hj, (k, 0, 0)) for k in range(kmax + 1)]
 
 
-def _place_curvature_block(components: np.ndarray, pair: tuple[int, int], value, tail: tuple[int, ...]):
+def place_curvature_block(components: np.ndarray, pair: tuple[int, int], value, tail: tuple[int, ...]):
     """Write one curvature entry and its sign images into a component array
     with leading point axes; value is per point.
 
@@ -120,7 +120,7 @@ def family_f_oracle(f: Expr, p, k: int) -> TensorAtPoint:
     e2f = np.exp(2.0 * eval_jet(f, p, 0).value)
     dk = delta_derivatives(f, p, k)[k]
     comp = np.zeros(np.shape(e2f) + (3,) * (4 + k))
-    _place_curvature_block(comp, (X, T), -e2f * dk, (X,) * k)
+    place_curvature_block(comp, (X, T), -e2f * dk, (X,) * k)
     return TensorAtPoint(0, 4 + k, comp)
 
 
@@ -144,10 +144,10 @@ def family_h_oracle(h: Expr, p, k: int) -> TensorAtPoint:
     d = profile_derivatives(h, p, k + 2)
     comp = np.zeros(np.shape(d[0]) + (3,) * (4 + k))
     if k == 0:
-        _place_curvature_block(comp, (T, X), d[2], ())
+        place_curvature_block(comp, (T, X), d[2], ())
     elif k == 1:
-        _place_curvature_block(comp, (T, X), d[3], (T,))
+        place_curvature_block(comp, (T, X), d[3], (T,))
     else:
-        _place_curvature_block(comp, (T, X), d[4], (T, T))
-        _place_curvature_block(comp, (T, X), -d[1] * d[3], (X, X))
+        place_curvature_block(comp, (T, X), d[4], (T, T))
+        place_curvature_block(comp, (T, X), -d[1] * d[3], (X, X))
     return TensorAtPoint(0, 4 + k, comp)

@@ -39,7 +39,7 @@ import numpy as np
 from . import jets
 from .expr import Expr, eval_jet
 from .jets import Jet, jet_div, stacked_product
-from .tensor import DET_FLOOR, TensorAtPoint
+from .tensor import TensorAtPoint, singular
 
 Point = tuple[float, float, float]
 
@@ -104,12 +104,6 @@ class ConnectionJet:
     metric: np.ndarray = field(repr=False)   # [pos, ..., i, j]
     inverse: np.ndarray = field(repr=False)  # [pos, ..., i, j]
 
-    def symbol(self, a: int, i: int, j: int) -> Jet:
-        return Jet(self.order, self.gamma[..., a, i, j].copy())
-
-    def values(self) -> np.ndarray:
-        return self.gamma[0].copy()
-
 
 def _metric_jets(g: MetricField, points, order: int) -> np.ndarray:
     """Jets of g_ij, shape (table_size(order), ..., 3, 3)."""
@@ -134,7 +128,7 @@ def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int) -> np.ndarr
         - stacked_product("ij,ij->ij", a[..., r2], b[..., r1], order)
     )
     det = stacked_product("j,j->", m[..., 0, :], cof[..., 0, :], order)
-    bad = np.abs(det[0]) <= DET_FLOOR
+    bad = singular(m[0], det[0])
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateMetricError(

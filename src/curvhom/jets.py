@@ -145,9 +145,6 @@ class Jet:
             return self
         return Jet(order, self.coeffs[: table_size(order)].copy())
 
-    def as_dict(self) -> dict[tuple[int, int, int], float]:
-        return {m: float(v) for m, v in zip(multi_indices(self.order), self.coeffs)}
-
     # arithmetic sugar; scalars and point arrays promote to constant jets
     def __add__(self, other):
         return jet_add(self, _coerce(other, self))

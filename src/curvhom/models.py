@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import Expr, eval_jet
-from .families import delta_derivatives, profile_derivatives
+from .families import delta_derivatives, place_curvature_block, profile_derivatives
 from .geometry import MetricField, Point, nabla_riemann_sequence
 from .jets import exp_values
 from .tensor import Frame, TensorAtPoint, pullback
@@ -121,15 +121,11 @@ def _max_dev(a: TensorAtPoint, b: TensorAtPoint) -> float:
     return float(np.abs(a.components - b.components).max())
 
 
-_CURV_BLOCK_SIGNS = (((T, X, X, T), 1.0), ((X, T, T, X), 1.0), ((T, X, T, X), -1.0), ((X, T, X, T), -1.0))
-
-
 def curvature_block(value: float, rank4_tail: tuple[int, ...]) -> np.ndarray:
     """Component array whose only entries are the curvature block of `value`
     at the T,X slot pattern with the given differentiation tail."""
     comp = np.zeros((3,) * (4 + len(rank4_tail)))
-    for pattern, sign in _CURV_BLOCK_SIGNS:
-        comp[pattern + rank4_tail] = sign * value
+    place_curvature_block(comp, (T, X), value, rank4_tail)
     return comp
 
 

@@ -46,6 +46,13 @@ def covariant(components: np.ndarray) -> TensorAtPoint:
     return TensorAtPoint(0, arr.ndim, arr)
 
 
+def singular(matrices: np.ndarray, det) -> np.ndarray:
+    """Per matrix: |det| <= DET_FLOOR times the product of each row's largest
+    |entry|, a Hadamard bound up to a factor 3^1.5 that, unlike row 2-norms,
+    squares no entry; so tiny or huge entries alone are not singular."""
+    return np.abs(det) <= DET_FLOOR * np.prod(np.abs(matrices).max(axis=-1), axis=-1)
+
+
 @dataclass(frozen=True)
 class Frame:
     """Basis change; columns are the new basis vectors in the old basis."""
@@ -55,7 +62,7 @@ class Frame:
     def __post_init__(self):
         if self.matrix.shape[-2:] != (DIM, DIM):
             raise ValueError(f"frame matrix must be {DIM}x{DIM}")
-        if np.any(np.abs(np.linalg.det(self.matrix)) <= DET_FLOOR):
+        if np.any(singular(self.matrix, np.linalg.det(self.matrix))):
             raise ValueError("frame matrix is singular")
 
     def inverse(self) -> "Frame":
@@ -77,7 +84,7 @@ def check_metric(g: TensorAtPoint) -> np.ndarray:
     m = g.components
     if not np.allclose(m, m.T, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
         raise ValueError("metric is not symmetric")
-    if abs(np.linalg.det(m)) <= DET_FLOOR:
+    if singular(m, np.linalg.det(m)):
         raise ValueError("metric is degenerate")
     return m
 

@@ -175,6 +175,20 @@ def test_classify_flat_metric_is_degenerate_pass():
     assert all(v == 0.0 for v in rep.series("xi").values)
 
 
+@pytest.mark.parametrize("profile", ["x^2", "exp(x)"])
+@pytest.mark.parametrize("shift", ["+ 30", "- 20", "+ 200"])
+def test_constant_shift_of_f_keeps_the_report(profile, shift):
+    # f + c is f after t -> e^c t, however large or small e^{2c} makes g_tt
+    grid = x_grid(0.1, 1.0, 9)
+    base = classify(family_f_metric(parse(profile)), 2, grid)
+    moved = classify(family_f_metric(parse(f"{profile} {shift}")), 2, grid)
+    assert not moved.exclusions and not moved.degenerate
+    assert [(v.name, v.status) for v in moved.verdicts] == [(v.name, v.status) for v in base.verdicts]
+    assert [s.name for s in moved.invariants] == [s.name for s in base.invariants]
+    for a, b in zip(moved.invariants, base.invariants):
+        np.testing.assert_allclose(a.values, b.values, rtol=1e-9)
+
+
 def test_classify_locally_symmetric_quadratic_h():
     # h = t^2: nabla R = 0 identically; higher orders vacuous
     rep = classify(family_h_metric(parse("t^2")), 2, t_grid(0, 1, 5))

@@ -199,8 +199,9 @@ def test_custom_metric_classify(capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    # force a mismatch by patching the oracle
-    import curvhom.cli as cli
+    # force a mismatch by patching the oracle the family table calls
+    import importlib
+
     import numpy as np
     from curvhom.tensor import TensorAtPoint
 
@@ -209,7 +210,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         comp[(0, 1, 1, 0) + (0,) * k] = 1.0
         return TensorAtPoint(0, 4 + k, comp)
 
-    monkeypatch.setattr(cli, "family_h_oracle", fake_oracle)
+    monkeypatch.setattr(importlib.import_module("curvhom.classify"), "family_h_oracle", fake_oracle)
     code, out, _ = run(
         capsys, "verify", "--family", "h", "--function", "t^3",
         "--order", "1", "--grid", "t=1:2:3", "--format", "text",
@@ -243,6 +244,22 @@ def test_verify_overflow_exits_2(capsys):
     assert "overflow" in err
 
 
+def test_large_constant_in_f_profile_is_not_a_singular_frame(capsys):
+    # f = 30 + x is f = x after t -> e^30 t; the adapted frame's det is e^{-f}
+    for command in ("classify", "invariants"):
+        code, _, err = run(capsys, command, "--family", "f", "--function", "30 + x", "--grid", "x=0:1:3")
+        assert code == EXIT_OK, err
+
+
+def test_verify_small_metric_determinant_passes(capsys):
+    # f = x - 20: |det g| = e^{2x - 40} is about 4e-18, yet the metric is f = x's
+    code, out, err = run(
+        capsys, "verify", "--family", "f", "--function", "x - 20", "--grid", "x=0:1:3", "--format", "text"
+    )
+    assert code == EXIT_OK, err
+    assert "result: pass" in out
+
+
 def _exclusion_reasons(out):
     return {tuple(e["point"]): e["reason"] for e in json.loads(out)["exclusions"]}
 
@@ -256,6 +273,8 @@ def test_invariants_excludes_point_outside_domain(capsys):
     assert reasons[(0.0, 0.0, 0.0)] == (
         "cannot evaluate the metric (DomainError): log of nonpositive value 0.0 in 'log(x)'"
     )
+    # grid points print as plain floats, not numpy reprs
+    assert reasons[(0.0, 0.25, 0.0)] == "|delta| = 0.00e+00 below floor at (0.0, 0.25, 0.0)"
     row = json.loads(out)["invariants"][0]
     assert row["delta"] is None and row["xi"] is None
 

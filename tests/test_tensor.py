@@ -7,6 +7,7 @@ from curvhom.geometry import riemann
 from curvhom.tensor import (
     Frame,
     TensorAtPoint,
+    check_metric,
     contract,
     covariant,
     identity_frame,
@@ -153,6 +154,14 @@ def test_singular_frame_and_metric_are_rejected():
     t = random_covariant(4)
     with pytest.raises(ValueError):
         raise_last_index(t, bad)
+
+
+def test_tiny_but_regular_frame_and_metric_are_accepted():
+    # the determinant floor is relative to the product of the row norms
+    Frame(np.diag([1e-13, 1.0, 1.0]))
+    Frame(np.diag([1e13, 1.0, 1e-13]))
+    m = np.array([[1e-20, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    assert check_metric(TensorAtPoint(0, 2, m)) is m
 
 
 def test_component_shape_validation():
