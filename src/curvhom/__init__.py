@@ -31,9 +31,8 @@ from .models import (
     build_model,
     check_automorphism_order0,
     check_automorphism_order1,
-    find_isomorphism,
 )
-from .tensor import Frame, TensorAtPoint, contract, lower_first_index, pullback, raise_last_index
+from .tensor import Frame, TensorAtPoint, pullback
 
 __version__ = "0.1.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "check_automorphism_order1",
     "christoffel",
     "classify",
-    "contract",
     "custom_metric",
     "eval_jet",
     "f_first_invariant",
@@ -69,20 +67,17 @@ __all__ = [
     "family_f_oracle",
     "family_h_metric",
     "family_h_oracle",
-    "find_isomorphism",
     "h_first_invariant",
     "h_second_ratios",
     "jet_add",
     "jet_compose_univariate",
     "jet_div",
     "jet_mul",
-    "lower_first_index",
     "nabla_k_riemann",
     "nabla_riemann_sequence",
     "parse",
     "partial",
     "pretty",
     "pullback",
-    "raise_last_index",
     "riemann",
 ]

@@ -92,11 +92,10 @@ class GridSpec:
 @dataclass(frozen=True)
 class SampleSet:
     points: tuple[Point, ...]
-    grid: Optional[GridSpec] = None
 
     @staticmethod
     def from_grid(grid: GridSpec) -> "SampleSet":
-        return SampleSet(grid.points(), grid)
+        return SampleSet(grid.points())
 
     @staticmethod
     def from_points(points) -> "SampleSet":
@@ -218,7 +217,7 @@ class FamilySamples:
 
 
 def _pulled_back(seq, mask, frame) -> list[np.ndarray]:
-    return [pullback(TensorAtPoint(0, t.covariant_rank, t.components[mask]), frame).components for t in seq]
+    return [pullback(TensorAtPoint(t.rank, t.components[mask]), frame).components for t in seq]
 
 
 def _f_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
@@ -415,46 +414,39 @@ class _OrderAnalysis:
     status: str           # pass / fail / vacuous
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.status in ("pass", "vacuous")
-
 
 def _component_index_table(shape) -> np.ndarray:
     idx = np.stack(np.unravel_index(np.arange(int(np.prod(shape))), shape))
     return (idx == X).sum(axis=0)  # X-multiplicity per flattened component
 
 
-def _sign_structure(flat: np.ndarray, tol: float) -> _OrderAnalysis:
-    """Single-rescaling compatibility of one order's entries across samples.
+def _sign_structure(flat: np.ndarray) -> tuple[_OrderAnalysis, Optional[np.ndarray]]:
+    """Single-rescaling compatibility of one order's entries across samples,
+    and on a pass the live columns: the entries nonzero at every sample.
 
     flat has shape (n_points, n_components) on the adapted frame.
     """
     scale = float(np.abs(flat).max())
     if scale < DEGENERATE_FLOOR:
-        return _OrderAnalysis("vacuous", ["all entries vanish at this order"])
+        return _OrderAnalysis("vacuous", ["all entries vanish at this order"]), None
     zero = np.abs(flat) <= ZERO_FLOOR * scale
     all_zero = zero.all(axis=0)
-    mixed = zero.any(axis=0) & ~all_zero
-    if mixed.any():
-        return _OrderAnalysis("fail", ["an entry vanishes at some sample points only"])
-    live = ~all_zero
+    if (zero.any(axis=0) & ~all_zero).any():
+        return _OrderAnalysis("fail", ["an entry vanishes at some sample points only"]), None
+    live = np.flatnonzero(~all_zero)
     signs = np.sign(flat[:, live])
     if not (signs == signs[:1]).all():
-        return _OrderAnalysis("fail", ["an entry changes sign across sample points"])
-    return _OrderAnalysis("pass")
+        return _OrderAnalysis("fail", ["an entry changes sign across sample points"]), None
+    return _OrderAnalysis("pass"), live
 
 
 def _q_condition(stack: np.ndarray, tol: float) -> _OrderAnalysis:
     """Order-k test behind CH_k(1,3): sign structure plus constant ratios
     between live entries of equal X-multiplicity."""
-    npts = stack.shape[0]
-    flat = stack.reshape(npts, -1)
-    out = _sign_structure(flat, tol)
+    flat = stack.reshape(stack.shape[0], -1)
+    out, live = _sign_structure(flat)
     if out.status != "pass":
         return out
-    scale = float(np.abs(flat).max())
-    live = np.where(~(np.abs(flat) <= ZERO_FLOOR * scale).any(axis=0))[0]
     xmult = _component_index_table(stack.shape[1:])
     groups = {}
     for c in live:
@@ -483,14 +475,11 @@ def _q_condition(stack: np.ndarray, tol: float) -> _OrderAnalysis:
 
 def _scaled_constancy(stack: np.ndarray, psi: np.ndarray, order: int, tol: float) -> _OrderAnalysis:
     """Order-k test behind SCH_k(1,3): entries / psi^{(k+2)/2} constant."""
-    npts = stack.shape[0]
-    flat = stack.reshape(npts, -1)
-    out = _sign_structure(flat, tol)
+    flat = stack.reshape(stack.shape[0], -1)
+    out, live = _sign_structure(flat)
     if out.status != "pass":
         return out
     scaled = flat / psi[:, None] ** ((order + 2) / 2.0)
-    scale = float(np.abs(flat).max())
-    live = np.where(~(np.abs(flat) <= ZERO_FLOOR * scale).any(axis=0))[0]
     for c in live:
         spread = relative_spread(np.abs(scaled[:, c]))
         if spread is not None and spread > tol:
@@ -556,8 +545,8 @@ def classify(g: MetricField, r: int, samples: SampleSet, tol: float = 1e-6) -> H
     """Finite-sample homogeneity verdicts for a metric over a sample set."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if not samples.points:
         raise ValueError("sample set is empty")
     pts = tuple(sorted(samples.points))
@@ -603,15 +592,16 @@ def _sorted_values(by_index: dict) -> tuple:
     return tuple(by_index[i] for i in sorted(by_index))
 
 
-def _custom_samples(g: MetricField, points) -> tuple[float, float]:
-    """(max |R|, max(1, max |g_ij|)) over the points."""
+def _custom_curvature(g: MetricField, points) -> float:
+    """max |R^i_jkl| = max |g^im R_mjkl| over the points: the (1,3) curvature
+    operator, which a constant rescaling g -> c g leaves unchanged."""
     curv = nabla_k_riemann(g, points, 0).components
-    return float(np.abs(curv).max()), max(1.0, float(np.abs(g.component_matrix(points)).max()))
+    return float(np.abs(np.einsum("...im,...mjkl->...ijkl", np.linalg.inv(g.component_matrix(points)), curv)).max())
 
 
 def _classify_custom(g: MetricField, r, pts, tol) -> HomogeneityReport:
-    good, scales, failed = evaluate_points(lambda p: _custom_samples(g, p), pts)
-    if good and scales[0] < DEGENERATE_FLOOR * scales[1]:
+    good, curv, failed = evaluate_points(lambda p: _custom_curvature(g, p), pts)
+    if good and curv < DEGENERATE_FLOOR:
         return _vacuous_report("custom", None, r, pts, tol, "degenerate: zero curvature", _sorted_values(failed))
     if good:
         note = "no adapted frame construction for custom metrics; raw curvature available via verify/invariants"
@@ -662,7 +652,7 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         return PASS, extra
 
     # CH_0: constant-sign unit-normalized curvature entry
-    ch0 = _sign_structure(e0[:, None], tol)
+    ch0, _ = _sign_structure(e0[:, None])
     st, nt = status_of(ch0)
     eps_val = float(np.sign(e0[0])) if ch0.status == "pass" else None
     if eps_val is not None:

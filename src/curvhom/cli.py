@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -90,6 +91,8 @@ def _parse_grid_arg(text: str) -> tuple[str, GridAxis]:
         raise ConfigError(f"unknown grid coordinate {coord!r}; expected one of {_COORDS}")
     if axis.count < 1:
         raise ConfigError(f"grid count must be >= 1 in {text!r}")
+    if not math.isfinite(axis.lo) or not math.isfinite(axis.hi):
+        raise ConfigError(f"grid bounds must be finite in {text!r}")
     return coord, axis
 
 
@@ -171,8 +174,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(err)) from None
     if order < 0:
         raise ConfigError("order must be nonnegative")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ConfigError("tol must be positive and finite")
 
     fmt = pick("format", args.format, "json")
     if fmt not in ("json", "csv", "text"):
@@ -245,25 +248,23 @@ def cmd_verify(config: RunConfig) -> int:
     # (0, 4+k) curvature of the metric rescaled to unit size
     gscale = np.maximum(1.0, np.abs(metric.component_matrix(points)).max(axis=(1, 2)))
     seq = nabla_riemann_sequence(metric, points, config.order)
-    per_order_rel = []
-    per_order_abs = []
+    orders = []  # per order: (max rel dev, max abs dev on zeros, passed)
     for k in range(config.order + 1):
         scale = gscale.reshape((-1,) + (1,) * (4 + k))
         rel, absdev = _compare(seq[k].components / scale, spec.oracle(fn, points, k).components / scale)
-        per_order_rel.append(rel)
-        per_order_abs.append(absdev)
-    ok = all(r <= REL_TOL for r in per_order_rel) and all(a <= ABS_TOL for a in per_order_abs)
+        orders.append((rel, absdev, rel <= REL_TOL and absdev <= ABS_TOL))
+    ok = all(passed for _, _, passed in orders)
     if config.format == "json":
         report = {
             "config": config.summary(),
             "verdicts": [
                 {
                     "name": f"order_{k}",
-                    "status": "pass" if per_order_rel[k] <= REL_TOL and per_order_abs[k] <= ABS_TOL else "fail",
-                    "max_relative_deviation": per_order_rel[k],
-                    "max_absolute_deviation_on_zeros": per_order_abs[k],
+                    "status": "pass" if passed else "fail",
+                    "max_relative_deviation": rel,
+                    "max_absolute_deviation_on_zeros": absdev,
                 }
-                for k in range(config.order + 1)
+                for k, (rel, absdev, passed) in enumerate(orders)
             ],
             "invariants": [],
             "exclusions": [],
@@ -272,11 +273,10 @@ def cmd_verify(config: RunConfig) -> int:
         _emit(json.dumps(report, indent=2) + "\n", config.output)
     else:
         lines = [f"verify family={config.family} function={config.function!r} points={len(points)}"]
-        for k in range(config.order + 1):
-            status = "pass" if per_order_rel[k] <= REL_TOL and per_order_abs[k] <= ABS_TOL else "FAIL"
+        for k, (rel, absdev, passed) in enumerate(orders):
             lines.append(
-                f"  order {k}: max rel dev {per_order_rel[k]:.3e}"
-                f"  max abs dev on zeros {per_order_abs[k]:.3e}  [{status}]"
+                f"  order {k}: max rel dev {rel:.3e}"
+                f"  max abs dev on zeros {absdev:.3e}  [{'pass' if passed else 'FAIL'}]"
             )
         lines.append("result: " + ("pass" if ok else "FAIL"))
         _emit("\n".join(lines) + "\n", config.output)

@@ -38,15 +38,12 @@ class FamilySpec:
 
     family: str  # "f", "h" or "custom"
     function: Optional[Expr] = None
-    matrix: Optional[tuple[tuple[Expr, ...], ...]] = None
 
     def __post_init__(self):
         if self.family not in ("f", "h", "custom"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family in ("f", "h") and self.function is None:
             raise ValueError(f"family {self.family!r} needs a profile function")
-        if self.family == "custom" and self.matrix is None:
-            raise ValueError("custom family needs a metric matrix")
 
 
 def family_f_metric(f: Expr) -> MetricField:
@@ -70,7 +67,7 @@ def family_h_metric(h: Expr) -> MetricField:
 
 
 def custom_metric(matrix) -> MetricField:
-    return MetricField.from_matrix(matrix, family=FamilySpec("custom", matrix=tuple(tuple(r) for r in matrix)))
+    return MetricField.from_matrix(matrix, family=FamilySpec("custom"))
 
 
 def delta_jet(f: Expr, p, order: int) -> Jet:
@@ -121,7 +118,7 @@ def family_f_oracle(f: Expr, p, k: int) -> TensorAtPoint:
     dk = delta_derivatives(f, p, k)[k]
     comp = np.zeros(np.shape(e2f) + (3,) * (4 + k))
     place_curvature_block(comp, (X, T), -e2f * dk, (X,) * k)
-    return TensorAtPoint(0, 4 + k, comp)
+    return TensorAtPoint(4 + k, comp)
 
 
 def family_h_oracle(h: Expr, p, k: int) -> TensorAtPoint:
@@ -150,4 +147,4 @@ def family_h_oracle(h: Expr, p, k: int) -> TensorAtPoint:
     else:
         place_curvature_block(comp, (T, X), d[4], (T, T))
         place_curvature_block(comp, (T, X), -d[1] * d[3], (X, X))
-    return TensorAtPoint(0, 4 + k, comp)
+    return TensorAtPoint(4 + k, comp)

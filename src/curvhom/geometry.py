@@ -78,7 +78,7 @@ class MetricField:
         return _metric_jets(self, points, 0)[0]
 
     def tensor_at(self, points) -> TensorAtPoint:
-        return TensorAtPoint(0, 2, self.component_matrix(points))
+        return TensorAtPoint(2, self.component_matrix(points))
 
 
 class DegenerateMetricError(ValueError):
@@ -98,7 +98,6 @@ class ConnectionJet:
     """Christoffel symbols Gamma^a_{ij} as stacked jets at the sample points,
     with the metric and inverse-metric jets they were built from."""
 
-    points: np.ndarray = field(repr=False)
     order: int
     gamma: np.ndarray = field(repr=False)    # [pos, ..., a, i, j], symmetric in (i, j)
     metric: np.ndarray = field(repr=False)   # [pos, ..., i, j]
@@ -163,7 +162,7 @@ def christoffel(g: MetricField, points, order: int = 0) -> ConnectionJet:
     def unflat(a):
         return a.reshape((n,) + batch + a.shape[2:])
 
-    return ConnectionJet(pts.reshape(batch + (3,)), order, unflat(gamma), unflat(m[:n]), unflat(inv))
+    return ConnectionJet(order, unflat(gamma), unflat(m[:n]), unflat(inv))
 
 
 def _schouten_jets(conn: ConnectionJet, order: int) -> np.ndarray:
@@ -247,7 +246,7 @@ def nabla_riemann_sequence(g: MetricField, points, kmax: int) -> list[TensorAtPo
     for order_in in range(kmax, 0, -1):
         field = _covariant_step(field, order_in, _gamma_operator(conn.gamma, order_in - 1))
         seq.append(_kulkarni_nomizu(field[0], g0))
-    return [TensorAtPoint(0, r.ndim - 1, r.reshape(batch + r.shape[1:])) for r in seq]
+    return [TensorAtPoint(r.ndim - 1, r.reshape(batch + r.shape[1:])) for r in seq]
 
 
 def riemann(g: MetricField, points) -> TensorAtPoint:

@@ -1,10 +1,11 @@
-"""Model spaces on adapted frames and their structured isomorphism groups.
+"""Model spaces on adapted frames and their automorphism checks.
 
 A model space bundles the metric and the curvature derivatives at a point,
-all expressed on a chosen frame: (phi, A_0, ..., A_r).  For the built-in
-families there are adapted frames {T, X, Y} on which the metric has the
-constant entries phi(T,T) = phi(X,Y) = 1 and all curvature concentrates in
-T/X slot patterns.  Automorphism checks verify that a candidate frame
+all expressed on a chosen frame as covariant tensors: (phi, A_0, ..., A_r),
+with A_k of type (0, 4+k).  For the built-in families there are adapted
+frames {T, X, Y} on which the metric has the constant entries
+phi(T,T) = phi(X,Y) = 1 and all curvature concentrates in T/X slot
+patterns.  Automorphism checks verify that a candidate frame
 preserves phi and the A_k and then read off the triangular parameters
 
     FT = a1 T + a2 Y,  FX = a3 T + a4 X + a5 Y,  FY = a6 Y
@@ -14,14 +15,13 @@ with a1^2 = a4^2 = 1 for the order-0 canonical form, and the stricter
     FT = T + b1 Y,  FX = b2 X + b3 Y,  FY = b4 Y,  b2^2 = 1
 
 once a nonzero nabla R entry pins the T direction.  Metric preservation
-additionally forces a4 a6 = 1 (equivalently b2 b4 = 1); the checks verify
-and report this derived constraint rather than assuming the triangular
-shape is sufficient.
+additionally forces a4 a6 = 1 (equivalently b2 b4 = 1); one check, run
+to order 0 or 1, verifies and reports this derived constraint rather than
+assuming the triangular shape is sufficient.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,25 +121,13 @@ def _max_dev(a: TensorAtPoint, b: TensorAtPoint) -> float:
     return float(np.abs(a.components - b.components).max())
 
 
-def curvature_block(value: float, rank4_tail: tuple[int, ...]) -> np.ndarray:
-    """Component array whose only entries are the curvature block of `value`
-    at the T,X slot pattern with the given differentiation tail."""
-    comp = np.zeros((3,) * (4 + len(rank4_tail)))
-    place_curvature_block(comp, (T, X), value, rank4_tail)
-    return comp
-
-
-def _require_canonical_phi(model: ModelSpace, tol: float):
-    if _max_dev(model.phi, TensorAtPoint(0, 2, PHI_CANONICAL)) > tol:
-        raise ValueError("model is not in canonical form: phi has non-constant entries")
-
-
 def _require_block_form(a: TensorAtPoint, tail: tuple[int, ...], tol: float, what: str) -> float:
-    """Check a tensor is exactly one curvature block with the given tail;
-    returns the block value."""
+    """Check a tensor is exactly one curvature block at the T,X slot pattern
+    with the given differentiation tail; returns the block value."""
     eps = float(a.components[(T, X, X, T) + tail])
-    dev = float(np.abs(a.components - curvature_block(eps, tail)).max())
-    if dev > tol * max(1.0, abs(eps)):
+    block = np.zeros_like(a.components)
+    place_curvature_block(block, (T, X), eps, tail)
+    if float(np.abs(a.components - block).max()) > tol * max(1.0, abs(eps)):
         raise ValueError(f"model is not in canonical form: {what} is not a single curvature block")
     if eps == 0.0:
         raise ValueError(f"model is not in canonical form: {what} entry vanishes")
@@ -154,6 +142,47 @@ class AutomorphismCheck:
     notes: tuple[str, ...] = ()
 
 
+# Per order: the frame entries (row, column) reported as parameters, and
+# the entries the expected shape pins to a value.
+_ORDER0_PARAMS = {"a1": (T, 0), "a2": (Y, 0), "a3": (T, 1), "a4": (X, 1), "a5": (Y, 1), "a6": (Y, 2)}
+_ORDER1_PARAMS = {"b1": (Y, 0), "b2": (X, 1), "b3": (Y, 1), "b4": (Y, 2)}
+_ORDER0_SHAPE = {(X, 0): 0.0, (T, 2): 0.0, (X, 2): 0.0}
+_ORDER1_SHAPE = {**_ORDER0_SHAPE, (T, 0): 1.0, (T, 1): 0.0}
+
+
+def _check_automorphism(frame: Frame, model: ModelSpace, tol: float, order: int, params, shape) -> AutomorphismCheck:
+    """Does `frame` preserve (phi, A_0, ..., A_order) of a canonical model,
+    whose A_k is one curvature block with tail (T,) * k?"""
+    if model.r < order:
+        raise ValueError(f"order-{order} check needs a model with r >= {order}")
+    canon_tol = max(tol, 1e-7)
+    if float(np.abs(model.phi.components - PHI_CANONICAL).max()) > canon_tol:
+        raise ValueError("model is not in canonical form: phi has non-constant entries")
+    eps = [_require_block_form(model.tensor(k), (T,) * k, canon_tol, f"A_{k}") for k in range(order + 1)]
+
+    dev = _max_dev(pullback(model.phi, frame), model.phi)
+    for k in range(order + 1):
+        ak = model.tensor(k)
+        dev = max(dev, _max_dev(pullback(ak, frame), ak) / _scale(ak))
+    if dev > tol:
+        return AutomorphismCheck(False, dev)
+
+    m = frame.matrix
+    shape_dev = max(abs(m[ij] - v) for ij, v in shape.items())
+    # the normal form flips T and X at most; phi(FX, FY) = 1 forces the product
+    constraint_dev = max(abs(m[T, 0] ** 2 - 1.0), abs(m[X, 1] ** 2 - 1.0), abs(m[X, 1] * m[Y, 2] - 1.0))
+    notes = [
+        ", ".join(f"eps{k} = {e:+.3e}" for k, e in enumerate(eps)),
+        "X and Y scalings multiply to 1 (derived from phi(FX, FY) = 1, not part of the triangular shape)",
+    ]
+    if shape_dev > canon_tol or constraint_dev > 1e-6:
+        notes.append(
+            f"accepted frame violates the expected triangular shape "
+            f"(shape dev {shape_dev:.2e}, constraint dev {constraint_dev:.2e})"
+        )
+    return AutomorphismCheck(True, dev, {name: float(m[ij]) for name, ij in params.items()}, tuple(notes))
+
+
 def check_automorphism_order0(frame: Frame, model: ModelSpace, tol: float = 1e-9) -> AutomorphismCheck:
     """Does `frame` preserve (phi, A_0) of an order-0 canonical model?
 
@@ -162,36 +191,7 @@ def check_automorphism_order0(frame: Frame, model: ModelSpace, tol: float = 1e-9
     a1..a6 are extracted and the constraints a1^2 = a4^2 = 1 and the
     metric-derived a4 a6 = 1 are verified.
     """
-    canon_tol = max(tol, 1e-7)
-    _require_canonical_phi(model, canon_tol)
-    eps = _require_block_form(model.tensor(0), (), canon_tol, "A_0")
-
-    dev = _max_dev(pullback(model.phi, frame), model.phi)
-    a0 = model.tensor(0)
-    dev = max(dev, _max_dev(pullback(a0, frame), a0) / _scale(a0))
-    if dev > tol:
-        return AutomorphismCheck(False, dev)
-
-    m = frame.matrix
-    params = {
-        "a1": float(m[T, 0]), "a2": float(m[Y, 0]),
-        "a3": float(m[T, 1]), "a4": float(m[X, 1]), "a5": float(m[Y, 1]),
-        "a6": float(m[Y, 2]),
-    }
-    shape_dev = max(abs(m[X, 0]), abs(m[T, 2]), abs(m[X, 2]))
-    notes = [f"eps = {eps:+.3e}"]
-    constraint_dev = max(
-        abs(params["a1"] ** 2 - 1.0),
-        abs(params["a4"] ** 2 - 1.0),
-        abs(params["a4"] * params["a6"] - 1.0),
-    )
-    notes.append("a4*a6 = 1 verified (derived from phi(FX, FY) = 1, not part of the triangular shape)")
-    if shape_dev > canon_tol or constraint_dev > 1e-6:
-        notes.append(
-            f"accepted frame violates the expected triangular shape "
-            f"(shape dev {shape_dev:.2e}, constraint dev {constraint_dev:.2e})"
-        )
-    return AutomorphismCheck(True, dev, params, tuple(notes))
+    return _check_automorphism(frame, model, tol, 0, _ORDER0_PARAMS, _ORDER0_SHAPE)
 
 
 def check_automorphism_order1(frame: Frame, model: ModelSpace, tol: float = 1e-9) -> AutomorphismCheck:
@@ -202,71 +202,4 @@ def check_automorphism_order1(frame: Frame, model: ModelSpace, tol: float = 1e-9
     of FT to exactly 1 and removes the T component from FX; b2^2 = 1 and
     b2 b4 = 1 are verified on the extracted parameters.
     """
-    if model.r < 1:
-        raise ValueError("order-1 check needs a model with r >= 1")
-    canon_tol = max(tol, 1e-7)
-    _require_canonical_phi(model, canon_tol)
-    eps0 = _require_block_form(model.tensor(0), (), canon_tol, "A_0")
-    eps1 = _require_block_form(model.tensor(1), (T,), canon_tol, "A_1")
-
-    dev = _max_dev(pullback(model.phi, frame), model.phi)
-    for k in (0, 1):
-        ak = model.tensor(k)
-        dev = max(dev, _max_dev(pullback(ak, frame), ak) / _scale(ak))
-    if dev > tol:
-        return AutomorphismCheck(False, dev)
-
-    m = frame.matrix
-    params = {
-        "b1": float(m[Y, 0]), "b2": float(m[X, 1]),
-        "b3": float(m[Y, 1]), "b4": float(m[Y, 2]),
-    }
-    shape_dev = max(
-        abs(m[T, 0] - 1.0), abs(m[X, 0]), abs(m[T, 1]), abs(m[T, 2]), abs(m[X, 2])
-    )
-    constraint_dev = max(abs(params["b2"] ** 2 - 1.0), abs(params["b2"] * params["b4"] - 1.0))
-    notes = [
-        f"eps0 = {eps0:+.3e}, eps1 = {eps1:+.3e}",
-        "b2*b4 = 1 verified (derived from phi(FX, FY) = 1)",
-    ]
-    if shape_dev > canon_tol or constraint_dev > 1e-6:
-        notes.append(
-            f"accepted frame violates the expected shape "
-            f"(shape dev {shape_dev:.2e}, constraint dev {constraint_dev:.2e})"
-        )
-    return AutomorphismCheck(True, dev, params, tuple(notes))
-
-
-def _canonical_entry0(model: ModelSpace, tol: float) -> float:
-    _require_canonical_phi(model, tol)
-    return _require_block_form(model.tensor(0), (), tol, "A_0")
-
-
-def find_isomorphism(m1: ModelSpace, m2: ModelSpace, tol: float = 1e-8) -> Optional[Frame]:
-    """Frame F with F*(m2 tensors) = m1 tensors, or None.
-
-    Both models must be canonical (constant phi, single A_0 block).  The
-    search matches normal forms: the order-0 entries fix the X scaling up
-    to sign, the T direction flips freely, and every candidate is verified
-    against all orders.  No open-ended optimization.
-    """
-    if m1.r != m2.r:
-        raise ValueError("models have different orders")
-    canon_tol = max(tol, 1e-7)
-    e1 = _canonical_entry0(m1, canon_tol)
-    e2 = _canonical_entry0(m2, canon_tol)
-    if e1 * e2 <= 0:
-        return None  # curvature signs differ; no isometric scaling can fix that
-    a4_mag = math.sqrt(e1 / e2)
-    for a4 in (a4_mag, -a4_mag):
-        for a1 in (1.0, -1.0):
-            frame = Frame(np.diag([a1, a4, 1.0 / a4]))
-            dev = _max_dev(pullback(m2.phi, frame), m1.phi)
-            for k in range(m1.r + 1):
-                t1, t2 = m1.tensor(k), m2.tensor(k)
-                dev = max(dev, _max_dev(pullback(t2, frame), t1) / _scale(t1))
-                if dev > tol:
-                    break
-            if dev <= tol:
-                return frame
-    return None
+    return _check_automorphism(frame, model, tol, 1, _ORDER1_PARAMS, _ORDER1_SHAPE)

@@ -18,6 +18,7 @@ from curvhom.classify import (
 from curvhom.expr import parse
 from curvhom.families import family_f_metric, family_h_metric
 from curvhom.models import adapted_frame_f, adapted_frame_h, build_model, ch0_lambda_h, scaling_lambda_h
+from curvhom.tensor import Frame
 
 from .test_models import order0_group_frame, order1_group_frame
 
@@ -102,7 +103,7 @@ def test_f_invariants_agree_on_any_accepted_frame():
     rng = np.random.default_rng(2)
     for _ in range(25):
         a1, a4 = rng.choice([-1.0, 1.0], size=2)
-        frame = base.compose(order0_group_frame(a1, a4, a3=float(rng.normal())))
+        frame = Frame(base.matrix @ order0_group_frame(a1, a4, a3=float(rng.normal())).matrix)
         model = build_model(g, p, 1, frame)
         e0 = model.tensor(0).components[T, X, X, T]
         e1 = model.tensor(1).components[T, X, X, T, X]
@@ -120,12 +121,12 @@ def test_h_invariants_agree_on_any_accepted_frame():
     ch0_base = adapted_frame_h(h, p, ch0_lambda_h(h, p))
     for _ in range(20):
         a1, a4 = rng.choice([-1.0, 1.0], size=2)
-        frame = ch0_base.compose(order0_group_frame(a1, a4, a3=float(rng.normal())))
+        frame = Frame(ch0_base.matrix @ order0_group_frame(a1, a4, a3=float(rng.normal())).matrix)
         model = build_model(g, p, 1, frame)
         assert model.tensor(1).components[T, X, X, T, T] ** 2 == pytest.approx(xi, rel=1e-9)
     sch_base = adapted_frame_h(h, p, scaling_lambda_h(h, p))
     for b2 in (1.0, -1.0):
-        model = build_model(g, p, 2, sch_base.compose(order1_group_frame(b2)))
+        model = build_model(g, p, 2, Frame(sch_base.matrix @ order1_group_frame(b2).matrix))
         psi = abs(model.tensor(0).components[T, X, X, T])
         assert -model.tensor(2).components[T, X, X, T, X, X] / psi**2 == pytest.approx(
             ratios.xi_x, rel=1e-9
@@ -236,6 +237,13 @@ def test_classify_validates_inputs():
         classify(g, 1, SampleSet(()))
     with pytest.raises(ValueError):
         classify(g, 1, x_grid(0, 1, 3), tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_classify_rejects_non_finite_tol(tol):
+    # every "spread > tol" test is False under NaN, which would pass anything
+    with pytest.raises(ValueError, match="finite"):
+        classify(family_f_metric(parse("exp(x)")), 1, x_grid(0, 1, 5), tol=tol)
 
 
 def test_classify_f_inverse_square_delta_is_simultaneously_scalable():

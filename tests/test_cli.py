@@ -76,6 +76,35 @@ def test_config_errors_exit_2(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_2(capsys, tol):
+    code, out, err = run(
+        capsys, "classify", "--family", "f", "--function", "exp(x)",
+        "--grid", "x=0:1:5", "--order", "1", "--tol", tol,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "tol must be positive and finite" in err
+
+
+def test_classify_infinite_grid_bound_exits_2(capsys):
+    code, out, err = run(
+        capsys, "classify", "--family", "f", "--function", "exp(x)", "--grid", "x=0:inf:3",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "grid bounds must be finite" in err
+
+
+def test_verify_nan_grid_bound_exits_2(capsys):
+    code, out, err = run(
+        capsys, "verify", "--family", "f", "--function", "exp(x)", "--grid", "x=0:nan:3",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "grid bounds must be finite" in err
+
+
 def test_classify_emits_schema_report(capsys):
     code, out, _ = run(
         capsys, "classify", "--family", "h", "--function", "t^3",
@@ -198,6 +227,31 @@ def test_custom_metric_classify(capsys):
     assert json.loads(out)["degenerate"] is True
 
 
+def _custom_report(capsys, *metric):
+    code, out, _ = run(
+        capsys, "classify", "--family", "custom", *(a for m in metric for a in ("--metric", m)),
+        "--order", "1", "--grid", "x=0:1:3",
+    )
+    report = json.loads(out)
+    # a curved custom metric gets no verdicts (exit 3); a flat one passes vacuously
+    assert code == (EXIT_OK if report["degenerate"] else EXIT_HYPOTHESIS)
+    return report
+
+
+def test_custom_flatness_is_unchanged_by_a_constant_rescaling(capsys):
+    # tt = exp(2*x - 40) is tt = exp(2*x) after t -> e^20 t: both are curved,
+    # with the same (1,3) curvature operator
+    small = _custom_report(capsys, "tt=exp(2*x - 40)", "xy=1")
+    plain = _custom_report(capsys, "tt=exp(2*x)", "xy=1")
+    assert small["degenerate"] is False
+    assert plain["degenerate"] is False
+    assert small["notes"] == plain["notes"]
+    assert small["verdicts"] == plain["verdicts"]
+    flat = _custom_report(capsys, "tt=1", "xy=1")
+    assert flat["degenerate"] is True
+    assert flat["notes"] == ["degenerate: zero curvature"]
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     # force a mismatch by patching the oracle the family table calls
     import importlib
@@ -208,7 +262,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     def fake_oracle(fn, p, k):
         comp = np.zeros((3,) * (4 + k))
         comp[(0, 1, 1, 0) + (0,) * k] = 1.0
-        return TensorAtPoint(0, 4 + k, comp)
+        return TensorAtPoint(4 + k, comp)
 
     monkeypatch.setattr(importlib.import_module("curvhom.classify"), "family_h_oracle", fake_oracle)
     code, out, _ = run(

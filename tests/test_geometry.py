@@ -277,7 +277,7 @@ def test_riemann_matches_direct_formula_random_metrics(idx):
 
 def test_zero_order_budget_raises_nowhere():
     g = family_f_metric(parse("x^3 - x"))
-    assert nabla_k_riemann(g, (0.0, 0.5, 0.0), 0).covariant_rank == 4
+    assert nabla_k_riemann(g, (0.0, 0.5, 0.0), 0).rank == 4
 
 
 def test_degenerate_metric_detected():

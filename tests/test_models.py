@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from curvhom.expr import parse
-from curvhom.families import custom_metric, family_f_metric, family_h_metric
+from curvhom.families import custom_metric, family_f_metric, family_h_metric, place_curvature_block
 from curvhom.models import (
     PHI_CANONICAL,
     ModelSpace,
@@ -15,8 +13,6 @@ from curvhom.models import (
     ch0_lambda_h,
     check_automorphism_order0,
     check_automorphism_order1,
-    curvature_block,
-    find_isomorphism,
     scaling_lambda_h,
 )
 from curvhom.tensor import Frame, TensorAtPoint
@@ -160,7 +156,7 @@ def test_order0_group_composition_closure(f_model_r1):
     for _ in range(20):
         fa = order0_group_frame(*rng.choice([-1.0, 1.0], size=2), a3=float(rng.normal()))
         fb = order0_group_frame(*rng.choice([-1.0, 1.0], size=2), a3=float(rng.normal()))
-        assert check_automorphism_order0(fa.compose(fb), model0, tol=1e-9).accepted
+        assert check_automorphism_order0(Frame(fa.matrix @ fb.matrix), model0, tol=1e-9).accepted
 
 
 def test_order1_automorphism_identity(h_model_r1):
@@ -194,52 +190,9 @@ def test_order1_check_requires_canonical_model(f_model_r1):
         check_automorphism_order1(Frame(np.eye(3)), f_model_r1)
 
 
-def test_find_isomorphism_equal_models(h_model_r1):
-    frame = find_isomorphism(h_model_r1, h_model_r1)
-    assert frame is not None
-    np.testing.assert_allclose(frame.matrix, np.eye(3), atol=1e-12)
-
-
-SQRT17_PROFILE = f"{(1 + math.sqrt(17)) / 2!r}*log(x)"
-
-
-def _f_model_at(f_text, xv, r=1):
-    f = parse(f_text)
-    p = (0.0, xv, 0.0)
-    g = family_f_metric(f)
-    return build_model(g, p, r, adapted_frame_f(f, p, ch0_lambda_f(f, p)))
-
-
-def test_find_isomorphism_constant_ratio_family():
-    # delta = 4/x^2 for this profile, so the order-1 ratio is point-independent
-    m1 = _f_model_at(SQRT17_PROFILE, 0.5)
-    m2 = _f_model_at(SQRT17_PROFILE, 1.25)
-    assert find_isomorphism(m1, m2) is not None
-
-
-def test_find_isomorphism_detects_ratio_mismatch():
-    m1 = _f_model_at("exp(x)", 0.2)
-    m2 = _f_model_at("exp(x)", 1.0)
-    assert find_isomorphism(m1, m2) is None
-
-
-def test_find_isomorphism_detects_sign_mismatch():
-    m_neg = _f_model_at("x", 0.5, r=0)  # delta = 1 -> entry -1
-    # delta = -2 + 4x^2 < 0 near x = 0 -> entry +1
-    m_pos = _f_model_at("-x^2", 0.1, r=0)
-    assert find_isomorphism(m_neg, m_pos) is None
-
-
-def test_find_isomorphism_requires_canonical_input():
-    one, zero = parse("1"), parse("0")
-    g = custom_metric([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
-    flat = build_model(g, (0.0, 0.0, 0.0), 0, Frame(np.eye(3)))
-    with pytest.raises(ValueError):
-        find_isomorphism(flat, flat)
-
-
 def test_curvature_block_sign_pattern():
-    blk = curvature_block(2.0, ())
+    blk = np.zeros((3,) * 4)
+    place_curvature_block(blk, (T, X), 2.0, ())
     assert blk[T, X, X, T] == 2.0
     assert blk[X, T, T, X] == 2.0
     assert blk[T, X, T, X] == -2.0
@@ -248,6 +201,6 @@ def test_curvature_block_sign_pattern():
 
 
 def test_model_space_order_validation():
-    phi = TensorAtPoint(0, 2, PHI_CANONICAL.copy())
+    phi = TensorAtPoint(2, PHI_CANONICAL.copy())
     with pytest.raises(ValueError):
-        ModelSpace(1, phi, (TensorAtPoint(0, 4, np.zeros((3,) * 4)),))
+        ModelSpace(1, phi, (TensorAtPoint(4, np.zeros((3,) * 4)),))
