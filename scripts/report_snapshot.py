@@ -1,18 +1,26 @@
 #!/usr/bin/env python3
-"""Write the CLI's output on a fixed command list, one file per command.
+"""Write the CLI's output on a fixed command list, one file per command,
+or compare two such snapshots.
 
     python scripts/report_snapshot.py OUTDIR
+    python scripts/report_snapshot.py --compare A B
 
 Each command runs in-process through ``curvhom.cli.main`` with this tree's
 ``src/`` first on the import path.  OUTDIR/NNN.txt holds the argv, the exit
 code, stdout and stderr.  ``diff -r`` between the snapshots of two trees
 shows every report that a change alters.
+
+--compare exits 1 if the snapshots differ in anything but the value of a
+printed real number: the file list, an argv or exit line, any text, key or
+integer.  Otherwise it exits 0 and lists the files whose real numbers differ,
+with the largest relative change among numbers of magnitude above 1e-6.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -76,9 +84,54 @@ def run(argv: list[str]) -> str:
     return f"argv: {shlex.join(argv)}\nexit: {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
 
 
+# a printed real number: digits with a decimal point or an exponent, not
+# part of a name such as order_2 or of a longer token
+REAL = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)(?![\w.])")
+COMPARE_FLOOR = 1e-6  # relative changes are taken among numbers above this magnitude
+
+
+def _split_reals(text: str) -> tuple[str, list[float]]:
+    """The text with each real number replaced by a marker, and the numbers."""
+    reals = [float(m) for m in REAL.findall(text)]
+    return REAL.sub("#", text), reals
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    names = sorted(p.name for p in dir_a.glob("*.txt"))
+    if not names or names != sorted(p.name for p in dir_b.glob("*.txt")):
+        print(f"the snapshots hold different files, or none: {dir_a} and {dir_b}")
+        return 1
+    structural, numeric = [], []
+    worst = (0.0, "", 0.0, 0.0)
+    for name in names:
+        text_a = (dir_a / name).read_text(encoding="utf-8")
+        text_b = (dir_b / name).read_text(encoding="utf-8")
+        head_a, head_b = text_a.split("--- stdout", 1)[0], text_b.split("--- stdout", 1)[0]
+        (skel_a, reals_a), (skel_b, reals_b) = _split_reals(text_a), _split_reals(text_b)
+        if head_a != head_b or skel_a != skel_b:
+            structural.append(name)
+            continue
+        if reals_a != reals_b:
+            numeric.append(name)
+        for x, y in zip(reals_a, reals_b):
+            size = max(abs(x), abs(y))
+            if size > COMPARE_FLOOR and abs(x - y) / size > worst[0]:
+                worst = (abs(x - y) / size, name, x, y)
+    for name in structural:
+        print(f"{name}: differs in more than numbers")
+    print(f"{len(names)} files: {len(structural)} differ in more than numbers, {len(numeric)} in numbers only")
+    if numeric:
+        print("numbers only: " + " ".join(numeric))
+        rel, name, x, y = worst
+        print(f"largest relative change above {COMPARE_FLOOR:g}: {rel:.2e} in {name} ({x!r} -> {y!r})")
+    return 1 if structural else 0
+
+
 def main() -> int:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        return compare(Path(sys.argv[2]), Path(sys.argv[3]))
     if len(sys.argv) != 2:
-        print("usage: report_snapshot.py OUTDIR", file=sys.stderr)
+        print("usage: report_snapshot.py OUTDIR | --compare A B", file=sys.stderr)
         return 2
     outdir = Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)

@@ -252,11 +252,16 @@ def eval_jet(e: Expr, points, order: int) -> Jet:
     grid evaluates in one pass.  Raises DomainError when the function is
     undefined at any of the points (log or sqrt out of range, division by
     zero, abs or non-integer power at a non-differentiable argument); the
-    message names the first such value.
+    message names the first such value.  Raises OverflowError, as math.exp
+    does, when a coefficient is not finite: the function overflowed at one
+    of the points, anywhere inside the expression.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return _eval(e, np.asarray(points, dtype=np.float64), order)
+    jet = _eval(e, np.asarray(points, dtype=np.float64), order)
+    if not np.isfinite(jet.coeffs).all():
+        raise OverflowError("math range error")
+    return jet
 
 
 def _eval(e: Expr, pts: np.ndarray, order: int) -> Jet:

@@ -15,7 +15,11 @@ shape ``(table_size(n), npts)`` and every operation acts on all points at
 once, so one call evaluates the whole grid.  A single point is a batch of
 one, or a jet with no point axis at all; the code is the same either way.
 ``stacked_product`` multiplies whole tensor fields of jets, stored as
-coefficient arrays of shape ``(table_size(n), npts, 3, ..., 3)``.
+coefficient arrays of shape ``(table_size(n), npts, 3, ..., 3)``;
+``jet_mul`` is its scalar case.  It gathers the coefficients of each
+Leibniz row, contracts the tensor slots of all rows and points with one
+batched matmul (a broadcast multiply when no slot is summed), and sums the
+rows into jet positions with one ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -81,19 +85,76 @@ def _sorted_product_table(order: int):
     return a_pos[perm], b_pos[perm], coef[perm], starts
 
 
+@lru_cache(maxsize=None)
+def _slot_plan(spec: str, ndim_a: int, ndim_b: int):
+    """How stacked_product contracts the tensor slots of an einsum spec,
+    for operands with ndim_a and ndim_b axes.
+
+    Each slot letter is shared (in both operands and the output), free (in
+    one operand and the output) or summed (in both operands only).  Returns
+    the point-axis counts of a and b, the axis orders that put a's slots in
+    (shared, free_a, summed) order and b's in (shared, summed, free_b)
+    order, the lengths of shared, free_a and free_b, and the axis order
+    that takes the result from (shared, free_a, free_b) to the spec's order.
+    """
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    if any(len(set(s)) != len(s) for s in (sa, sb, out)) or not (
+        set(out) <= set(sa) | set(sb) and set(sa) ^ set(sb) <= set(out)
+    ):
+        raise ValueError(f"unsupported slot spec {spec!r}")
+    shared = [c for c in out if c in sa and c in sb]
+    free_a = [c for c in out if c not in sb]
+    free_b = [c for c in out if c not in sa]
+    summed = [c for c in sa if c in sb and c not in out]
+    pa, pb = ndim_a - 1 - len(sa), ndim_b - 1 - len(sb)
+
+    def axes(points: int, slots, order) -> tuple[int, ...]:
+        return (*range(1 + points), *(1 + points + slots.index(c) for c in order))
+
+    return (
+        pa,
+        pb,
+        axes(pa, sa, shared + free_a + summed),
+        axes(pb, sb, shared + summed + free_b),
+        (len(shared), len(free_a), len(free_b)),
+        axes(max(pa, pb), shared + free_a + free_b, out),
+    )
+
+
 def stacked_product(spec: str, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Leibniz product of two stacked jet fields, contracted over tensor slots.
 
-    a and b have shape (>= table_size(order), *batch, 3, ..., 3): coefficient
+    a and b have shape (>= table_size(order), *batch, d, ..., d): coefficient
     vectors along the first axis, then the point axes, then tensor slots.
-    spec is an einsum over the slots only, e.g. "ab,bij->aij"; the point
-    axes broadcast.  The result has the jet axis first, at `order`.
+    spec is an einsum over the slots only, e.g. "ab,bij->aij", with no
+    repeated letter in an operand; the point axes broadcast.  The result has
+    the jet axis first, at `order`.
+
+    Every Leibniz row gathers a's and b's coefficients (with the row weight
+    folded into a, the smaller operand), the slots contract by one batched
+    matmul over (rows, points, shared slots), or by a broadcast multiply when
+    no slot is summed, and np.add.reduceat sums the rows into jet positions.
     """
+    pa, pb, axes_a, axes_b, (n_shared, n_free_a, n_free_b), axes_out = _slot_plan(spec, a.ndim, b.ndim)
     a_pos, b_pos, coef, starts = _sorted_product_table(order)
-    operands, out = spec.split("->")
-    sa, sb = operands.split(",")
-    terms = np.einsum(f"t...{sa},t...{sb}->t...{out}", a[a_pos], b[b_pos])
-    return np.add.reduceat(coef.reshape((-1,) + (1,) * (terms.ndim - 1)) * terms, starts, axis=0)
+    rows, npt = len(a_pos), max(pa, pb)
+    ga = a.transpose(axes_a)[a_pos]
+    gb = b.transpose(axes_b)[b_pos]
+    slots_a = ga.shape[1 + pa :]
+    shared, free_a = slots_a[:n_shared], slots_a[n_shared : n_shared + n_free_a]
+    free_b = gb.shape[gb.ndim - n_free_b :]
+    s, fa, fb = math.prod(shared), math.prod(free_a), math.prod(free_b)
+    # one (fa x summed) and one (summed x fb) matrix per row, point and shared
+    # slot; the point axes padded to a common count so that they broadcast
+    ga = ga.reshape((rows,) + (1,) * (npt - pa) + a.shape[1 : 1 + pa] + (s, fa, -1))
+    gb = gb.reshape((rows,) + (1,) * (npt - pb) + b.shape[1 : 1 + pb] + (s, -1, fb))
+    ga *= coef.reshape((rows,) + (1,) * (ga.ndim - 1))
+    # a matmul with an inner size of 1 is a broadcast multiply, and `*` is faster
+    terms = ga @ gb if ga.shape[-1] > 1 else ga * gb
+    total = np.add.reduceat(terms, starts, axis=0)
+    total = total.reshape((table_size(order),) + terms.shape[1 : 1 + npt] + shared + free_a + free_b)
+    return total.transpose(axes_out)
 
 
 @lru_cache(maxsize=None)

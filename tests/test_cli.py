@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvhom.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, main
@@ -345,8 +345,32 @@ def test_custom_classify_excludes_point_outside_domain(capsys):
     assert reasons[(0.0, 0.5, 0.0)].startswith("no adapted frame construction")
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in a JSON report")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# each finite grid point overflows inside the expression: x * 1e300 * 1e300 = inf
+@pytest.mark.parametrize("function", [f"{fn}(x*1e300*1e300)" for fn in ("cos", "exp", "log", "sqrt")])
+def test_overflow_inside_an_expression_excludes_the_points(capsys, function):
+    base = ("--family", "f", "--function", function, "--grid", "x=0.1:1:3")
+    for command in ("classify", "invariants"):
+        code, out, _ = run(capsys, command, *base)
+        assert code == EXIT_HYPOTHESIS
+        reasons = [e["reason"] for e in _strict_json(out)["exclusions"]]
+        assert reasons == ["cannot evaluate the metric (OverflowError): math range error"] * 3
+    code, out, err = run(capsys, "verify", *base)
+    assert code == EXIT_CONFIG
+    assert out == "" and "numeric overflow" in err
+
+
 def _expressions(variables):
-    leaf = st.one_of(st.sampled_from(["0", "1", "2", "0.5", "1e-9", "700", "1e300"]), st.sampled_from(variables))
+    constants = ["0", "1", "2", "0.5", "1e-9", "700", "1e150", "1e300", "(1e300*1e300)"]
+    leaf = st.one_of(st.sampled_from(constants), st.sampled_from(variables))
 
     def extend(inner):
         return st.one_of(
@@ -371,19 +395,22 @@ def _cli_argv(draw):
         argv += [f"--metric={slot}={draw(_expressions(variables))}" for slot in slots]
     else:
         argv.append(f"--function={draw(_expressions(variables))}")
-    lo, hi = (draw(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])) for _ in range(2))
+    lo, hi = (draw(st.sampled_from([-1e300, -2.0, -0.5, 0.0, 0.5, 1.0, 3.0, 1e150, 1e300])) for _ in range(2))
     argv += ["--grid", f"{coord}={lo}:{hi}:{draw(st.integers(1, 5))}"]
     return argv
 
 
 @given(_cli_argv())
+@example(["invariants", "--family", "f", "--order", "1", "--function=cos(x*1e300*1e300)", "--grid", "x=0.5:1.0:2"])
 @settings(max_examples=50, deadline=None)
 def test_random_commands_exit_within_contract(argv):
     import contextlib
     import io
 
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_HYPOTHESIS)
     assert "Traceback" not in err.getvalue()
+    if out.getvalue():  # every command here reports JSON, the default format
+        _strict_json(out.getvalue())

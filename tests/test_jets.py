@@ -117,18 +117,52 @@ def test_mul_matches_leibniz_expansion_exhaustively():
         assert partial(prod, gamma) == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("order", [0, 2, 4])
-def test_stacked_product_matches_componentwise_jet_mul(order):
+def _row_reference(spec, a, b, order):
+    """stacked_product as the plain Leibniz loop: one einsum per product-table row."""
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    total = None
+    for pos_a, pos_b, pos_out, coef in zip(*jets.product_table(order)):
+        term = coef * np.einsum(f"...{sa},...{sb}->...{out}", a[pos_a], b[pos_b])
+        if total is None:
+            total = np.zeros((jets.table_size(order),) + term.shape)
+        total[pos_out] += term
+    return total
+
+
+# every spec geometry.py passes, and a plain matrix product; slot widths vary
+# by letter (2, 3, 4) so that a mixed-up slot order changes the shape or values
+PRODUCT_SPECS = [
+    "ij,ij->ij", "j,j->", ",ij->ij", "ab,bij->aij", "b,bjk->jk",
+    "akb,baj->jk", "jk,jk->", ",jk->jk", ",->", "ik,kj->ij",
+]
+SLOT_SIZE = {"a": 2, "b": 3, "i": 3, "j": 2, "k": 4}
+
+
+@pytest.mark.parametrize("order", range(7))
+@pytest.mark.parametrize("spec", PRODUCT_SPECS)
+def test_stacked_product_matches_row_reference(spec, order):
     rng = np.random.default_rng(order)
     n = jets.table_size(order)
-    a = rng.normal(size=(n + 3, 3, 2))  # longer than the table: only the prefix is read
-    b = rng.normal(size=(n, 2, 3))
-    got = jets.stacked_product("ik,kj->ij", a, b, order)
-    assert got.shape == (n, 3, 3)
-    for i in range(3):
-        for j in range(3):
-            want = sum(jet_mul(Jet(order, a[:n, i, k]), Jet(order, b[:, k, j])).coeffs for k in range(2))
-            np.testing.assert_allclose(got[:, i, j], want, rtol=1e-14, atol=1e-14)
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    slots_a, slots_b = tuple(SLOT_SIZE[c] for c in sa), tuple(SLOT_SIZE[c] for c in sb)
+    for npts in (1, 33):
+        for points_a, points_b in ((True, True), (True, False), (False, True), (False, False)):
+            # a is longer than the table: only the prefix is read
+            a = rng.normal(size=(n + 3,) + (npts,) * points_a + slots_a)
+            b = rng.normal(size=(n,) + (npts,) * points_b + slots_b)
+            got = jets.stacked_product(spec, a, b, order)
+            want = _row_reference(spec, a, b, order)
+            assert got.shape == want.shape == (n,) + (npts,) * (points_a or points_b) + tuple(SLOT_SIZE[c] for c in out)
+            # the loop sums in another order: allow a few ulps of the largest entry
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("spec", ["ii,i->i", "ab,b->b", "a,a->b"])
+def test_stacked_product_rejects_unsupported_specs(spec):
+    with pytest.raises(ValueError):
+        jets.stacked_product(spec, np.ones((1, 3, 3)), np.ones((1, 3)), 0)
 
 
 @given(finite_jets(), finite_jets())
