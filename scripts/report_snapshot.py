@@ -4,6 +4,9 @@ or compare two such snapshots.
 
     python scripts/report_snapshot.py OUTDIR
     python scripts/report_snapshot.py --compare A B
+    python scripts/report_snapshot.py --help
+
+An OUTDIR that starts with "-" is refused as a mistyped flag.
 
 Each command runs in-process through ``curvhom.cli.main`` with this tree's
 ``src/`` first on the import path.  OUTDIR/NNN.txt holds the argv, the exit
@@ -127,13 +130,17 @@ def compare(dir_a: Path, dir_b: Path) -> int:
     return 1 if structural else 0
 
 
-def main() -> int:
-    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        return compare(Path(sys.argv[2]), Path(sys.argv[3]))
-    if len(sys.argv) != 2:
-        print("usage: report_snapshot.py OUTDIR | --compare A B", file=sys.stderr)
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(Path(args[1]), Path(args[2]))
+    if len(args) != 1 or args[0].startswith("-"):
+        print("usage: report_snapshot.py OUTDIR | --compare A B | --help", file=sys.stderr)
         return 2
-    outdir = Path(sys.argv[1])
+    outdir = Path(args[0])
     outdir.mkdir(parents=True, exist_ok=True)
     cmds = commands()
     for i, argv in enumerate(cmds):

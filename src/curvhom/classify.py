@@ -415,21 +415,17 @@ class _OrderAnalysis:
     notes: list[str] = field(default_factory=list)
 
 
-def _component_index_table(shape) -> np.ndarray:
-    idx = np.stack(np.unravel_index(np.arange(int(np.prod(shape))), shape))
-    return (idx == X).sum(axis=0)  # X-multiplicity per flattened component
-
-
 def _sign_structure(flat: np.ndarray) -> tuple[_OrderAnalysis, Optional[np.ndarray]]:
     """Single-rescaling compatibility of one order's entries across samples,
     and on a pass the live columns: the entries nonzero at every sample.
 
     flat has shape (n_points, n_components) on the adapted frame.
     """
-    scale = float(np.abs(flat).max())
+    magnitude = np.abs(flat)
+    scale = float(magnitude.max())
     if scale < DEGENERATE_FLOOR:
         return _OrderAnalysis("vacuous", ["all entries vanish at this order"]), None
-    zero = np.abs(flat) <= ZERO_FLOOR * scale
+    zero = magnitude <= ZERO_FLOOR * scale
     all_zero = zero.all(axis=0)
     if (zero.any(axis=0) & ~all_zero).any():
         return _OrderAnalysis("fail", ["an entry vanishes at some sample points only"]), None
@@ -447,10 +443,10 @@ def _q_condition(stack: np.ndarray, tol: float) -> _OrderAnalysis:
     out, live = _sign_structure(flat)
     if out.status != "pass":
         return out
-    xmult = _component_index_table(stack.shape[1:])
+    xmult = sum(idx == X for idx in np.unravel_index(live, stack.shape[1:]))  # per live column
     groups = {}
-    for c in live:
-        groups.setdefault(int(xmult[c]), []).append(c)
+    for c, mult in zip(live, xmult):
+        groups.setdefault(int(mult), []).append(c)
     for mult, comps in sorted(groups.items()):
         if len(comps) < 2:
             continue
@@ -479,9 +475,9 @@ def _scaled_constancy(stack: np.ndarray, psi: np.ndarray, order: int, tol: float
     out, live = _sign_structure(flat)
     if out.status != "pass":
         return out
-    scaled = flat / psi[:, None] ** ((order + 2) / 2.0)
-    for c in live:
-        spread = relative_spread(np.abs(scaled[:, c]))
+    scaled = flat[:, live] / psi[:, None] ** ((order + 2) / 2.0)
+    for column in scaled.T:
+        spread = relative_spread(np.abs(column))
         if spread is not None and spread > tol:
             out.status = "fail"
             out.notes.append(

@@ -258,7 +258,8 @@ def eval_jet(e: Expr, points, order: int) -> Jet:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    jet = _eval(e, np.asarray(points, dtype=np.float64), order)
+    with np.errstate(all="ignore"):  # an overflow anywhere inside shows in the result
+        jet = _eval(e, np.asarray(points, dtype=np.float64), order)
     if not np.isfinite(jet.coeffs).all():
         raise OverflowError("math range error")
     return jet

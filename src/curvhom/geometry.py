@@ -122,11 +122,15 @@ def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int) -> np.ndarr
     """Jets of g^{ij}: the cofactors of the symmetric g over det g."""
     r1, r2 = _MINOR_ROWS
     a, b = m[..., r1, :], m[..., r2, :]
-    cof = _COFACTOR_SIGN * (
-        stacked_product("ij,ij->ij", a[..., r1], b[..., r2], order)
-        - stacked_product("ij,ij->ij", a[..., r2], b[..., r1], order)
-    )
-    det = stacked_product("j,j->", m[..., 0, :], cof[..., 0, :], order)
+    with np.errstate(all="ignore"):  # an overflow shows in det, checked below
+        cof = _COFACTOR_SIGN * (
+            stacked_product("ij,ij->ij", a[..., r1], b[..., r2], order)
+            - stacked_product("ij,ij->ij", a[..., r2], b[..., r1], order)
+        )
+        det = stacked_product("j,j->", m[..., 0, :], cof[..., 0, :], order)
+    overflow = ~np.isfinite(det[0])
+    if overflow.any():
+        raise OverflowError(f"metric determinant overflows at {tuple(pts[int(np.argmax(overflow))].tolist())}")
     bad = singular(m[0], det[0])
     if bad.any():
         i = int(np.argmax(bad))

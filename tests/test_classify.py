@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -334,3 +335,73 @@ def test_bad_points_excluded_with_their_own_reasons():
     for point, reason in want:
         alone = classify(g, 1, SampleSet.from_points([point]))
         assert [e.reason for e in alone.exclusions] == [reason]
+
+
+def _q_condition_reference(stack, tol):
+    """_q_condition with each component's X-multiplicity counted over every
+    index tuple of the stack, in flattened order."""
+    from curvhom.classify import _sign_structure
+
+    flat = stack.reshape(stack.shape[0], -1)
+    out, live = _sign_structure(flat)
+    if out.status != "pass":
+        return out.status, out.notes
+    xmult = [index.count(X) for index in itertools.product(range(3), repeat=stack.ndim - 1)]
+    groups = {}
+    for c in live:
+        groups.setdefault(xmult[c], []).append(c)
+    notes = []
+    for mult, comps in sorted(groups.items()):
+        ref = max(comps, key=lambda c: float(np.abs(flat[:, c]).min()))
+        for c in comps:
+            spread = relative_spread(flat[:, c] / flat[:, ref])
+            if c != ref and spread > tol:
+                return "fail", [f"entries of X-multiplicity {mult} have point-dependent ratio (spread {spread:.2e})"]
+    if len(groups) > 2:
+        notes.append(
+            f"{len(groups)} distinct X-multiplicities at this order; "
+            "two-parameter matching not fully determined, raw entries exposed"
+        )
+    return "pass", notes
+
+
+def _multiplicity_stack(rank, bend=None):
+    """Five samples of a rank-`rank` stack whose live entries have X-multiplicity
+    0 to 3, two or three per multiplicity, each a constant times its group's
+    point-dependent profile; `bend` = (index, power) makes one ratio point-dependent."""
+    p = np.linspace(1.0, 2.0, 5)
+    live = {
+        (T, T, T, T): 1.5, (Y, T, T, Y): -2.0,
+        (T, X, T, T): 0.5, (T, Y, X, Y): 3.0, (X, T, Y, T): -1.25,
+        (X, X, T, T): 2.0, (T, X, Y, X): -0.75,
+        (X, X, X, T): 4.0, (X, Y, X, X): 1.1, (X, X, X, Y): -0.3,
+    }
+    pad = (Y,) * (rank - 4)  # leading, so that X also sits in the derivative slots
+    stack = np.zeros((5,) + (3,) * rank)
+    for index, c in live.items():
+        stack[(slice(None),) + pad + index] = c * p ** (1 + index.count(X))
+    if bend is not None:
+        index, power = bend
+        stack[(slice(None),) + pad + index] *= p**power
+    return stack
+
+
+@pytest.mark.parametrize("rank", [4, 6])
+@pytest.mark.parametrize(
+    "bend, status",
+    [(None, "pass"), (((T, Y, X, Y), 0.5), "fail"), (((X, X, X, Y), 1e-9), "pass")],
+    ids=["constant ratios", "point-dependent ratio", "ratio within tol"],
+)
+def test_q_condition_matches_brute_force_multiplicities(rank, bend, status):
+    from curvhom.classify import _q_condition
+
+    stack = _multiplicity_stack(rank, bend)
+    got = _q_condition(stack, 1e-6)
+    assert (got.status, got.notes) == _q_condition_reference(stack, 1e-6)
+    assert got.status == status
+    if status == "pass":
+        assert got.notes == [
+            "4 distinct X-multiplicities at this order; two-parameter matching not fully determined, raw entries exposed"
+        ]
+    else:
+        assert got.notes[0].startswith("entries of X-multiplicity 1 have point-dependent ratio")

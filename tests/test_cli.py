@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -414,3 +415,121 @@ def test_random_commands_exit_within_contract(argv):
     assert "Traceback" not in err.getvalue()
     if out.getvalue():  # every command here reports JSON, the default format
         _strict_json(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# verify's engine-vs-oracle comparison
+
+
+def _compare_reference(engine, oracle, gscale):
+    """The comparison on full copies of engine and oracle divided by each point's scale."""
+    scale = gscale.reshape((-1,) + (1,) * (engine.ndim - 1))
+    engine, oracle = engine / scale, oracle / scale
+    nz = oracle != 0.0
+    rel = 0.0
+    if nz.any():
+        rel = float(np.abs((engine[nz] - oracle[nz]) / oracle[nz]).max())
+    absdev = 0.0
+    if (~nz).any():
+        absdev = float(np.abs(engine[~nz]).max())
+    return rel, absdev
+
+
+@pytest.mark.parametrize("npts, rank", [(1, 4), (33, 4), (1, 12), (3, 12)])
+@pytest.mark.parametrize("oracle_kind", ["all zero", "all nonzero", "mixed"])
+def test_compare_is_bit_identical_to_dividing_full_copies(npts, rank, oracle_kind):
+    from curvhom.cli import _compare
+
+    rng = np.random.default_rng(npts * 100 + rank)
+    shape = (npts,) + (3,) * rank
+    gscale = 1.0 + np.arange(npts) * 0.37 + rng.random(npts)  # distinct, >= 1
+    gscale[0] = 1.0
+    oracle = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    if oracle_kind == "all zero":
+        oracle[...] = 0.0
+    elif oracle_kind == "mixed":
+        oracle[rng.random(shape) < 0.7] = 0.0
+        oracle[-1] = 0.0  # one point with only zeros (the only point when npts = 1)
+        oracle[0, (0,) * rank] = 3.0
+    noise = rng.normal(size=shape) * 10.0 ** rng.integers(-16, -9, size=shape)
+    engine = np.where(oracle != 0.0, oracle * (1 + noise), noise)
+    got = _compare(engine, oracle, gscale)
+    assert got == _compare_reference(engine, oracle, gscale)
+    assert (got[0] > 0.0) == (oracle_kind != "all zero")
+    assert (got[1] > 0.0) == (oracle_kind != "all nonzero")
+
+
+# ---------------------------------------------------------------------------
+# overflow is an exclusion, not a warning
+
+
+@pytest.mark.parametrize(
+    "argv, code, reason",
+    [
+        (["invariants", "--family", "f", "--function", "cos(x*1e300*1e300)"], EXIT_HYPOTHESIS, "math range error"),
+        (["verify", "--family", "f", "--function", "cos(x*1e300*1e300)"], EXIT_CONFIG, None),
+        (
+            ["classify", "--family", "custom", "--metric", "tt=cos(x*1e300*1e300)", "--metric", "xy=1"],
+            EXIT_HYPOTHESIS,
+            "math range error",
+        ),
+        # 1e200 times the flat tt=1, xy=1: det g overflows, and g is not singular
+        (
+            ["classify", "--family", "custom", "--metric", "tt=1e200", "--metric", "xy=1e200"],
+            EXIT_HYPOTHESIS,
+            "metric determinant overflows at {}",
+        ),
+    ],
+    ids=["invariants", "verify", "custom classify", "huge custom metric"],
+)
+def test_overflow_excludes_without_numpy_warnings(capsys, argv, code, reason):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, *argv, "--grid", "x=0.1:1:3")
+    assert got == code
+    if reason is None:
+        assert out == "" and err == "config error: numeric overflow evaluating the function: math range error\n"
+        return
+    assert err == ""
+    reasons = _exclusion_reasons(out)
+    assert len(reasons) == 3
+    for point, text in reasons.items():
+        assert text == "cannot evaluate the metric (OverflowError): " + reason.format(point)
+
+
+# ---------------------------------------------------------------------------
+# one argparse parser per process
+
+
+def _outcome(argv):
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_gives_the_results_of_a_fresh_one():
+    from curvhom.cli import make_parser
+
+    commands = [
+        ["verify", "--family", "f", "--function", "exp(x)", "--order", "3", "--grid", "x=0:1:3", "--format", "text"],
+        ["verify", "--family", "f", "--order"],  # argparse: --order needs a value
+        ["classify", "--family", "f", "--function", "exp(x", "--grid", "x=0:1:3"],  # unparsable function
+        ["classify", "--family", "h", "--function", "t^3", "--grid", "t=1:2:5"],
+    ]
+    in_turn = [_outcome(argv) for argv in commands]
+    assert make_parser() is make_parser()
+    fresh = []
+    for argv in commands:
+        make_parser.cache_clear()
+        fresh.append(_outcome(argv))
+    assert in_turn == fresh
+    assert [code for code, _, _ in in_turn] == [EXIT_OK, EXIT_CONFIG, EXIT_CONFIG, EXIT_OK]

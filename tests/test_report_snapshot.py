@@ -49,3 +49,19 @@ def test_compare_fails_on_anything_but_a_real_number(snapshot, tmp_path, capsys,
     code, out = _compare(snapshot, tmp_path, capsys, changed)
     assert code == 1
     assert "000.txt: differs in more than numbers" in out
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]])
+def test_help_prints_the_docstring_and_writes_nothing(snapshot, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert snapshot.main(argv) == 0
+    assert capsys.readouterr().out == snapshot.__doc__.strip() + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--out"], ["-o"], ["--compare", "a"], []])
+def test_a_flag_or_a_wrong_count_is_a_usage_error(snapshot, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert snapshot.main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: report_snapshot.py OUTDIR")
+    assert list(tmp_path.iterdir()) == []
