@@ -73,6 +73,10 @@ def commands() -> list[list[str]]:
         out.append(["verify", *base, "--format", "text"])
     custom = ["--family", "custom", "--metric", "tt=log(x)", "--metric", "xy=1", "--grid", "x=0:1:3"]
     out += [[cmd, *custom] for cmd in ("classify", "invariants", "verify")]
+    # custom metrics in two and in all three coordinates
+    for tt in ("exp(2*x)", "exp(2*x)+y^2"):
+        metric = ["--metric", f"tt={tt}", "--metric", "xy=1", "--metric", "yy=t^2"]
+        out.append(["classify", "--family", "custom", *metric, "--grid", "x=0.5:1.5:3"])
     out.append(["verify", "--family", "h", "--function", "t^3", "--order", "3", "--grid", "t=1:2:3"])
     return out
 

@@ -415,42 +415,64 @@ class _OrderAnalysis:
     notes: list[str] = field(default_factory=list)
 
 
-def _sign_structure(flat: np.ndarray) -> tuple[_OrderAnalysis, Optional[np.ndarray]]:
-    """Single-rescaling compatibility of one order's entries across samples,
-    and on a pass the live columns: the entries nonzero at every sample.
+@dataclass(frozen=True)
+class _OrderEntries:
+    """One order's entries at the samples on a frame, read once.
 
-    flat has shape (n_points, n_components) on the adapted frame.
+    flat has shape (n_points, n_components) and magnitude is |flat|; slots
+    is the tensor's slot shape.  status and notes are the single-rescaling
+    compatibility of the entries across samples, and on a pass live holds
+    the live columns: the entries nonzero at every sample.
     """
+
+    slots: tuple[int, ...]
+    flat: np.ndarray
+    magnitude: np.ndarray
+    scale: float  # max |entry|
+    status: str
+    notes: tuple[str, ...] = ()
+    live: Optional[np.ndarray] = None
+
+    def analysis(self) -> _OrderAnalysis:
+        """A fresh analysis holding the sign structure's verdict."""
+        return _OrderAnalysis(self.status, list(self.notes))
+
+
+def _sign_structure(stack: np.ndarray) -> _OrderEntries:
+    """The entries of one order's stack, shape (n_points, *slots), with
+    their sign structure across the samples."""
+    flat = stack.reshape(stack.shape[0], -1)
     magnitude = np.abs(flat)
     scale = float(magnitude.max())
+    entries = _OrderEntries(stack.shape[1:], flat, magnitude, scale, "pass")
     if scale < DEGENERATE_FLOOR:
-        return _OrderAnalysis("vacuous", ["all entries vanish at this order"]), None
+        return replace(entries, status="vacuous", notes=("all entries vanish at this order",))
     zero = magnitude <= ZERO_FLOOR * scale
     all_zero = zero.all(axis=0)
     if (zero.any(axis=0) & ~all_zero).any():
-        return _OrderAnalysis("fail", ["an entry vanishes at some sample points only"]), None
+        return replace(entries, status="fail", notes=("an entry vanishes at some sample points only",))
     live = np.flatnonzero(~all_zero)
     signs = np.sign(flat[:, live])
     if not (signs == signs[:1]).all():
-        return _OrderAnalysis("fail", ["an entry changes sign across sample points"]), None
-    return _OrderAnalysis("pass"), live
+        return replace(entries, status="fail", notes=("an entry changes sign across sample points",))
+    return replace(entries, live=live)
 
 
-def _q_condition(stack: np.ndarray, tol: float) -> _OrderAnalysis:
+def _q_condition(entries: _OrderEntries, tol: float) -> _OrderAnalysis:
     """Order-k test behind CH_k(1,3): sign structure plus constant ratios
     between live entries of equal X-multiplicity."""
-    flat = stack.reshape(stack.shape[0], -1)
-    out, live = _sign_structure(flat)
+    out = entries.analysis()
     if out.status != "pass":
         return out
-    xmult = sum(idx == X for idx in np.unravel_index(live, stack.shape[1:]))  # per live column
+    flat, live = entries.flat, entries.live
+    xmult = sum(idx == X for idx in np.unravel_index(live, entries.slots))  # per live column
     groups = {}
     for c, mult in zip(live, xmult):
         groups.setdefault(int(mult), []).append(c)
     for mult, comps in sorted(groups.items()):
         if len(comps) < 2:
             continue
-        ref = max(comps, key=lambda c: float(np.abs(flat[:, c]).min()))
+        ref = max(comps, key=lambda c: float(entries.magnitude[:, c].min()))
         for c in comps:
             if c == ref:
                 continue
@@ -469,13 +491,12 @@ def _q_condition(stack: np.ndarray, tol: float) -> _OrderAnalysis:
     return out
 
 
-def _scaled_constancy(stack: np.ndarray, psi: np.ndarray, order: int, tol: float) -> _OrderAnalysis:
+def _scaled_constancy(entries: _OrderEntries, psi: np.ndarray, order: int, tol: float) -> _OrderAnalysis:
     """Order-k test behind SCH_k(1,3): entries / psi^{(k+2)/2} constant."""
-    flat = stack.reshape(stack.shape[0], -1)
-    out, live = _sign_structure(flat)
+    out = entries.analysis()
     if out.status != "pass":
         return out
-    scaled = flat[:, live] / psi[:, None] ** ((order + 2) / 2.0)
+    scaled = entries.flat[:, entries.live] / psi[:, None] ** ((order + 2) / 2.0)
     for column in scaled.T:
         spread = relative_spread(np.abs(column))
         if spread is not None and spread > tol:
@@ -487,10 +508,9 @@ def _scaled_constancy(stack: np.ndarray, psi: np.ndarray, order: int, tol: float
     return out
 
 
-def _representative_scaled(stack: np.ndarray, psi: np.ndarray, order: int) -> np.ndarray:
-    flat = stack.reshape(stack.shape[0], -1)
-    c = int(np.abs(flat).max(axis=0).argmax())
-    return flat[:, c] / psi ** ((order + 2) / 2.0)
+def _representative_scaled(entries: _OrderEntries, psi: np.ndarray, order: int) -> np.ndarray:
+    c = int(entries.magnitude.max(axis=0).argmax())
+    return entries.flat[:, c] / psi ** ((order + 2) / 2.0)
 
 
 def per_point(idx, values, n: int) -> tuple:
@@ -648,7 +668,7 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         return PASS, extra
 
     # CH_0: constant-sign unit-normalized curvature entry
-    ch0, _ = _sign_structure(e0[:, None])
+    ch0 = _sign_structure(e0[:, None]).analysis()
     st, nt = status_of(ch0)
     eps_val = float(np.sign(e0[0])) if ch0.status == "pass" else None
     if eps_val is not None:
@@ -656,7 +676,8 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
     verdicts.append(Verdict("CH_0", st, nt))
 
     # per-order Q(k) conditions and cumulative CH_k(1,3)
-    q_results = [_q_condition(stacks[k], tol) for k in range(r + 1)]
+    entries = [_sign_structure(stacks[k]) for k in range(r + 1)]  # for f, also the aligned frame's
+    q_results = [_q_condition(entries[k], tol) for k in range(r + 1)]
     q_statuses = []
     for k in range(r + 1):
         st, nt = status_of(q_results[k])
@@ -669,7 +690,7 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
     sch_statuses: list[str] = [verdicts[1].status]  # SCH_0 == CH_0(1,3) == Q(0)
     sch_notes: list[tuple[str, ...]] = [()]
     for k in range(1, r + 1):
-        if spec.sch_hypothesis and float(np.abs(stacks[k]).max()) < DEGENERATE_FLOOR:
+        if spec.sch_hypothesis and entries[k].scale < DEGENERATE_FLOOR:
             st, nt = status_of(_OrderAnalysis("vacuous"))
         elif not sch_idx:
             st, nt = HYP, (f"|{spec.sch_hypothesis}| below floor at every hypothesis-satisfying point",)
@@ -677,10 +698,11 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
             st, nt = HYP, (f"|{spec.sch_hypothesis}| below floor at more than half the sample points",)
         else:
             psi_arr = s.values["psi"][1]
-            analysis = _scaled_constancy(s.aligned[k], psi_arr, k, tol)
+            aligned = entries[k] if s.aligned is s.adapted else _sign_structure(s.aligned[k])
+            analysis = _scaled_constancy(aligned, psi_arr, k, tol)
             st, nt = status_of(analysis)
             if analysis.status != "vacuous":
-                scaled = _representative_scaled(s.aligned[k], psi_arr, k)
+                scaled = _representative_scaled(aligned, psi_arr, k)
                 scaled_series.append(SampleSeries(f"scaled_order_{k}", per_point(sch_idx, scaled, npts)))
             if k >= spec.contradiction_order and st == PASS and xi_spread > tol:
                 st = FAIL

@@ -8,7 +8,8 @@ with parentheses, function calls ``exp(...) log(...) sin(...) cos(...)
 sqrt(...) abs(...)``, and ``^`` whose exponent must be a constant
 (integer or real) subexpression.  Evaluation walks the AST once with truncated
 Taylor arithmetic from :mod:`curvhom.jets` on all sample points at a time,
-so derivative values are exact to round-off.
+over the coordinates the expression depends on, so derivative values are
+exact to round-off.
 """
 
 from __future__ import annotations
@@ -210,6 +211,12 @@ def variables_of(e: Expr) -> set[str]:
     return set()
 
 
+def coords_of(*exprs: Expr) -> tuple[int, ...]:
+    """Sorted positions in COORDS of the coordinates the expressions depend on."""
+    names = set().union(*map(variables_of, exprs))
+    return tuple(i for i, name in enumerate(COORDS) if name in names)
+
+
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
@@ -244,12 +251,14 @@ def pretty(e: Expr, parent_prec: int = 0, right_of: str | None = None) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def eval_jet(e: Expr, points, order: int) -> Jet:
-    """Table of all partial derivatives of e up to total `order`.
+def eval_jet(e: Expr, points, order: int, coords: tuple[int, ...] | None = None) -> Jet:
+    """Table of all partial derivatives of e up to total `order` along
+    coords (positions in COORDS), by default the coordinates e depends on;
+    coords must include them.
 
     points is one point (t, x, y) or an array of them of shape (..., 3);
-    the jet's coefficients have shape (table_size(order), ...), so a whole
-    grid evaluates in one pass.  Raises DomainError when the function is
+    the jet's coefficients have shape (table_size(order, coords), ...), so
+    a whole grid evaluates in one pass.  Raises DomainError when the function is
     undefined at any of the points (log or sqrt out of range, division by
     zero, abs or non-integer power at a non-differentiable argument); the
     message names the first such value.  Raises OverflowError, as math.exp
@@ -258,23 +267,25 @@ def eval_jet(e: Expr, points, order: int) -> Jet:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if coords is None:
+        coords = coords_of(e)
     with np.errstate(all="ignore"):  # an overflow anywhere inside shows in the result
-        jet = _eval(e, np.asarray(points, dtype=np.float64), order)
+        jet = _eval(e, np.asarray(points, dtype=np.float64), order, coords)
     if not np.isfinite(jet.coeffs).all():
         raise OverflowError("math range error")
     return jet
 
 
-def _eval(e: Expr, pts: np.ndarray, order: int) -> Jet:
+def _eval(e: Expr, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> Jet:
     if isinstance(e, Num):
-        return jets.jet_constant(e.value, order, pts.shape[:-1])
+        return jets.jet_constant(e.value, order, pts.shape[:-1], coords)
     if isinstance(e, Var):
         coord = COORDS.index(e.name)
-        return jets.jet_variable(coord, pts[..., coord], order)
+        return jets.jet_variable(coord, pts[..., coord], order, coords)
     if isinstance(e, Neg):
-        return -_eval(e.arg, pts, order)
+        return -_eval(e.arg, pts, order, coords)
     if isinstance(e, Call):
-        arg = _eval(e.arg, pts, order)
+        arg = _eval(e.arg, pts, order, coords)
         try:
             if e.func == "exp":
                 return jets.jet_exp(arg)
@@ -291,13 +302,13 @@ def _eval(e: Expr, pts: np.ndarray, order: int) -> Jet:
         if e.func == "abs":
             if np.any(arg.value == 0.0):
                 raise DomainError(e, "abs is not differentiable at 0")
-            return Jet(arg.order, arg.coeffs * np.where(arg.value > 0, 1.0, -1.0))
+            return Jet(arg.order, arg.coeffs * np.where(arg.value > 0, 1.0, -1.0), arg.coords)
         raise ValueError(f"unknown function {e.func!r}")
     if isinstance(e, BinOp):
         if e.op == "^":
-            return _eval_pow(e, pts, order)
-        left = _eval(e.left, pts, order)
-        right = _eval(e.right, pts, order)
+            return _eval_pow(e, pts, order, coords)
+        left = _eval(e.left, pts, order, coords)
+        right = _eval(e.right, pts, order, coords)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -314,9 +325,9 @@ def _eval(e: Expr, pts: np.ndarray, order: int) -> Jet:
 _ORIGIN = np.zeros(3)
 
 
-def _eval_pow(e: BinOp, pts: np.ndarray, order: int) -> Jet:
-    base = _eval(e.left, pts, order)
-    exponent = float(_eval(e.right, _ORIGIN, 0).value)  # a constant: the parser allows no variable
+def _eval_pow(e: BinOp, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> Jet:
+    base = _eval(e.left, pts, order, coords)
+    exponent = float(_eval(e.right, _ORIGIN, 0, ()).value)  # a constant: the parser allows no variable
     if exponent == round(exponent):
         n = int(round(exponent))
         if n < 0 and np.any(base.value == 0.0):

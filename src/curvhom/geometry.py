@@ -1,10 +1,14 @@
 """Levi-Civita connection, curvature and its covariant derivatives on R^3.
 
-A MetricField holds the 3x3 symmetric matrix of scalar expressions.  All
-curvature quantities are computed on the coordinate frame at a whole batch
-of sample points in one pass, as stacked jets: coefficient arrays of shape
-(table_size(order), npts, 3, ..., 3) that hold every raw partial derivative
-(see jets.py) of every component at every point.  The public functions take
+A MetricField holds the 3x3 symmetric matrix of scalar expressions, and
+`coords`, the coordinates they depend on.  All curvature quantities are
+computed on the coordinate frame at a whole batch of sample points in one
+pass, as stacked jets over the metric's coordinates: coefficient arrays of
+shape (table_size(order, coords), npts, 3, ..., 3) that hold every raw
+partial derivative (see jets.py) of every component at every point.  A
+derivative along any other coordinate is a zero block, so a metric of one
+coordinate pays for one-variable tables, and a metric in all three runs
+the same code with coords = (0, 1, 2).  The public functions take
 points of shape (..., 3) and return results with those leading axes; a
 single point is a batch of one with the point axis dropped on the way out.
 
@@ -32,12 +36,13 @@ P being symmetric, which the recursion keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import jets
-from .expr import Expr, eval_jet
+from .expr import Expr, coords_of, eval_jet
 from .jets import Jet, jet_div, stacked_product
 from .tensor import TensorAtPoint, singular
 
@@ -64,6 +69,12 @@ class MetricField:
 
     def entry(self, i: int, j: int) -> Expr:
         return self.entries[i][j]
+
+    @cached_property
+    def coords(self) -> tuple[int, ...]:
+        """Sorted positions (t = 0, x = 1, y = 2) of the coordinates the
+        entries depend on: the coordinates every jet of the metric spans."""
+        return coords_of(*(e for row in self.entries for e in row))
 
     def scaled(self, c: float) -> "MetricField":
         """Metric multiplied by a constant; (0, 4+k) curvature scales by c."""
@@ -95,21 +106,23 @@ def _as_points(points) -> tuple[np.ndarray, tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ConnectionJet:
-    """Christoffel symbols Gamma^a_{ij} as stacked jets at the sample points,
-    with the metric and inverse-metric jets they were built from."""
+    """Christoffel symbols Gamma^a_{ij} as stacked jets over coords at the
+    sample points, with the metric and inverse-metric jets they were built
+    from."""
 
     order: int
+    coords: tuple[int, ...]
     gamma: np.ndarray = field(repr=False)    # [pos, ..., a, i, j], symmetric in (i, j)
     metric: np.ndarray = field(repr=False)   # [pos, ..., i, j]
     inverse: np.ndarray = field(repr=False)  # [pos, ..., i, j]
 
 
 def _metric_jets(g: MetricField, points, order: int) -> np.ndarray:
-    """Jets of g_ij, shape (table_size(order), ..., 3, 3)."""
-    m = np.empty((jets.table_size(order),) + np.shape(points)[:-1] + (3, 3))
+    """Jets of g_ij over g.coords, shape (table_size(order, g.coords), ..., 3, 3)."""
+    m = np.empty((jets.table_size(order, g.coords),) + np.shape(points)[:-1] + (3, 3))
     for i in range(3):
         for j in range(i, 3):
-            m[..., i, j] = m[..., j, i] = eval_jet(g.entry(i, j), points, order).coeffs
+            m[..., i, j] = m[..., j, i] = eval_jet(g.entry(i, j), points, order, g.coords).coeffs
     return m
 
 
@@ -118,16 +131,26 @@ _MINOR_ROWS = ([1, 0, 0], [2, 2, 1])
 _COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
-def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int) -> np.ndarray:
-    """Jets of g^{ij}: the cofactors of the symmetric g over det g."""
+def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Jets of g^{ij}: the cofactors of the symmetric g over det g.
+
+    The cofactors and det are those of D g D with D = diag(2^-h_i) per
+    point, where 2^(2 h_i) is about row i's largest |g_ij|, and g^{-1} is
+    D (D g D)^{-1} D.  Powers of two scale exactly, so this is the same
+    inverse as without D, but a constant multiple of a fine metric does
+    not overflow det.  h is clipped so that D D stays a normal float.
+    """
+    h = np.clip(np.frexp(np.abs(m[0]).max(axis=-1))[1] // 2, -511, 511)  # [pt, i]
+    dd = np.ldexp(1.0, -h[..., :, None] - h[..., None, :])
+    m = m * dd
     r1, r2 = _MINOR_ROWS
     a, b = m[..., r1, :], m[..., r2, :]
     with np.errstate(all="ignore"):  # an overflow shows in det, checked below
         cof = _COFACTOR_SIGN * (
-            stacked_product("ij,ij->ij", a[..., r1], b[..., r2], order)
-            - stacked_product("ij,ij->ij", a[..., r2], b[..., r1], order)
+            stacked_product("ij,ij->ij", a[..., r1], b[..., r2], order, coords)
+            - stacked_product("ij,ij->ij", a[..., r2], b[..., r1], order, coords)
         )
-        det = stacked_product("j,j->", m[..., 0, :], cof[..., 0, :], order)
+        det = stacked_product("j,j->", m[..., 0, :], cof[..., 0, :], order, coords)
     overflow = ~np.isfinite(det[0])
     if overflow.any():
         raise OverflowError(f"metric determinant overflows at {tuple(pts[int(np.argmax(overflow))].tolist())}")
@@ -135,20 +158,29 @@ def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int) -> np.ndarr
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateMetricError(
-            f"metric is degenerate at {tuple(pts[i].tolist())}: |det| = {abs(det[0, i]):.3e}"
+            f"metric is degenerate at {tuple(pts[i].tolist())}: |det| = {np.ldexp(abs(det[0, i]), 2 * h[i].sum()):.3e}"
         )
-    recip = jet_div(jets.jet_constant(1.0, order, det.shape[1:]), Jet(order, det)).coeffs
-    return stacked_product(",ij->ij", recip, cof, order)
+    with np.errstate(over="ignore"):  # g^{-1} itself can be out of range, checked below
+        recip = jet_div(jets.jet_constant(1.0, order, det.shape[1:], coords), Jet(order, det, coords)).coeffs
+        inv = stacked_product(",ij->ij", recip, cof, order, coords) * dd
+    overflow = ~np.isfinite(inv).all(axis=(0, 2, 3))
+    if overflow.any():
+        raise OverflowError(f"metric inverse overflows at {tuple(pts[int(np.argmax(overflow))].tolist())}")
+    return inv
 
 
-def _derivatives(stack: np.ndarray, order: int) -> np.ndarray:
-    """d_l of a stacked jet field of `order`, as a new axis 2 (after the
-    point axis) of order - 1."""
-    return np.stack([stack[jets.shift_table(order, c)] for c in range(3)], axis=2)
+def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: int) -> np.ndarray:
+    """d_l of a stacked jet field of `order` over coords, for l = t, x, y
+    along a new axis at `axis`, of order - 1; a zero block along a
+    coordinate outside coords."""
+    zero = np.zeros((jets.table_size(order - 1, coords),) + stack.shape[1:])
+    blocks = [stack[jets.shift_table(order, c, coords)] if c in coords else zero for c in range(3)]
+    return np.stack(blocks, axis=axis)
 
 
 def christoffel(g: MetricField, points, order: int = 0) -> ConnectionJet:
-    """Christoffel symbols of the Levi-Civita connection as jets at the points.
+    """Christoffel symbols of the Levi-Civita connection as jets over
+    g.coords at the points.
 
     Gamma^a_{ij} = (1/2) g^{ab} (d_i g_{jb} + d_j g_{ib} - d_b g_{ij});
     metric entries are evaluated to jet order `order` + 1.
@@ -156,17 +188,18 @@ def christoffel(g: MetricField, points, order: int = 0) -> ConnectionJet:
     if order < 0:
         raise ValueError("order must be nonnegative")
     pts, batch = _as_points(points)
+    coords = g.coords
     m = _metric_jets(g, pts, order + 1)
-    n = jets.table_size(order)
-    inv = _inverse_metric_jets(m[:n], pts, order)
-    dm = _derivatives(m, order + 1)  # [pos, pt, l, i, j] = d_l g_ij
+    n = jets.table_size(order, coords)
+    inv = _inverse_metric_jets(m[:n], pts, order, coords)
+    dm = _derivatives(m, order + 1, coords, 2)  # [pos, pt, l, i, j] = d_l g_ij
     first = 0.5 * (dm.transpose(0, 1, 4, 2, 3) + dm.transpose(0, 1, 4, 3, 2) - dm)  # [pos, pt, b, i, j]
-    gamma = stacked_product("ab,bij->aij", inv, first, order)
+    gamma = stacked_product("ab,bij->aij", inv, first, order, coords)
 
     def unflat(a):
         return a.reshape((n,) + batch + a.shape[2:])
 
-    return ConnectionJet(order, unflat(gamma), unflat(m[:n]), unflat(inv))
+    return ConnectionJet(order, coords, unflat(gamma), unflat(m[:n]), unflat(inv))
 
 
 def _schouten_jets(conn: ConnectionJet, order: int) -> np.ndarray:
@@ -176,18 +209,19 @@ def _schouten_jets(conn: ConnectionJet, order: int) -> np.ndarray:
     Ric_jk = d_a Gamma^a_jk - d_k Gamma^a_aj + Gamma^a_ab Gamma^b_jk
     - Gamma^a_kb Gamma^b_aj, symmetrized once; P stays symmetric after.
     """
-    n = jets.table_size(order)
+    coords = conn.coords
+    n = jets.table_size(order, coords)
     ga = conn.gamma[:n]
-    dga = _derivatives(conn.gamma, conn.order)[:n]  # [pos, pt, l, a, i, j] = d_l Gamma^a_ij
+    dga = _derivatives(conn.gamma, conn.order, coords, 2)[:n]  # [pos, pt, l, a, i, j] = d_l Gamma^a_ij
     ric = np.einsum("nzaajk->nzjk", dga) - np.einsum("nzkaaj->nzjk", dga)
-    ric += stacked_product("b,bjk->jk", np.einsum("nzaab->nzb", ga), ga, order)
-    ric -= stacked_product("akb,baj->jk", ga, ga, order)
+    ric += stacked_product("b,bjk->jk", np.einsum("nzaab->nzb", ga), ga, order, coords)
+    ric -= stacked_product("akb,baj->jk", ga, ga, order, coords)
     ric = 0.5 * (ric + ric.transpose(0, 1, 3, 2))
-    s = stacked_product("jk,jk->", conn.inverse[:n], ric, order)
-    return ric - 0.25 * stacked_product(",jk->jk", s, conn.metric[:n], order)
+    s = stacked_product("jk,jk->", conn.inverse[:n], ric, order, coords)
+    return ric - 0.25 * stacked_product(",jk->jk", s, conn.metric[:n], order, coords)
 
 
-def _gamma_operator(gamma: np.ndarray, order_out: int) -> np.ndarray:
+def _gamma_operator(gamma: np.ndarray, order_out: int, coords: tuple[int, ...]) -> np.ndarray:
     """Dense Leibniz operators for multiplying a field by Gamma^a_{m i}.
 
     One matrix per point, from field coefficients (q, a) to product
@@ -195,26 +229,26 @@ def _gamma_operator(gamma: np.ndarray, order_out: int) -> np.ndarray:
     order.  Each (p, q) pair occurs once in the product table, so one
     scatter fills it.
     """
-    a_pos, b_pos, out_pos, coef = jets.product_table(order_out)
-    n = jets.table_size(order_out)
+    a_pos, b_pos, out_pos, coef = jets.product_table(order_out, coords)
+    n = jets.table_size(order_out, coords)
     npts = gamma.shape[1]
     w = np.zeros((npts, n, 3, 3, n, 3))
     w[:, out_pos, :, :, b_pos] = coef[:, None, None, None, None] * gamma[a_pos].transpose(0, 1, 3, 4, 2)
     return w.reshape(npts, n * 9, n * 3)
 
 
-def _covariant_step(field: np.ndarray, order_in: int, w: np.ndarray) -> np.ndarray:
-    """One covariant derivative of a stacked (0, n) jet field that is
-    symmetric in its first two slots.
+def _covariant_step(field: np.ndarray, order_in: int, w: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
+    """One covariant derivative of a stacked (0, n) jet field over coords
+    that is symmetric in its first two slots.
 
-    field has shape (table_size(order_in), npts, 3, ..., 3); the result
-    gains a trailing slot for the derivative direction and drops one jet
-    order.  The Gamma correction of each slot is one batched matrix product
-    over (q, a); the second slot's is the first's transposed.
+    field has shape (table_size(order_in, coords), npts, 3, ..., 3); the
+    result gains a trailing slot for the derivative direction and drops one
+    jet order.  The Gamma correction of each slot is one batched matrix
+    product over (q, a); the second slot's is the first's transposed.
     """
-    n_out = jets.table_size(order_in - 1)
+    n_out = jets.table_size(order_in - 1, coords)
     npts = field.shape[1]
-    out = np.stack([field[jets.shift_table(order_in, c)] for c in range(3)], axis=-1)
+    out = _derivatives(field, order_in, coords, -1)
     lower = field[:n_out]
     for s in range(field.ndim - 2):
         if s == 1:
@@ -248,7 +282,8 @@ def nabla_riemann_sequence(g: MetricField, points, kmax: int) -> list[TensorAtPo
     field = _schouten_jets(conn, kmax)
     seq = [_kulkarni_nomizu(field[0], g0)]
     for order_in in range(kmax, 0, -1):
-        field = _covariant_step(field, order_in, _gamma_operator(conn.gamma, order_in - 1))
+        w = _gamma_operator(conn.gamma, order_in - 1, conn.coords)
+        field = _covariant_step(field, order_in, w, conn.coords)
         seq.append(_kulkarni_nomizu(field[0], g0))
     return [TensorAtPoint(r.ndim - 1, r.reshape(batch + r.shape[1:])) for r in seq]
 

@@ -1,21 +1,29 @@
-"""Truncated Taylor (jet) arithmetic in the three coordinates (t, x, y).
+"""Truncated Taylor (jet) arithmetic over the coordinates a function depends on.
 
 A jet of order ``n`` at a point stores every partial derivative
 ``d^i_t d^j_x d^k_y f`` with ``i + j + k <= n`` as a raw derivative value
-(not divided by factorials).  Multiplication propagates derivatives by the
+(not divided by factorials), along ``coords``: a sorted tuple of the
+positions (t = 0, x = 1, y = 2) of the coordinates the function depends
+on.  A derivative along any other coordinate is zero and is not stored, so
+a function of x alone needs ``n + 1`` coefficients where one of all three
+needs ``C(n + 3, 3)``.  Multiplication propagates derivatives by the
 Leibniz rule, composition with a univariate function by a truncated Taylor
 expansion around the inner value.  All operations are exact up to floating
 round-off; nothing here uses finite differencing.
 
+Multi-indices are ``(i_t, i_x, i_y)`` triples, zero outside ``coords``.
 Coefficient vectors are laid out along a graded ordering of multi-indices,
 so the table for order ``n`` is a prefix of the table for order ``n + 1``
-and truncation is a slice.  Coefficient arrays carry the jet axis first and
-the point axis after it: a jet over a grid of ``npts`` sample points has
-shape ``(table_size(n), npts)`` and every operation acts on all points at
-once, so one call evaluates the whole grid.  A single point is a batch of
-one, or a jet with no point axis at all; the code is the same either way.
-``stacked_product`` multiplies whole tensor fields of jets, stored as
-coefficient arrays of shape ``(table_size(n), npts, 3, ..., 3)``;
+and truncation is a slice; the table over ``coords`` is the subsequence of
+the three-coordinate table that is zero elsewhere.  Every table takes
+``coords``, defaulting to all three, and jets over different coordinate
+sets do not combine.  Coefficient arrays carry the jet axis first and the
+point axis after it: a jet over a grid of ``npts`` sample points has shape
+``(table_size(n, coords), npts)`` and every operation acts on all points
+at once, so one call evaluates the whole grid.  A single point is a batch
+of one, or a jet with no point axis at all; the code is the same either
+way.  ``stacked_product`` multiplies whole tensor fields of jets, stored as
+coefficient arrays of shape ``(table_size(n, coords), npts, 3, ..., 3)``;
 ``jet_mul`` is its scalar case.  It gathers the coefficients of each
 Leibniz row, contracts the tensor slots of all rows and points with one
 batched matmul (a broadcast multiply when no slot is summed), and sums the
@@ -32,40 +40,49 @@ from typing import Callable, Sequence
 import numpy as np
 
 DIM = 3
+ALL_COORDS = (0, 1, 2)
 
 
 @lru_cache(maxsize=None)
-def multi_indices(order: int) -> tuple[tuple[int, int, int], ...]:
-    """All multi-indices (i_t, i_x, i_y) with total degree <= order, graded."""
+def multi_indices(order: int, coords: tuple[int, ...] = ALL_COORDS) -> tuple[tuple[int, int, int], ...]:
+    """All multi-indices (i_t, i_x, i_y) with total degree <= order that
+    are zero outside coords, graded."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    if tuple(sorted(set(coords) & set(ALL_COORDS))) != tuple(coords):
+        raise ValueError(f"coords must be a sorted tuple of distinct coordinates in 0..2, got {coords!r}")
     out = []
     for total in range(order + 1):
         for i in range(total, -1, -1):
             for j in range(total - i, -1, -1):
-                out.append((i, j, total - i - j))
+                m = (i, j, total - i - j)
+                if all(m[c] == 0 for c in ALL_COORDS if c not in coords):
+                    out.append(m)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def index_position(order: int) -> dict[tuple[int, int, int], int]:
-    return {m: p for p, m in enumerate(multi_indices(order))}
+def index_position(order: int, coords: tuple[int, ...] = ALL_COORDS) -> dict[tuple[int, int, int], int]:
+    return {m: p for p, m in enumerate(multi_indices(order, coords))}
 
 
 @lru_cache(maxsize=None)
-def table_size(order: int) -> int:
-    return len(multi_indices(order))
+def table_size(order: int, coords: tuple[int, ...] = ALL_COORDS) -> int:
+    return len(multi_indices(order, coords))
 
 
 @lru_cache(maxsize=None)
-def product_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def product_table(
+    order: int, coords: tuple[int, ...] = ALL_COORDS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index/coefficient arrays implementing the Leibniz convolution.
 
     Returns (a_pos, b_pos, out_pos, coef) so that for coefficient vectors
-    a, b truncated at `order`:  out[out_pos] += coef * a[a_pos] * b[b_pos].
+    a, b over coords truncated at `order`:
+    out[out_pos] += coef * a[a_pos] * b[b_pos].
     Rows run over a_pos, then b_pos, both ascending.
     """
-    idx = np.asarray(multi_indices(order), dtype=np.intp)
+    idx = np.asarray(multi_indices(order, coords), dtype=np.intp)
     degree = idx.sum(axis=1)
     a_pos, b_pos = np.nonzero(degree[:, None] + degree[None, :] <= order)
     gamma = idx[a_pos] + idx[b_pos]
@@ -77,11 +94,11 @@ def product_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
 
 @lru_cache(maxsize=None)
-def _sorted_product_table(order: int):
+def _sorted_product_table(order: int, coords: tuple[int, ...] = ALL_COORDS):
     """product_table sorted by output position, with each position's start."""
-    a_pos, b_pos, out_pos, coef = product_table(order)
+    a_pos, b_pos, out_pos, coef = product_table(order, coords)
     perm = np.argsort(out_pos, kind="stable")
-    starts = np.searchsorted(out_pos[perm], np.arange(table_size(order)))
+    starts = np.searchsorted(out_pos[perm], np.arange(table_size(order, coords)))
     return a_pos[perm], b_pos[perm], coef[perm], starts
 
 
@@ -122,10 +139,12 @@ def _slot_plan(spec: str, ndim_a: int, ndim_b: int):
     )
 
 
-def stacked_product(spec: str, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+def stacked_product(
+    spec: str, a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...] = ALL_COORDS
+) -> np.ndarray:
     """Leibniz product of two stacked jet fields, contracted over tensor slots.
 
-    a and b have shape (>= table_size(order), *batch, d, ..., d): coefficient
+    a and b have shape (>= table_size(order, coords), *batch, d, ..., d): coefficient
     vectors along the first axis, then the point axes, then tensor slots.
     spec is an einsum over the slots only, e.g. "ab,bij->aij", with no
     repeated letter in an operand; the point axes broadcast.  The result has
@@ -137,7 +156,7 @@ def stacked_product(spec: str, a: np.ndarray, b: np.ndarray, order: int) -> np.n
     no slot is summed, and np.add.reduceat sums the rows into jet positions.
     """
     pa, pb, axes_a, axes_b, (n_shared, n_free_a, n_free_b), axes_out = _slot_plan(spec, a.ndim, b.ndim)
-    a_pos, b_pos, coef, starts = _sorted_product_table(order)
+    a_pos, b_pos, coef, starts = _sorted_product_table(order, coords)
     rows, npt = len(a_pos), max(pa, pb)
     ga = a.transpose(axes_a)[a_pos]
     gb = b.transpose(axes_b)[b_pos]
@@ -153,22 +172,25 @@ def stacked_product(spec: str, a: np.ndarray, b: np.ndarray, order: int) -> np.n
     # a matmul with an inner size of 1 is a broadcast multiply, and `*` is faster
     terms = ga @ gb if ga.shape[-1] > 1 else ga * gb
     total = np.add.reduceat(terms, starts, axis=0)
-    total = total.reshape((table_size(order),) + terms.shape[1 : 1 + npt] + shared + free_a + free_b)
+    total = total.reshape((table_size(order, coords),) + terms.shape[1 : 1 + npt] + shared + free_a + free_b)
     return total.transpose(axes_out)
 
 
 @lru_cache(maxsize=None)
-def shift_table(order: int, coord: int) -> np.ndarray:
-    """Gather positions mapping a jet of `order` to its d/d(coord) of order-1.
+def shift_table(order: int, coord: int, coords: tuple[int, ...] = ALL_COORDS) -> np.ndarray:
+    """Gather positions mapping a jet of `order` over coords to its
+    d/d(coord) of order-1, for a coord in coords.
 
     result[i] is the position, in the order-`order` table, of alpha + e_coord
     where alpha is the i-th multi-index of the order-1 table.
     """
     if order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
-    pos = index_position(order)
+    if coord not in coords:
+        raise ValueError(f"coordinate {coord} is not among the jet's coordinates {coords}")
+    pos = index_position(order, coords)
     out = []
-    for alpha in multi_indices(order - 1):
+    for alpha in multi_indices(order - 1, coords):
         bumped = list(alpha)
         bumped[coord] += 1
         out.append(pos[tuple(bumped)])
@@ -179,19 +201,21 @@ def shift_table(order: int, coord: int) -> np.ndarray:
 class Jet:
     """Derivative table of a scalar function at a point or a batch of points.
 
-    coeffs[p] is the raw partial derivative for the p-th graded multi-index;
-    coeffs has shape (table_size(order), *batch), with no batch axis for a
-    single point.  Jets are immutable values.
+    coeffs[p] is the raw partial derivative for the p-th graded multi-index
+    over coords; coeffs has shape (table_size(order, coords), *batch), with
+    no batch axis for a single point.  Jets are immutable values.
     """
 
     order: int
     coeffs: np.ndarray
+    coords: tuple[int, ...] = ALL_COORDS
 
     def __post_init__(self):
-        if self.coeffs.shape[:1] != (table_size(self.order),):
+        n = table_size(self.order, self.coords)
+        if self.coeffs.shape[:1] != (n,):
             raise ValueError(
                 f"coefficient array has shape {self.coeffs.shape}, "
-                f"expected {table_size(self.order)} coefficients for order {self.order}"
+                f"expected {n} coefficients for order {self.order} over {self.coords}"
             )
 
     @property
@@ -204,7 +228,7 @@ class Jet:
             raise ValueError(f"cannot extend order {self.order} jet to {order}")
         if order == self.order:
             return self
-        return Jet(order, self.coeffs[: table_size(order)].copy())
+        return Jet(order, self.coeffs[: table_size(order, self.coords)].copy(), self.coords)
 
     # arithmetic sugar; scalars and point arrays promote to constant jets
     def __add__(self, other):
@@ -230,56 +254,64 @@ class Jet:
         return jet_div(_coerce(other, self), self)
 
     def __neg__(self):
-        return Jet(self.order, -self.coeffs)
+        return Jet(self.order, -self.coeffs, self.coords)
 
 
 def _coerce(v, like: Jet) -> Jet:
     if isinstance(v, Jet):
         return v
-    return jet_constant(v, like.order, like.coeffs.shape[1:])
+    return jet_constant(v, like.order, like.coeffs.shape[1:], like.coords)
 
 
-def jet_constant(value, order: int, batch: tuple[int, ...] = ()) -> Jet:
-    c = np.zeros((table_size(order),) + tuple(batch))
+def jet_constant(value, order: int, batch: tuple[int, ...] = (), coords: tuple[int, ...] = ALL_COORDS) -> Jet:
+    c = np.zeros((table_size(order, coords),) + tuple(batch))
     c[0] = value
-    return Jet(order, c)
+    return Jet(order, c, coords)
 
 
-def jet_variable(coord: int, value, order: int) -> Jet:
+def jet_variable(coord: int, value, order: int, coords: tuple[int, ...] = ALL_COORDS) -> Jet:
     """Jet of the coordinate function itself: value plus unit first derivative.
 
-    value is the coordinate at one point or an array of it over a batch.
+    value is the coordinate at one point or an array of it over a batch;
+    coord must be one of coords.
     """
-    c = np.zeros((table_size(order),) + np.shape(value))
+    if coord not in coords:
+        raise ValueError(f"coordinate {coord} is not among the jet's coordinates {coords}")
+    c = np.zeros((table_size(order, coords),) + np.shape(value))
     c[0] = value
     if order >= 1:
         unit = [0, 0, 0]
         unit[coord] = 1
-        c[index_position(order)[tuple(unit)]] = 1.0
-    return Jet(order, c)
+        c[index_position(order, coords)[tuple(unit)]] = 1.0
+    return Jet(order, c, coords)
 
 
 def _common_order(a: Jet, b: Jet) -> int:
+    """The order two jets combine at; they must share their coordinates."""
+    if a.coords != b.coords:
+        raise ValueError(f"cannot combine jets over coordinates {a.coords} and {b.coords}")
     return min(a.order, b.order)
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
     n = _common_order(a, b)
-    return Jet(n, a.coeffs[: table_size(n)] + b.coeffs[: table_size(n)])
+    size = table_size(n, a.coords)
+    return Jet(n, a.coeffs[:size] + b.coeffs[:size], a.coords)
 
 
 def jet_sub(a: Jet, b: Jet) -> Jet:
     n = _common_order(a, b)
-    return Jet(n, a.coeffs[: table_size(n)] - b.coeffs[: table_size(n)])
+    size = table_size(n, a.coords)
+    return Jet(n, a.coeffs[:size] - b.coeffs[:size], a.coords)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     n = _common_order(a, b)
-    return Jet(n, stacked_product(",->", a.coeffs, b.coeffs, n))
+    return Jet(n, stacked_product(",->", a.coeffs, b.coeffs, n, a.coords), a.coords)
 
 
 @lru_cache(maxsize=None)
-def _division_plan(order: int):
+def _division_plan(order: int, coords: tuple[int, ...] = ALL_COORDS):
     """Per total degree d >= 1, the convolution rows that reference lower degrees.
 
     For a = q * b the position of gamma receives q[gamma] * b[0] plus these
@@ -288,13 +320,13 @@ def _division_plan(order: int):
     (lo, hi, q_pos, b_pos, coef, starts): the rows for positions lo..hi-1,
     sorted by position, and each position's first row.
     """
-    a_pos, b_pos, out_pos, coef = product_table(order)
+    a_pos, b_pos, out_pos, coef = product_table(order, coords)
     keep = b_pos != 0  # b_pos == 0 is the q[gamma] * b[0] row itself
     perm = np.argsort(out_pos[keep], kind="stable")
     qa, bb, out, cf = (arr[keep][perm] for arr in (a_pos, b_pos, out_pos, coef))
     plan = []
     for d in range(1, order + 1):
-        lo, hi = table_size(d - 1), table_size(d)
+        lo, hi = table_size(d - 1, coords), table_size(d, coords)
         r0, r1 = np.searchsorted(out, [lo, hi])
         starts = np.searchsorted(out[r0:r1], np.arange(lo, hi))
         plan.append((lo, hi, qa[r0:r1], bb[r0:r1], cf[r0:r1], starts))
@@ -304,32 +336,38 @@ def _division_plan(order: int):
 def jet_div(a: Jet, b: Jet) -> Jet:
     """Quotient jet; solves the Leibniz relation a = q * b degree by degree."""
     n = _common_order(a, b)
-    ac, bc = a.coeffs[: table_size(n)], b.coeffs[: table_size(n)]
+    size = table_size(n, a.coords)
+    ac, bc = a.coeffs[:size], b.coeffs[:size]
     b0 = bc[0]
     if np.any(b0 == 0.0):
         raise ZeroDivisionError("division by a jet with zero value")
     q = np.empty(np.broadcast_shapes(ac.shape, bc.shape))
     q[0] = ac[0] / b0
-    for lo, hi, qa, bb, cf, starts in _division_plan(n):
+    for lo, hi, qa, bb, cf, starts in _division_plan(n, a.coords):
         terms = cf.reshape((-1,) + (1,) * (q.ndim - 1)) * q[qa] * bc[bb]
         q[lo:hi] = (ac[lo:hi] - np.add.reduceat(terms, starts, axis=0)) / b0
-    return Jet(n, q)
+    return Jet(n, q, a.coords)
 
 
 def partial(j: Jet, m: Sequence[int]):
-    """Stored derivative value for multi-index m = (i_t, i_x, i_y): a scalar
-    at one point, an array over a batch."""
+    """Derivative value for multi-index m = (i_t, i_x, i_y): a scalar at one
+    point, an array over a batch; zero along a coordinate outside j.coords."""
     m = tuple(int(v) for v in m)
     if len(m) != DIM or min(m) < 0:
         raise ValueError(f"bad multi-index {m}")
     if sum(m) > j.order:
         raise ValueError(f"multi-index {m} exceeds jet order {j.order}")
-    return j.coeffs[index_position(j.order)[m]]
+    if any(m[c] for c in ALL_COORDS if c not in j.coords):
+        return np.zeros(j.coeffs.shape[1:])[()]
+    return j.coeffs[index_position(j.order, j.coords)[m]]
 
 
 def jet_derivative(j: Jet, coord: int) -> Jet:
-    """Jet of the partial derivative along `coord`, one order lower."""
-    return Jet(j.order - 1, j.coeffs[shift_table(j.order, coord)])
+    """Jet of the partial derivative along `coord`, one order lower; zero
+    along a coordinate outside j.coords."""
+    if coord not in j.coords:
+        return jet_constant(0.0, j.order - 1, j.coeffs.shape[1:], j.coords)
+    return Jet(j.order - 1, j.coeffs[shift_table(j.order, coord, j.coords)], j.coords)
 
 
 def jet_compose_univariate(inner: Jet, outer_derivs: Sequence) -> Jet:
@@ -346,8 +384,8 @@ def jet_compose_univariate(inner: Jet, outer_derivs: Sequence) -> Jet:
         raise ValueError(f"need {n + 1} outer derivatives, got {len(outer_derivs)}")
     w = inner.coeffs.copy()
     w[0] = 0.0
-    pert = Jet(n, w)
-    acc = jet_constant(outer_derivs[n] / math.factorial(n), n, w.shape[1:])
+    pert = Jet(n, w, inner.coords)
+    acc = jet_constant(outer_derivs[n] / math.factorial(n), n, w.shape[1:], inner.coords)
     for k in range(n - 1, -1, -1):
         acc = jet_mul(acc, pert) + outer_derivs[k] / math.factorial(k)
     return acc
@@ -424,12 +462,12 @@ def jet_sqrt(j: Jet) -> Jet:
 def jet_powi(j: Jet, exponent: int) -> Jet:
     """Integer power by binary exponentiation; negative exponents via jet_div."""
     if exponent == 0:
-        return jet_constant(1.0, j.order, j.coeffs.shape[1:])
+        return jet_constant(1.0, j.order, j.coeffs.shape[1:], j.coords)
     if exponent < 0:
         power = jet_powi(j, -exponent)
         if np.any(power.value == 0.0):  # j^|exponent| underflowed, so its reciprocal overflows
             raise OverflowError("math range error")
-        return jet_div(jet_constant(1.0, j.order, j.coeffs.shape[1:]), power)
+        return jet_div(jet_constant(1.0, j.order, j.coeffs.shape[1:], j.coords), power)
     acc = None
     base = j
     e = exponent

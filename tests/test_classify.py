@@ -342,10 +342,10 @@ def _q_condition_reference(stack, tol):
     index tuple of the stack, in flattened order."""
     from curvhom.classify import _sign_structure
 
-    flat = stack.reshape(stack.shape[0], -1)
-    out, live = _sign_structure(flat)
-    if out.status != "pass":
-        return out.status, out.notes
+    entries = _sign_structure(stack)
+    if entries.status != "pass":
+        return entries.status, list(entries.notes)
+    flat, live = entries.flat, entries.live
     xmult = [index.count(X) for index in itertools.product(range(3), repeat=stack.ndim - 1)]
     groups = {}
     for c in live:
@@ -393,10 +393,10 @@ def _multiplicity_stack(rank, bend=None):
     ids=["constant ratios", "point-dependent ratio", "ratio within tol"],
 )
 def test_q_condition_matches_brute_force_multiplicities(rank, bend, status):
-    from curvhom.classify import _q_condition
+    from curvhom.classify import _q_condition, _sign_structure
 
     stack = _multiplicity_stack(rank, bend)
-    got = _q_condition(stack, 1e-6)
+    got = _q_condition(_sign_structure(stack), 1e-6)
     assert (got.status, got.notes) == _q_condition_reference(stack, 1e-6)
     assert got.status == status
     if status == "pass":

@@ -473,11 +473,12 @@ def test_compare_is_bit_identical_to_dividing_full_copies(npts, rank, oracle_kin
             EXIT_HYPOTHESIS,
             "math range error",
         ),
-        # 1e200 times the flat tt=1, xy=1: det g overflows, and g is not singular
+        # 1e200 times the flat tt=1, xy=1, whose report it gets: its det g
+        # overflows, but the engine never forms it
         (
             ["classify", "--family", "custom", "--metric", "tt=1e200", "--metric", "xy=1e200"],
-            EXIT_HYPOTHESIS,
-            "metric determinant overflows at {}",
+            EXIT_OK,
+            ("--metric", "tt=1", "--metric", "xy=1"),
         ),
     ],
     ids=["invariants", "verify", "custom classify", "huge custom metric"],
@@ -493,10 +494,29 @@ def test_overflow_excludes_without_numpy_warnings(capsys, argv, code, reason):
         assert out == "" and err == "config error: numeric overflow evaluating the function: math range error\n"
         return
     assert err == ""
+    if isinstance(reason, tuple):  # the metric whose report this one must equal
+        assert run(capsys, *argv[:3], *reason, "--grid", "x=0.1:1:3") == (code, out, err)
+        return
     reasons = _exclusion_reasons(out)
     assert len(reasons) == 3
     for point, text in reasons.items():
         assert text == "cannot evaluate the metric (OverflowError): " + reason.format(point)
+
+
+def test_metric_whose_inverse_overflows_is_excluded_without_numpy_warnings(capsys):
+    import warnings
+
+    # g_tt = 1e-309 is representable, but g^tt = 1e309 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(
+            capsys, "classify", "--family", "custom", "--metric", "tt=1e-9/1e300", "--metric", "xy=1", "--grid", "x=0.1:1:3"
+        )
+    assert (got, err) == (EXIT_HYPOTHESIS, "")
+    reasons = _exclusion_reasons(out)
+    assert len(reasons) == 3
+    for point, text in reasons.items():
+        assert text == f"cannot evaluate the metric (OverflowError): metric inverse overflows at {point}"
 
 
 # ---------------------------------------------------------------------------

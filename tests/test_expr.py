@@ -195,6 +195,28 @@ def test_pretty_print_parse_round_trip(e):
     assert parse(pretty(e)) == e
 
 
+@given(ast_nodes(), st.integers(0, 3))
+@settings(max_examples=100)
+def test_eval_jet_over_own_coordinates_embeds_into_the_full_jet(e, order):
+    points = np.array([[0.3, -0.7, 1.1], [1.3, 0.4, -0.2]])
+    try:
+        full = eval_jet(e, points, order, (0, 1, 2))
+    except (DomainError, OverflowError) as err:
+        with pytest.raises(type(err)):
+            eval_jet(e, points, order)
+        return
+    own = eval_jet(e, points, order)
+    assert own.coords == tuple(i for i, name in enumerate("txy") if name in variables_of(e))
+    position = jets.index_position(order)
+    for m in jets.multi_indices(order):
+        if m in jets.index_position(order, own.coords):
+            # the same Leibniz rows in the same order: equal to the last bit
+            np.testing.assert_array_equal(jets.partial(own, m), full.coeffs[position[m]])
+        else:
+            np.testing.assert_array_equal(full.coeffs[position[m]], 0.0)
+            np.testing.assert_array_equal(jets.partial(own, m), 0.0)
+
+
 def test_variables_of():
     assert variables_of(parse("exp(2*x) + t*y")) == {"t", "x", "y"}
     assert variables_of(parse("1 + 2")) == set()

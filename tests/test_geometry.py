@@ -286,3 +286,29 @@ def test_degenerate_metric_detected():
     bad = MetricField.from_matrix([[one, zero, zero], [zero, one, zero], [zero, zero, zero]])
     with pytest.raises(ValueError):
         riemann(bad, ORIGIN)
+
+
+@pytest.mark.parametrize(
+    "entries, coords",
+    [
+        ({"tt": "2", "tx": "0.5", "xy": "1", "yy": "3"}, ()),
+        ({"tt": "exp(x^2)", "xy": "1"}, (X,)),
+        ({"tt": "exp(2*x)", "xy": "1", "yy": "t^2"}, (T, X)),
+        ({"tt": "exp(2*x)+y^2", "xy": "1", "yy": "t^2"}, (T, X, Y)),
+    ],
+    ids=["constant", "x", "t and x", "t, x and y"],
+)
+def test_sequence_over_the_metric_coordinates_matches_all_three(entries, coords):
+    def metric(suffix):
+        matrix = [[parse("0")] * 3 for _ in range(3)]
+        for slot, text in entries.items():
+            i, j = sorted("txy".index(c) for c in slot)
+            matrix[i][j] = parse(text + suffix)
+        return MetricField.from_matrix(matrix)
+
+    g, forced = metric(""), metric(" + 0*t + 0*x + 0*y")
+    assert (g.coords, forced.coords) == (coords, (T, X, Y))
+    points = [(0.4, 0.3, -0.5), (1.1, -0.2, 0.7), (0.8, 0.6, 0.2)]
+    for got, want in zip(nabla_riemann_sequence(g, points, 4), nabla_riemann_sequence(forced, points, 4), strict=True):
+        scale = max(1.0, float(np.abs(want.components).max()))
+        np.testing.assert_allclose(got.components, want.components, rtol=0, atol=1e-12 * scale)

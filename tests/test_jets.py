@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -277,3 +278,51 @@ def test_negative_power_that_underflows_overflows():
     # (1e-200)^2 underflows to 0, so (1e-200)^-2 is out of range, as in Python
     with pytest.raises(OverflowError):
         jet_powi(jet_variable(X, 1e-200, 2), -2)
+
+
+# ---------------------------------------------------------------------------
+# tables and jets over a subset of the coordinates
+
+COORD_SETS = [c for size in range(4) for c in itertools.combinations((T, X, Y), size)]
+
+
+@pytest.mark.parametrize("coords", COORD_SETS)
+def test_tables_over_coords_restrict_the_full_tables(coords):
+    for order in range(7):
+        full = jets.multi_indices(order)
+        keep = [p for p, m in enumerate(full) if all(m[c] == 0 for c in (T, X, Y) if c not in coords)]
+        assert jets.multi_indices(order, coords) == tuple(full[p] for p in keep)
+        assert jets.table_size(order, coords) == len(keep)
+        position = {p: i for i, p in enumerate(keep)}  # full-table position -> position over coords
+        a_pos, b_pos, out_pos, coef = jets.product_table(order)
+        rows = [r for r in range(len(a_pos)) if int(a_pos[r]) in position and int(b_pos[r]) in position]
+        want = [[position[int(col[r])] for r in rows] for col in (a_pos, b_pos, out_pos)] + [coef[rows]]
+        for got, expected in zip(jets.product_table(order, coords), want):
+            np.testing.assert_array_equal(got, expected)  # the same rows, in the same order
+
+
+def test_jets_over_different_coordinates_do_not_combine():
+    x_only = jet_variable(X, 1.5, 2, (X,))
+    full = jet_variable(X, 1.5, 2)
+    for op in (jet_add, jet_mul, jet_div):
+        with pytest.raises(ValueError, match="cannot combine jets over coordinates"):
+            op(x_only, full)
+    with pytest.raises(ValueError):
+        jet_variable(T, 1.0, 2, (X,))
+    with pytest.raises(ValueError):
+        jets.table_size(2, (1, 0))
+
+
+def test_derivatives_along_absent_coordinates_are_zero():
+    x = jet_variable(X, np.array([3.0, -1.0]), 3, (X,))
+    sq = jet_mul(x, x)
+    assert sq.coeffs.shape == (4, 2)
+    np.testing.assert_array_equal(partial(sq, (0, 1, 0)), [6.0, -2.0])
+    np.testing.assert_array_equal(partial(sq, (1, 1, 0)), [0.0, 0.0])
+    np.testing.assert_array_equal(partial(sq, (0, 0, 2)), [0.0, 0.0])
+    assert partial(jet_mul(jet_variable(X, 3.0, 2, (X,)), jet_variable(X, 3.0, 2, (X,))), (0, 0, 1)) == 0.0
+    for coord in (T, Y):
+        d = jet_derivative(sq, coord)
+        assert (d.order, d.coords, d.coeffs.shape) == (2, (X,), (3, 2))
+        assert not d.coeffs.any()
+    np.testing.assert_array_equal(jet_derivative(sq, X).coeffs, [[6.0, -2.0], [2.0, 2.0], [0.0, 0.0]])
