@@ -78,6 +78,18 @@ def commands() -> list[list[str]]:
         metric = ["--metric", f"tt={tt}", "--metric", "xy=1", "--metric", "yy=t^2"]
         out.append(["classify", "--family", "custom", *metric, "--grid", "x=0.5:1.5:3"])
     out.append(["verify", "--family", "h", "--function", "t^3", "--order", "3", "--grid", "t=1:2:3"])
+    # high orders: classify at r = 6 on every survey profile, verify at orders 8 to 5, and the
+    # f = x^2 point whose structural zeros exceed the absolute tolerance at orders 6 and 7
+    for family, profile, axis_spec in SURVEY:
+        out.append(["classify", "--family", family, "--function", profile, "--order", "6", "--grid", _grid(axis_spec, 3)])
+    for order, profile, grid in [
+        (8, "1/x", "x=0.5:1.5:1"),
+        (7, "exp(x)", "x=0:1:1"),
+        (6, "1/x", "x=0.5:1.5:2"),
+        (5, "2.5615528128088303*log(x)", "x=0.3:1.5:2"),
+        (7, "x^2", "x=0.990204:0.990204:1"),
+    ]:
+        out.append(["verify", "--family", "f", "--function", profile, "--order", str(order), "--grid", grid])
     return out
 
 
@@ -118,7 +130,7 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         if head_a != head_b or skel_a != skel_b:
             structural.append(name)
             continue
-        if reals_a != reals_b:
+        if text_a != text_b:  # only the numbers can differ here, -0.0 against 0.0 included
             numeric.append(name)
         for x, y in zip(reals_a, reals_b):
             size = max(abs(x), abs(y))

@@ -38,12 +38,13 @@ from .families import (
     FamilySpec,
     delta_derivatives,
     family_f_metric,
-    family_f_oracle,
+    family_f_oracles,
     family_h_metric,
-    family_h_oracle,
+    family_h_oracles,
     profile_derivatives,
 )
-from .geometry import DegenerateMetricError, MetricField, Point, nabla_k_riemann, nabla_riemann_sequence
+from .geometry import DegenerateMetricError, MetricField, Point, nabla_k_riemann
+from .geometry import kulkarni_nomizu, nabla_schouten_sequence
 from .models import T, X, adapted_frame_f, adapted_frame_h, scaling_lambda_h
 from .tensor import TensorAtPoint, pullback
 
@@ -216,8 +217,10 @@ class FamilySamples:
         return per_point([index[j] for j in np.flatnonzero(mask)], values, n)
 
 
-def _pulled_back(seq, mask, frame) -> list[np.ndarray]:
-    return [pullback(TensorAtPoint(t.rank, t.components[mask]), frame).components for t in seq]
+def _pulled_back(g0, seq, mask, frame) -> list[np.ndarray]:
+    """nabla^k R on the frame at the mask's points: pullback(P ⊙ g) = pullback(P) ⊙ pullback(g)."""
+    g0, *seq = (pullback(TensorAtPoint(t.rank, t.components[mask]), frame) for t in (g0, *seq))
+    return [r.components for r in kulkarni_nomizu(g0, seq)]
 
 
 def _f_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
@@ -225,12 +228,12 @@ def _f_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
     the scale-free sch_ratio = xi / R(T,X,X,T)^3; the SCH frame is that
     frame."""
     fn = g.family.function
+    g0, seq = nabla_schouten_sequence(g, points, kmax)  # before delta: a bad metric is excluded for its own reason
     hyp = np.abs(delta_derivatives(fn, points, 0)[0])
-    seq = nabla_riemann_sequence(g, points, kmax)
     s = FamilySamples(hyp, hyp, hyp >= FLOOR, hyp >= FLOOR)
     if not s.ok.any():
         return s
-    adapted = _pulled_back(seq, s.ok, adapted_frame_f(fn, points[s.ok], 1.0))
+    adapted = _pulled_back(g0, seq, s.ok, adapted_frame_f(fn, points[s.ok], 1.0))
     e0 = adapted[0][:, T, X, X, T]
     xi = adapted[1][:, T, X, X, T, X] ** 2
     values = dict(xi=(s.ok, xi), sch_ratio=(s.ok, xi / e0**3), psi=(s.sch, np.abs(e0)))
@@ -250,18 +253,18 @@ def _h_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
     """
     fn = g.family.function
     d = profile_derivatives(fn, points, 4)
-    seq = nabla_riemann_sequence(g, points, kmax)
+    g0, seq = nabla_schouten_sequence(g, points, kmax)
     hyp, sch_hyp = np.abs(d[2]), np.abs(d[3])
     ok, sch = hyp >= FLOOR, (hyp >= FLOOR) & (sch_hyp >= FLOOR)
     s = FamilySamples(hyp, sch_hyp, ok, sch)
     if not ok.any():
         return s
-    adapted = _pulled_back(seq, ok, adapted_frame_h(fn, points[ok], 1.0))
+    adapted = _pulled_back(g0, seq, ok, adapted_frame_h(fn, points[ok], 1.0))
     e0 = adapted[0][:, T, X, X, T]
     values = dict(xi=(ok, adapted[1][:, T, X, X, T, T] ** 2 / e0**2), xi_T_alt=(ok, d[4][ok] / d[2][ok] ** 2))
     if not sch.any():
         return replace(s, adapted=adapted, values=values)
-    aligned = _pulled_back(seq, sch, adapted_frame_h(fn, points[sch], scaling_lambda_h(fn, points[sch])))
+    aligned = _pulled_back(g0, seq, sch, adapted_frame_h(fn, points[sch], scaling_lambda_h(fn, points[sch])))
     psi = np.abs(aligned[0][:, T, X, X, T])
     a2 = aligned[2]
     values.update(
@@ -275,7 +278,7 @@ class Family:
     """Everything that differs between the built-in families."""
 
     metric: Callable                    # profile -> MetricField
-    oracle: Callable                    # (profile, points, k) -> closed-form nabla^k R
+    oracle: Callable                    # (profile, points, kmax) -> closed-form [R, ..., nabla^kmax R]
     min_order: int                      # sequence order the invariants need
     hypothesis: str                     # the profile quantity that must not vanish
     samples: Callable                   # (g, kmax, points) -> FamilySamples
@@ -294,7 +297,7 @@ class Family:
 FAMILIES = {
     "f": Family(
         metric=lambda f: family_f_metric(f),
-        oracle=lambda f, p, k: family_f_oracle(f, p, k),
+        oracle=lambda f, p, kmax: family_f_oracles(f, p, kmax),
         min_order=1,
         hypothesis="delta",
         samples=_f_samples,
@@ -306,7 +309,7 @@ FAMILIES = {
     ),
     "h": Family(
         metric=lambda h: family_h_metric(h),
-        oracle=lambda h, p, k: family_h_oracle(h, p, k),
+        oracle=lambda h, p, kmax: family_h_oracles(h, p, kmax),
         min_order=2,
         hypothesis="h''",
         samples=_h_samples,

@@ -75,7 +75,11 @@ def delta_jet(f: Expr, p, order: int) -> Jet:
     fj = eval_jet(f, p, order + 2)
     f1 = jet_derivative(fj, X)
     f2 = jet_derivative(f1, X)
-    return f2 + jet_mul(f1.truncate(order), f1.truncate(order))
+    with np.errstate(all="ignore"):  # a non-finite jet is checked below, as in eval_jet
+        dj = f2 + jet_mul(f1.truncate(order), f1.truncate(order))
+    if not np.isfinite(dj.coeffs).all():
+        raise OverflowError("math range error")
+    return dj
 
 
 def delta_derivatives(f: Expr, p, kmax: int) -> list:
@@ -106,24 +110,25 @@ def place_curvature_block(components: np.ndarray, pair: tuple[int, int], value, 
     components[(..., b, a, b, a) + tail] = -value
 
 
-def family_f_oracle(f: Expr, p, k: int) -> TensorAtPoint:
-    """Closed-form nabla^k R for the f-family at the point(s) p.
+def family_f_oracles(f: Expr, p, kmax: int) -> list[TensorAtPoint]:
+    """Closed-form [R, nabla R, ..., nabla^kmax R] for the f-family at the
+    point(s) p, from one jet of delta.
 
     The only entries, up to curvature symmetries, are
     nabla^k R(dx, dt, dt, dx; dx, ..., dx) = -exp(2 f) * delta^(k).
     """
-    if k < 0:
+    if kmax < 0:
         raise ValueError("k must be nonnegative")
     e2f = np.exp(2.0 * eval_jet(f, p, 0).value)
-    dk = delta_derivatives(f, p, k)[k]
-    comp = np.zeros(np.shape(e2f) + (3,) * (4 + k))
-    place_curvature_block(comp, (X, T), -e2f * dk, (X,) * k)
-    return TensorAtPoint(4 + k, comp)
+    out = [TensorAtPoint(4 + k, np.zeros(np.shape(e2f) + (3,) * (4 + k))) for k in range(kmax + 1)]
+    for k, dk in enumerate(delta_derivatives(f, p, kmax)):
+        place_curvature_block(out[k].components, (X, T), -e2f * dk, (X,) * k)
+    return out
 
 
-def family_h_oracle(h: Expr, p, k: int) -> TensorAtPoint:
-    """Closed-form nabla^k R for the h-family at the point(s) p, available
-    for k <= 2.
+def family_h_oracles(h: Expr, p, kmax: int) -> list[TensorAtPoint]:
+    """Closed-form [R, nabla R, ..., nabla^kmax R] for the h-family at the
+    point(s) p, from one jet of h, available for kmax <= 2.
 
     Entries up to curvature symmetries:
         R(dt, dx, dx, dt)               = h''
@@ -134,17 +139,24 @@ def family_h_oracle(h: Expr, p, k: int) -> TensorAtPoint:
     The (; dx, dx) sign is what the covariant-derivative recursion yields:
     the only surviving term is -Gamma^t_{xx} nabla R(dt, dx, dx, dt; dt).
     """
-    if k < 0:
+    if kmax < 0:
         raise ValueError("k must be nonnegative")
-    if k > 2:
+    if kmax > 2:
         raise ValueError("h-family closed forms stop at k = 2; use the geometry engine")
-    d = profile_derivatives(h, p, k + 2)
-    comp = np.zeros(np.shape(d[0]) + (3,) * (4 + k))
-    if k == 0:
-        place_curvature_block(comp, (T, X), d[2], ())
-    elif k == 1:
-        place_curvature_block(comp, (T, X), d[3], (T,))
-    else:
-        place_curvature_block(comp, (T, X), d[4], (T, T))
-        place_curvature_block(comp, (T, X), -d[1] * d[3], (X, X))
-    return TensorAtPoint(4 + k, comp)
+    d = profile_derivatives(h, p, kmax + 2)
+    out = [TensorAtPoint(4 + k, np.zeros(np.shape(d[0]) + (3,) * (4 + k))) for k in range(kmax + 1)]
+    for k, t in enumerate(out):
+        place_curvature_block(t.components, (T, X), d[2 + k], (T,) * k)
+    if kmax == 2:
+        place_curvature_block(out[2].components, (T, X), -d[1] * d[3], (X, X))
+    return out
+
+
+def family_f_oracle(f: Expr, p, k: int) -> TensorAtPoint:
+    """Closed-form nabla^k R for the f-family at the point(s) p; see family_f_oracles."""
+    return family_f_oracles(f, p, k)[k]
+
+
+def family_h_oracle(h: Expr, p, k: int) -> TensorAtPoint:
+    """Closed-form nabla^k R for the h-family at the point(s) p, k <= 2; see family_h_oracles."""
+    return family_h_oracles(h, p, k)[k]

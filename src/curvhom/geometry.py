@@ -18,9 +18,10 @@ Kulkarni-Nomizu product of the Schouten tensor P = Ric - (s/4) g with g,
     R_{ijkl} = P_il g_jk + P_jk g_il - P_ik g_jl - P_jl g_ik,
 
 and since nabla g = 0 the same expansion turns nabla^k P into nabla^k R.
-The engine builds the Ricci jets straight from the Christoffel jets, runs
-the covariant recursion on the symmetric (0, 2+k) field nabla^k P, and
-expands to the (0, 4+k) curvature only at the point.  Each covariant
+The engine builds the Ricci jets straight from the Christoffel jets and
+runs the covariant recursion on the symmetric (0, 2+k) field nabla^k P;
+the (0, 4+k) curvature is formed only where it is read: classify and
+build_model expand on their frame, verify at the point.  Each covariant
 derivative trades one jet order for one extra tensor slot:
 
     (nabla T)_{i1..in; m} = d_m T_{i1..in} - sum_s Gamma^a_{m i_s} T_{..a..}
@@ -87,9 +88,6 @@ class MetricField:
     def component_matrix(self, points) -> np.ndarray:
         """g_ij at the points, shape (..., 3, 3)."""
         return _metric_jets(self, points, 0)[0]
-
-    def tensor_at(self, points) -> TensorAtPoint:
-        return TensorAtPoint(2, self.component_matrix(points))
 
 
 class DegenerateMetricError(ValueError):
@@ -263,29 +261,46 @@ def _covariant_step(field: np.ndarray, order_in: int, w: np.ndarray, coords: tup
     return out
 
 
-def _kulkarni_nomizu(p_comp: np.ndarray, g0: np.ndarray) -> np.ndarray:
-    """R_{ijkl;V} = P_{il;V} g_jk + P_{jk;V} g_il - P_{ik;V} g_jl - P_{jl;V} g_ik,
-    with a leading point axis on both."""
-    t = np.einsum("zil...,zjk->zijkl...", p_comp, g0)
-    t = t - t.swapaxes(1, 2)
-    return t - t.swapaxes(3, 4)
+# R_{ijkl} = P_il g_jk + P_jk g_il - P_ik g_jl - P_jl g_ik is bilinear in (P, g):
+# _KN[(i, j, k, l, p, q), (a, b)] is the coefficient of P_pq g_ab in R_ijkl.
+_KN = np.einsum("ip,lq,ja,kb->ijklpqab", *[np.eye(3)] * 4)  # P_il g_jk
+_KN = (_KN - _KN.swapaxes(0, 1) - _KN.swapaxes(2, 3) + _KN.swapaxes(0, 1).swapaxes(2, 3)).reshape(81 * 9, 9)
+
+
+def kulkarni_nomizu(g0: TensorAtPoint, seq: list[TensorAtPoint]) -> list[TensorAtPoint]:
+    """nabla^k P ⊙ g0 = nabla^k R for each nabla^k P in seq, on the points'
+    leading axes: one (81, 9) operator per point, one batched matmul each."""
+    batch = g0.components.shape[:-2]
+    op = (g0.components.reshape(-1, 9) @ _KN.T).reshape(-1, 81, 9)
+    rs = [op @ p.components.reshape(len(op), 9, 3 ** (p.rank - 2)) for p in seq]
+    return [TensorAtPoint(p.rank + 2, r.reshape(batch + (3,) * (p.rank + 2))) for p, r in zip(seq, rs)]
+
+
+def nabla_schouten_sequence(g: MetricField, points, kmax: int) -> tuple[TensorAtPoint, list[TensorAtPoint]]:
+    """g and [P, nabla P, ..., nabla^kmax P] at the points, with the points'
+    leading axes; OverflowError at the first point with a non-finite entry."""
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    pts, batch = _as_points(points)
+    with np.errstate(all="ignore"):  # a non-finite entry is checked below
+        conn = christoffel(g, pts, kmax + 1)
+        field = _schouten_jets(conn, kmax)
+        seq = [field[0]]
+        for order_in in range(kmax, 0, -1):
+            w = _gamma_operator(conn.gamma, order_in - 1, conn.coords)
+            field = _covariant_step(field, order_in, w, conn.coords)
+            seq.append(field[0])
+    finite = np.all([np.isfinite(p).all(axis=tuple(range(1, p.ndim))) for p in seq], axis=0)  # per point
+    if not finite.all():
+        raise OverflowError(f"curvature overflows at {tuple(pts[int(np.argmin(finite))].tolist())}")
+    g0 = TensorAtPoint(2, conn.metric[0].reshape(batch + (3, 3)))
+    return g0, [TensorAtPoint(p.ndim - 1, p.reshape(batch + p.shape[1:])) for p in seq]
 
 
 def nabla_riemann_sequence(g: MetricField, points, kmax: int) -> list[TensorAtPoint]:
     """[R, nabla R, ..., nabla^kmax R] at the points, each a (0, 4+k)
     TensorAtPoint with the points' leading axes."""
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    pts, batch = _as_points(points)
-    conn = christoffel(g, pts, kmax + 1)
-    g0 = conn.metric[0]
-    field = _schouten_jets(conn, kmax)
-    seq = [_kulkarni_nomizu(field[0], g0)]
-    for order_in in range(kmax, 0, -1):
-        w = _gamma_operator(conn.gamma, order_in - 1, conn.coords)
-        field = _covariant_step(field, order_in, w, conn.coords)
-        seq.append(_kulkarni_nomizu(field[0], g0))
-    return [TensorAtPoint(r.ndim - 1, r.reshape(batch + r.shape[1:])) for r in seq]
+    return kulkarni_nomizu(*nabla_schouten_sequence(g, points, kmax))
 
 
 def riemann(g: MetricField, points) -> TensorAtPoint:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .expr import Expr, eval_jet
 from .families import delta_derivatives, place_curvature_block, profile_derivatives
-from .geometry import MetricField, Point, nabla_riemann_sequence
+from .geometry import MetricField, Point, kulkarni_nomizu, nabla_schouten_sequence
 from .jets import exp_values
 from .tensor import Frame, TensorAtPoint, pullback
 
@@ -107,10 +107,10 @@ def scaling_lambda_h(h: Expr, p):
 
 
 def build_model(g: MetricField, p: Point, r: int, frame: Frame) -> ModelSpace:
-    """Pull the metric and R, ..., nabla^r R at p back to the frame."""
-    phi = pullback(g.tensor_at(p), frame)
-    seq = nabla_riemann_sequence(g, p, r)
-    return ModelSpace(r, phi, tuple(pullback(t, frame) for t in seq))
+    """Pull g and nabla^k P at p back to the frame and expand R, ..., nabla^r R there."""
+    g0, seq = nabla_schouten_sequence(g, p, r)
+    phi = pullback(g0, frame)
+    return ModelSpace(r, phi, tuple(kulkarni_nomizu(phi, [pullback(t, frame) for t in seq])))
 
 
 def _scale(t: TensorAtPoint) -> float:

@@ -405,3 +405,49 @@ def test_q_condition_matches_brute_force_multiplicities(rank, bend, status):
         ]
     else:
         assert got.notes[0].startswith("entries of X-multiplicity 1 have point-dependent ratio")
+
+
+# --- nabla^k R on a frame, expanded from the pulled-back g and nabla^k P ----------
+
+
+def _unit_frame_f(fn, p):
+    return adapted_frame_f(fn, p, 1.0)
+
+
+def _unit_frame_h(fn, p):
+    return adapted_frame_h(fn, p, 1.0)
+
+
+def _sch_frame_h(fn, p):
+    return adapted_frame_h(fn, p, scaling_lambda_h(fn, p))
+
+
+@pytest.mark.parametrize(
+    "metric, profile, coord, frame",
+    [
+        (family_f_metric, "exp(x)", X, _unit_frame_f),
+        (family_f_metric, "1/x", X, _unit_frame_f),
+        (family_h_metric, "t^3", T, _unit_frame_h),
+        (family_h_metric, "t^3", T, _sch_frame_h),
+        (family_h_metric, "exp(t) + t^4", T, _unit_frame_h),
+        (family_h_metric, "exp(t) + t^4", T, _sch_frame_h),
+    ],
+    ids=["f exp(x)", "f 1/x", "h t^3 unit", "h t^3 sch", "h exp unit", "h exp sch"],
+)
+def test_frame_expansion_equals_the_pullback_of_r(metric, profile, coord, frame):
+    from curvhom.classify import _pulled_back
+    from curvhom.geometry import nabla_riemann_sequence, nabla_schouten_sequence
+    from curvhom.tensor import TensorAtPoint, pullback
+
+    fn = parse(profile)
+    g = metric(fn)
+    pts = np.zeros((3, 3))
+    pts[:, coord] = [0.6, 1.1, 1.7]
+    mask = np.array([True, False, True])
+    f = frame(fn, pts[mask])
+    got = _pulled_back(*nabla_schouten_sequence(g, pts, 6), mask, f)
+    want = [pullback(TensorAtPoint(t.rank, t.components[mask]), f).components for t in nabla_riemann_sequence(g, pts, 6)]
+    assert len(got) == len(want) == 7
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * np.abs(b).max())

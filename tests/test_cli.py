@@ -260,12 +260,15 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     import numpy as np
     from curvhom.tensor import TensorAtPoint
 
-    def fake_oracle(fn, p, k):
+    def fake_oracle(k):
         comp = np.zeros((3,) * (4 + k))
         comp[(0, 1, 1, 0) + (0,) * k] = 1.0
         return TensorAtPoint(4 + k, comp)
 
-    monkeypatch.setattr(importlib.import_module("curvhom.classify"), "family_h_oracle", fake_oracle)
+    def fake_oracles(fn, p, kmax):
+        return [fake_oracle(k) for k in range(kmax + 1)]
+
+    monkeypatch.setattr(importlib.import_module("curvhom.classify"), "family_h_oracles", fake_oracles)
     code, out, _ = run(
         capsys, "verify", "--family", "h", "--function", "t^3",
         "--order", "1", "--grid", "t=1:2:3", "--format", "text",
@@ -453,10 +456,13 @@ def test_compare_is_bit_identical_to_dividing_full_copies(npts, rank, oracle_kin
         oracle[0, (0,) * rank] = 3.0
     noise = rng.normal(size=shape) * 10.0 ** rng.integers(-16, -9, size=shape)
     engine = np.where(oracle != 0.0, oracle * (1 + noise), noise)
+    before = engine.copy()
     got = _compare(engine, oracle, gscale)
+    np.testing.assert_array_equal(engine, before)  # restored after zeroing the oracle-nonzero entries
     assert got == _compare_reference(engine, oracle, gscale)
     assert (got[0] > 0.0) == (oracle_kind != "all zero")
     assert (got[1] > 0.0) == (oracle_kind != "all nonzero")
+    assert np.copysign(1.0, got[1]) == 1.0  # a report prints 0.0, not -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +523,40 @@ def test_metric_whose_inverse_overflows_is_excluded_without_numpy_warnings(capsy
     assert len(reasons) == 3
     for point, text in reasons.items():
         assert text == f"cannot evaluate the metric (OverflowError): metric inverse overflows at {point}"
+
+
+def test_non_finite_curvature_is_excluded_without_numpy_warnings(capsys):
+    import warnings
+
+    # the metric and its inverse are in range, but d_t Gamma^t_yy = -1e350 e^{-x} is not
+    argv = ["classify", "--family", "custom", "--metric", "tt=exp(x)*1e-200", "--metric", "xy=1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, *argv, "--metric", "yy=1e150*t^2", "--grid", "x=0.1:1:3", "--order", "2")
+    assert (got, err) == (EXIT_HYPOTHESIS, "")
+    report = _strict_json(out)
+    assert report["degenerate"] is False
+    assert report["notes"] == ["the metric cannot be evaluated at any sample point"]
+    reasons = _exclusion_reasons(out)
+    assert len(reasons) == 3
+    for point, text in reasons.items():
+        assert text == f"cannot evaluate the metric (OverflowError): curvature overflows at {point}"
+
+
+def test_overflowing_delta_is_excluded_without_numpy_warnings(capsys):
+    import warnings
+
+    # f' = 1e300 squares out of range; the metric fails first at both points, for its own reason
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, "classify", "--family", "f", "--order", "0", "--function", "1e300*x",
+                            "--grid=x=-1e300:-2:2")
+    assert (got, err) == (EXIT_HYPOTHESIS, "")
+    assert _exclusion_reasons(out) == {
+        (0.0, -1e300, 0.0): "cannot evaluate the metric (OverflowError): math range error",
+        (0.0, -2.0, 0.0): "cannot evaluate the metric (DegenerateMetricError): "
+        "metric is degenerate at (0.0, -2.0, 0.0): |det| = 0.000e+00",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ from curvhom.families import (
     delta_derivatives,
     family_f_metric,
     family_f_oracle,
+    family_f_oracles,
     family_h_metric,
     family_h_oracle,
+    family_h_oracles,
     profile_derivatives,
 )
 from curvhom.geometry import nabla_riemann_sequence
@@ -128,3 +130,31 @@ def test_h_oracle_matches_engine(profile):
             oracle = family_h_oracle(fn, p, k)
             oracle_scaled = type(oracle)(4 + k, oracle.components / gscale)
             _assert_componentwise_close(seq[k], oracle_scaled)
+
+
+@pytest.mark.parametrize("profile", ["1/x", "exp(x)", "2.5615528128088303*log(x)", "x^2", "sin(x) + x^3"])
+def test_f_oracle_list_equals_the_per_order_oracles(profile):
+    fn, pts = parse(profile), [(0.0, 0.7, 0.0), (0.0, 1.1, 0.0), (0.0, 1.4, 0.0)]
+    oracles = family_f_oracles(fn, pts, 8)
+    assert [t.rank for t in oracles] == list(range(4, 13))
+    for k, t in enumerate(oracles):
+        np.testing.assert_array_equal(t.components, family_f_oracle(fn, pts, k).components)
+
+
+@pytest.mark.parametrize("profile", ["t^3", "exp(t)", "t^5", "sin(t) + t^2"])
+def test_h_oracle_list_equals_the_per_order_oracles(profile):
+    fn, pts = parse(profile), [(0.7, 0.0, 0.0), (1.3, 0.0, 0.0)]
+    oracles = family_h_oracles(fn, pts, 2)
+    assert [t.rank for t in oracles] == [4, 5, 6]
+    for k, t in enumerate(oracles):
+        np.testing.assert_array_equal(t.components, family_h_oracle(fn, pts, k).components)
+
+
+def test_overflowing_delta_raises_without_numpy_warnings():
+    import warnings
+
+    # f' = 1e300 is in range, (f')^2 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="math range error"):
+            delta_derivatives(parse("1e300*x"), [(0.0, -2.0, 0.0), (0.0, 1.0, 0.0)], 1)

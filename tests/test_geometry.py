@@ -17,7 +17,16 @@ import pytest
 
 from curvhom.expr import parse
 from curvhom.families import family_f_metric, family_h_metric
-from curvhom.geometry import MetricField, christoffel, nabla_k_riemann, nabla_riemann_sequence, riemann
+from curvhom.geometry import (
+    MetricField,
+    christoffel,
+    kulkarni_nomizu,
+    nabla_k_riemann,
+    nabla_riemann_sequence,
+    nabla_schouten_sequence,
+    riemann,
+)
+from curvhom.tensor import TensorAtPoint
 
 T, X, Y = 0, 1, 2
 ORIGIN = (0.0, 0.0, 0.0)
@@ -225,15 +234,22 @@ def test_curvature_identities_random_metrics(idx):
                 assert np.abs(rhs).max() > 1e-4
 
 
+def _both_sequences(g, points, kmax):
+    """nabla^k R for k <= kmax, then g and nabla^k P."""
+    g0, schouten = nabla_schouten_sequence(g, points, kmax)
+    return nabla_riemann_sequence(g, points, kmax) + [g0] + schouten
+
+
 @pytest.mark.parametrize("idx", range(8))
 def test_batched_sequence_matches_batches_of_one(idx):
     g = sample_metrics(6)[idx]
     pts = np.random.default_rng(idx).uniform(0.2, 0.6, size=(4, 3))
-    batched = nabla_riemann_sequence(g, pts, 3)
+    batched = _both_sequences(g, pts, 3)
+    assert [t.rank for t in batched] == [4, 5, 6, 7, 2, 2, 3, 4, 5]
     for i, p in enumerate(pts):
-        alone = nabla_riemann_sequence(g, [p], 3)
-        single = nabla_riemann_sequence(g, tuple(p), 3)
-        for k in range(4):
+        alone = _both_sequences(g, [p], 3)
+        single = _both_sequences(g, tuple(p), 3)
+        for k in range(len(batched)):
             want = alone[k].components[0]
             scale = max(float(np.abs(want).max()), 1e-300)
             np.testing.assert_allclose(batched[k].components[i], want, rtol=0, atol=1e-12 * scale)
@@ -312,3 +328,48 @@ def test_sequence_over_the_metric_coordinates_matches_all_three(entries, coords)
     for got, want in zip(nabla_riemann_sequence(g, points, 4), nabla_riemann_sequence(forced, points, 4), strict=True):
         scale = max(1.0, float(np.abs(want.components).max()))
         np.testing.assert_allclose(got.components, want.components, rtol=0, atol=1e-12 * scale)
+
+
+# --- nabla^k P and its Kulkarni-Nomizu expansion ---------------------------------
+
+
+def _kulkarni_nomizu_einsum(p, g):
+    """R_{ijkl;V} = P_{il;V} g_jk + P_{jk;V} g_il - P_{ik;V} g_jl - P_{jl;V} g_ik,
+    with a leading point axis on both: the reference for the matmul expansion."""
+    t = np.einsum("zil...,zjk->zijkl...", p, g)
+    t = t - t.swapaxes(1, 2)
+    return t - t.swapaxes(3, 4)
+
+
+# every P rank an order-8 verify reaches, on up to 3^10 entries per test
+KN_CASES = [
+    (rank, batch) for batch in ((1,), (3,), (2, 3), (33,)) for rank in range(2, 11) if np.prod(batch) * 3**rank <= 3**10
+]
+
+
+@pytest.mark.parametrize("rank, batch", KN_CASES)
+def test_kulkarni_nomizu_matches_the_einsum_formula(rank, batch):
+    rng = np.random.default_rng(rank * 100 + len(batch) * 10 + batch[-1])
+    g = rng.normal(size=batch + (3, 3))
+    g = g + g.swapaxes(-1, -2)
+    p = rng.normal(size=batch + (3,) * rank)
+    p = p + np.swapaxes(p, len(batch), len(batch) + 1)  # nabla^k P is symmetric in its first two slots
+    got = kulkarni_nomizu(TensorAtPoint(2, g), [TensorAtPoint(rank, p)])[0]
+    n = int(np.prod(batch))
+    want = _kulkarni_nomizu_einsum(p.reshape((n,) + (3,) * rank), g.reshape(n, 3, 3)).reshape(got.components.shape)
+    assert got.rank == rank + 2 and got.components.shape == batch + (3,) * (rank + 2)
+    np.testing.assert_allclose(got.components, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+def test_non_finite_curvature_is_an_overflow_without_numpy_warnings():
+    import warnings
+
+    # Gamma^t_yy = -t e^{-x} 1e350 has a t-derivative out of range at t = 0
+    zero = parse("0")
+    g = MetricField.from_matrix(
+        [[parse("exp(x)*1e-200"), zero, zero], [zero, zero, parse("1")], [zero, parse("1"), parse("1e150*t^2")]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"curvature overflows at \(0\.0, 0\.55, 0\.0\)"):
+            nabla_schouten_sequence(g, [(0.0, 0.55, 0.0), (0.0, 1.0, 0.0)], 2)

@@ -41,6 +41,15 @@ def test_compare_passes_a_numeric_change_and_reports_its_size(snapshot, tmp_path
     assert "largest relative change above 1e-06: 4.00e-14 in 000.txt" in out
 
 
+def test_compare_lists_a_zero_that_changes_sign(snapshot, tmp_path, capsys):
+    for side, value in (("a", "0.0"), ("b", "-0.0")):
+        (tmp_path / side).mkdir()
+        text = REPORT.format(exit=0, key="max_absolute_deviation_on_zeros", value=value)
+        (tmp_path / side / "000.txt").write_text(text, encoding="utf-8")
+    assert snapshot.compare(tmp_path / "a", tmp_path / "b") == 0
+    assert "0 differ in more than numbers, 1 in numbers only" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "changed", [{"exit": 1}, {"key": "max_absolute_deviation"}, {"value": "NaN"}, {"value": 3}],
     ids=["exit code", "key", "non-number", "integer"],
