@@ -90,6 +90,15 @@ def commands() -> list[list[str]]:
         (7, "x^2", "x=0.990204:0.990204:1"),
     ]:
         out.append(["verify", "--family", "f", "--function", profile, "--order", str(order), "--grid", grid])
+    # the three shapes of the box that covariant derivative slots run over: no direction
+    # (a zero profile; the h closed forms stop at order 2), more directions than the
+    # metric's coordinates, and all three
+    for family, order, grid in (("f", 3, "x=0:1:5"), ("h", 2, "t=0:1:5")):
+        base = ["--family", family, "--function", "0", "--order", str(order), "--grid", grid]
+        out += [[cmd, *base] for cmd in ("verify", "classify", "invariants")]
+    for metric, order in ((["tt=exp(2*x)", "xy=1"], 4), (["tt=exp(2*x)+y^2", "xy=1", "yy=t^2"], 3)):
+        flags = [f for m in metric for f in ("--metric", m)]
+        out.append(["classify", "--family", "custom", *flags, "--order", str(order), "--grid", "x=0.5:1.5:3"])
     return out
 
 

@@ -103,14 +103,28 @@ class SampleSet:
         return SampleSet(tuple(sorted(tuple(float(c) for c in p) for p in points)))
 
 
+def _spreads(columns: np.ndarray) -> np.ndarray:
+    """(max - min) / max(|median|, floor) of each column of a (n_points, n)
+    array, 0 where every |entry| is below the floor, from one sort.  The
+    median is np.median's: the middle entry, or the mean of the middle two."""
+    s = np.sort(columns, axis=0)
+    n = len(s)
+    median = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
+    spread = (s[-1] - s[0]) / np.maximum(np.abs(median), SPREAD_FLOOR)
+    return np.where(np.maximum(np.abs(s[0]), np.abs(s[-1])) < SPREAD_FLOOR, 0.0, spread)
+
+
 def relative_spread(values) -> Optional[float]:
     """(max - min) / max(|median|, floor) over the non-None samples."""
     vals = np.asarray([v for v in values if v is not None], dtype=float)
-    if vals.size == 0:
-        return None
-    if np.abs(vals).max() < SPREAD_FLOOR:
-        return 0.0
-    return float((vals.max() - vals.min()) / max(abs(float(np.median(vals))), SPREAD_FLOOR))
+    return float(_spreads(vals[:, None])[0]) if vals.size else None
+
+
+def _first_spread_over(columns: np.ndarray, tol: float) -> Optional[float]:
+    """The first column's relative spread that exceeds tol, or None."""
+    spread = _spreads(columns)
+    over = np.flatnonzero(spread > tol)
+    return float(spread[over[0]]) if over.size else None
 
 
 @dataclass(frozen=True)
@@ -207,8 +221,8 @@ class FamilySamples:
     sch_hyp: np.ndarray   # per point: |the quantity its SCH frame needs|
     ok: np.ndarray        # per point: hyp >= FLOOR
     sch: np.ndarray       # per point: has an SCH frame, ok and sch_hyp >= FLOOR
-    adapted: Optional[list[np.ndarray]] = None    # nabla^k R on the unit adapted frame, at the ok points
-    aligned: Optional[list[np.ndarray]] = None    # nabla^k R on the SCH frame, at the sch points
+    adapted: Optional[list[TensorAtPoint]] = None    # nabla^k R on the unit adapted frame, at the ok points
+    aligned: Optional[list[TensorAtPoint]] = None    # nabla^k R on the SCH frame, at the sch points
     values: dict = field(default_factory=dict)    # invariant -> (its mask, ok or sch; its values there)
 
     def column(self, name: str, index, n: int) -> tuple:
@@ -217,10 +231,10 @@ class FamilySamples:
         return per_point([index[j] for j in np.flatnonzero(mask)], values, n)
 
 
-def _pulled_back(g0, seq, mask, frame) -> list[np.ndarray]:
+def _pulled_back(g0, seq, mask, frame) -> list[TensorAtPoint]:
     """nabla^k R on the frame at the mask's points: pullback(P ⊙ g) = pullback(P) ⊙ pullback(g)."""
-    g0, *seq = (pullback(TensorAtPoint(t.rank, t.components[mask]), frame) for t in (g0, *seq))
-    return [r.components for r in kulkarni_nomizu(g0, seq)]
+    g0, *seq = (pullback(TensorAtPoint(t.rank, t.components[mask], t.supports), frame) for t in (g0, *seq))
+    return kulkarni_nomizu(g0, seq)
 
 
 def _f_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
@@ -234,8 +248,8 @@ def _f_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
     if not s.ok.any():
         return s
     adapted = _pulled_back(g0, seq, s.ok, adapted_frame_f(fn, points[s.ok], 1.0))
-    e0 = adapted[0][:, T, X, X, T]
-    xi = adapted[1][:, T, X, X, T, X] ** 2
+    e0 = adapted[0].dense()[:, T, X, X, T]
+    xi = adapted[1].dense()[:, T, X, X, T, X] ** 2
     values = dict(xi=(s.ok, xi), sch_ratio=(s.ok, xi / e0**3), psi=(s.sch, np.abs(e0)))
     return replace(s, adapted=adapted, aligned=adapted, values=values)
 
@@ -260,13 +274,13 @@ def _h_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
     if not ok.any():
         return s
     adapted = _pulled_back(g0, seq, ok, adapted_frame_h(fn, points[ok], 1.0))
-    e0 = adapted[0][:, T, X, X, T]
-    values = dict(xi=(ok, adapted[1][:, T, X, X, T, T] ** 2 / e0**2), xi_T_alt=(ok, d[4][ok] / d[2][ok] ** 2))
+    e0 = adapted[0].dense()[:, T, X, X, T]
+    values = dict(xi=(ok, adapted[1].dense()[:, T, X, X, T, T] ** 2 / e0**2), xi_T_alt=(ok, d[4][ok] / d[2][ok] ** 2))
     if not sch.any():
         return replace(s, adapted=adapted, values=values)
     aligned = _pulled_back(g0, seq, sch, adapted_frame_h(fn, points[sch], scaling_lambda_h(fn, points[sch])))
-    psi = np.abs(aligned[0][:, T, X, X, T])
-    a2 = aligned[2]
+    psi = np.abs(aligned[0].dense()[:, T, X, X, T])
+    a2 = aligned[2].dense()
     values.update(
         psi=(sch, psi), xi_T=(sch, a2[:, T, X, X, T, T, T] / psi**2), xi_X=(sch, -a2[:, T, X, X, T, X, X] / psi**2)
     )
@@ -278,7 +292,7 @@ class Family:
     """Everything that differs between the built-in families."""
 
     metric: Callable                    # profile -> MetricField
-    oracle: Callable                    # (profile, points, kmax) -> closed-form [R, ..., nabla^kmax R]
+    oracle: Callable                    # (profile, points, kmax, dirs) -> closed-form [R, ..., nabla^kmax R]
     min_order: int                      # sequence order the invariants need
     hypothesis: str                     # the profile quantity that must not vanish
     samples: Callable                   # (g, kmax, points) -> FamilySamples
@@ -297,7 +311,7 @@ class Family:
 FAMILIES = {
     "f": Family(
         metric=lambda f: family_f_metric(f),
-        oracle=lambda f, p, kmax: family_f_oracles(f, p, kmax),
+        oracle=lambda f, p, kmax, dirs: family_f_oracles(f, p, kmax, dirs),
         min_order=1,
         hypothesis="delta",
         samples=_f_samples,
@@ -309,7 +323,7 @@ FAMILIES = {
     ),
     "h": Family(
         metric=lambda h: family_h_metric(h),
-        oracle=lambda h, p, kmax: family_h_oracles(h, p, kmax),
+        oracle=lambda h, p, kmax, dirs: family_h_oracles(h, p, kmax, dirs),
         min_order=2,
         hypothesis="h''",
         samples=_h_samples,
@@ -422,13 +436,13 @@ class _OrderAnalysis:
 class _OrderEntries:
     """One order's entries at the samples on a frame, read once.
 
-    flat has shape (n_points, n_components) and magnitude is |flat|; slots
-    is the tensor's slot shape.  status and notes are the single-rescaling
-    compatibility of the entries across samples, and on a pass live holds
-    the live columns: the entries nonzero at every sample.
+    flat has shape (n_points, n_components) and magnitude is |flat|;
+    supports holds each slot's directions.  status and notes are the
+    single-rescaling compatibility of the entries across samples, and on a
+    pass live holds the live columns: the entries nonzero at every sample.
     """
 
-    slots: tuple[int, ...]
+    supports: tuple[tuple[int, ...], ...]
     flat: np.ndarray
     magnitude: np.ndarray
     scale: float  # max |entry|
@@ -441,13 +455,15 @@ class _OrderEntries:
         return _OrderAnalysis(self.status, list(self.notes))
 
 
-def _sign_structure(stack: np.ndarray) -> _OrderEntries:
-    """The entries of one order's stack, shape (n_points, *slots), with
-    their sign structure across the samples."""
-    flat = stack.reshape(stack.shape[0], -1)
+def _sign_structure(stack: np.ndarray, supports=None) -> _OrderEntries:
+    """The entries of one order's stack, shape (n_points, *slots), on the box
+    `supports` (directions 0, 1, ... of each slot by default), with their
+    sign structure across the samples."""
+    supports = supports or tuple(tuple(range(n)) for n in stack.shape[1:])
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
     magnitude = np.abs(flat)
-    scale = float(magnitude.max())
-    entries = _OrderEntries(stack.shape[1:], flat, magnitude, scale, "pass")
+    scale = float(magnitude.max(initial=0.0))
+    entries = _OrderEntries(supports, flat, magnitude, scale, "pass")
     if scale < DEGENERATE_FLOOR:
         return replace(entries, status="vacuous", notes=("all entries vanish at this order",))
     zero = magnitude <= ZERO_FLOOR * scale
@@ -468,27 +484,24 @@ def _q_condition(entries: _OrderEntries, tol: float) -> _OrderAnalysis:
     if out.status != "pass":
         return out
     flat, live = entries.flat, entries.live
-    xmult = sum(idx == X for idx in np.unravel_index(live, entries.slots))  # per live column
-    groups = {}
-    for c, mult in zip(live, xmult):
-        groups.setdefault(int(mult), []).append(c)
-    for mult, comps in sorted(groups.items()):
+    index = np.unravel_index(live, tuple(len(s) for s in entries.supports))
+    xmult = sum(np.asarray(s)[i] == X for s, i in zip(entries.supports, index))  # per live column
+    mults = np.unique(xmult)
+    for mult in mults:
+        comps = live[xmult == mult]
         if len(comps) < 2:
             continue
         ref = max(comps, key=lambda c: float(entries.magnitude[:, c].min()))
-        for c in comps:
-            if c == ref:
-                continue
-            spread = relative_spread(flat[:, c] / flat[:, ref])
-            if spread is not None and spread > tol:
-                out.status = "fail"
-                out.notes.append(
-                    f"entries of X-multiplicity {mult} have point-dependent ratio (spread {spread:.2e})"
-                )
-                return out
-    if len(groups) > 2:
+        spread = _first_spread_over(flat[:, comps] / flat[:, [ref]], tol)  # ref's own ratio is 1: spread 0
+        if spread is not None:
+            out.status = "fail"
+            out.notes.append(
+                f"entries of X-multiplicity {mult} have point-dependent ratio (spread {spread:.2e})"
+            )
+            return out
+    if len(mults) > 2:
         out.notes.append(
-            f"{len(groups)} distinct X-multiplicities at this order; "
+            f"{len(mults)} distinct X-multiplicities at this order; "
             "two-parameter matching not fully determined, raw entries exposed"
         )
     return out
@@ -500,14 +513,10 @@ def _scaled_constancy(entries: _OrderEntries, psi: np.ndarray, order: int, tol: 
     if out.status != "pass":
         return out
     scaled = entries.flat[:, entries.live] / psi[:, None] ** ((order + 2) / 2.0)
-    for column in scaled.T:
-        spread = relative_spread(np.abs(column))
-        if spread is not None and spread > tol:
-            out.status = "fail"
-            out.notes.append(
-                f"a scaled order-{order} entry is nonconstant (spread {spread:.2e})"
-            )
-            return out
+    spread = _first_spread_over(np.abs(scaled), tol)
+    if spread is not None:
+        out.status = "fail"
+        out.notes.append(f"a scaled order-{order} entry is nonconstant (spread {spread:.2e})")
     return out
 
 
@@ -654,7 +663,7 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
 
     hyp_heavy = len(included) <= npts / 2.0
     stacks = s.adapted
-    e0 = stacks[0][:, T, X, X, T]
+    e0 = stacks[0].dense()[:, T, X, X, T]
     series = {n: SampleSeries(n, s.column(n, good, npts)) for n in spec.invariants + spec.diagnostics if n in s.values}
     xi_spread = series["xi"].spread or 0.0
     notes: list[str] = []
@@ -679,7 +688,7 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
     verdicts.append(Verdict("CH_0", st, nt))
 
     # per-order Q(k) conditions and cumulative CH_k(1,3)
-    entries = [_sign_structure(stacks[k]) for k in range(r + 1)]  # for f, also the aligned frame's
+    entries = [_sign_structure(t.components, t.supports) for t in stacks[: r + 1]]  # for f, also the aligned frame's
     q_results = [_q_condition(entries[k], tol) for k in range(r + 1)]
     q_statuses = []
     for k in range(r + 1):
@@ -701,7 +710,7 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
             st, nt = HYP, (f"|{spec.sch_hypothesis}| below floor at more than half the sample points",)
         else:
             psi_arr = s.values["psi"][1]
-            aligned = entries[k] if s.aligned is s.adapted else _sign_structure(s.aligned[k])
+            aligned = entries[k] if s.aligned is s.adapted else _sign_structure(s.aligned[k].components, s.aligned[k].supports)
             analysis = _scaled_constancy(aligned, psi_arr, k, tol)
             st, nt = status_of(analysis)
             if analysis.status != "vacuous":

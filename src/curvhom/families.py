@@ -24,7 +24,7 @@ from . import jets
 from .expr import Expr, eval_jet, parse, pretty, variables_of
 from .geometry import MetricField
 from .jets import Jet, jet_derivative, jet_mul
-from .tensor import TensorAtPoint
+from .tensor import AXES, TensorAtPoint
 
 _ZERO = parse("0")
 _ONE = parse("1")
@@ -110,9 +110,16 @@ def place_curvature_block(components: np.ndarray, pair: tuple[int, int], value, 
     components[(..., b, a, b, a) + tail] = -value
 
 
-def family_f_oracles(f: Expr, p, kmax: int) -> list[TensorAtPoint]:
+def _zero_oracles(batch: tuple, kmax: int, dirs) -> list[TensorAtPoint]:
+    """Zero [R, ..., nabla^kmax R] whose derivative slots hold dirs, t and x:
+    every direction a closed form uses, at the slot positions t = 0, x = 1."""
+    box = tuple(sorted({*dirs, T, X}))
+    return [TensorAtPoint(4 + k, np.zeros(batch + (3,) * 4 + (len(box),) * k), (AXES,) * 4 + (box,) * k) for k in range(kmax + 1)]
+
+
+def family_f_oracles(f: Expr, p, kmax: int, dirs=AXES) -> list[TensorAtPoint]:
     """Closed-form [R, nabla R, ..., nabla^kmax R] for the f-family at the
-    point(s) p, from one jet of delta.
+    point(s) p, from one jet of delta, on the box of _zero_oracles.
 
     The only entries, up to curvature symmetries, are
     nabla^k R(dx, dt, dt, dx; dx, ..., dx) = -exp(2 f) * delta^(k).
@@ -120,15 +127,15 @@ def family_f_oracles(f: Expr, p, kmax: int) -> list[TensorAtPoint]:
     if kmax < 0:
         raise ValueError("k must be nonnegative")
     e2f = np.exp(2.0 * eval_jet(f, p, 0).value)
-    out = [TensorAtPoint(4 + k, np.zeros(np.shape(e2f) + (3,) * (4 + k))) for k in range(kmax + 1)]
+    out = _zero_oracles(np.shape(e2f), kmax, dirs)
     for k, dk in enumerate(delta_derivatives(f, p, kmax)):
         place_curvature_block(out[k].components, (X, T), -e2f * dk, (X,) * k)
     return out
 
 
-def family_h_oracles(h: Expr, p, kmax: int) -> list[TensorAtPoint]:
+def family_h_oracles(h: Expr, p, kmax: int, dirs=AXES) -> list[TensorAtPoint]:
     """Closed-form [R, nabla R, ..., nabla^kmax R] for the h-family at the
-    point(s) p, from one jet of h, available for kmax <= 2.
+    point(s) p, from one jet of h, for kmax <= 2, on the box of _zero_oracles.
 
     Entries up to curvature symmetries:
         R(dt, dx, dx, dt)               = h''
@@ -144,7 +151,7 @@ def family_h_oracles(h: Expr, p, kmax: int) -> list[TensorAtPoint]:
     if kmax > 2:
         raise ValueError("h-family closed forms stop at k = 2; use the geometry engine")
     d = profile_derivatives(h, p, kmax + 2)
-    out = [TensorAtPoint(4 + k, np.zeros(np.shape(d[0]) + (3,) * (4 + k))) for k in range(kmax + 1)]
+    out = _zero_oracles(np.shape(d[0]), kmax, dirs)
     for k, t in enumerate(out):
         place_curvature_block(t.components, (T, X), d[2 + k], (T,) * k)
     if kmax == 2:

@@ -28,14 +28,19 @@ derivative trades one jet order for one extra tensor slot:
 
 New differentiation slots are appended last, so nabla^k R is a (0, 4+k)
 tensor with slots (i, j, k, l; v_1, ..., v_k).  Requesting nabla^k R
-evaluates the metric to jet order k + 2.  The algebraic curvature
-symmetries hold by construction: the expansion is antisymmetric in each
-pair exactly, and pair symmetry and the first Bianchi identity follow from
-P being symmetric, which the recursion keeps.
+evaluates the metric to jet order k + 2.  A differentiation slot runs over
+the connection's `dirs` only: coords and every m with some Gamma^a_{m i}
+nonzero.  d_m vanishes off coords and Gamma is symmetric, so nabla^k P
+vanishes off the box (all, all, dirs, ..., dirs); the f and h families,
+with dirs = (t, x), pay 2^k entries per slot block for 3^k.  The algebraic
+curvature symmetries hold by construction: the expansion is antisymmetric
+in each pair exactly, and pair symmetry and the first Bianchi identity
+follow from P being symmetric, which the recursion keeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -45,7 +50,7 @@ import numpy as np
 from . import jets
 from .expr import Expr, coords_of, eval_jet
 from .jets import Jet, jet_div, stacked_product
-from .tensor import TensorAtPoint, singular
+from .tensor import AXES, TensorAtPoint, singular
 
 Point = tuple[float, float, float]
 
@@ -114,6 +119,13 @@ class ConnectionJet:
     metric: np.ndarray = field(repr=False)   # [pos, ..., i, j]
     inverse: np.ndarray = field(repr=False)  # [pos, ..., i, j]
 
+    @cached_property
+    def dirs(self) -> tuple[int, ...]:
+        """coords and every m with some Gamma^a_{m i} nonzero at some jet
+        position and point: the directions a derivative slot runs over."""
+        along = (self.gamma != 0.0).any(axis=tuple(range(self.gamma.ndim - 1)))
+        return tuple(sorted({*self.coords, *np.flatnonzero(along).tolist()}))
+
 
 def _metric_jets(g: MetricField, points, order: int) -> np.ndarray:
     """Jets of g_ij over g.coords, shape (table_size(order, g.coords), ..., 3, 3)."""
@@ -167,13 +179,14 @@ def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int, coords: tup
     return inv
 
 
-def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: int) -> np.ndarray:
-    """d_l of a stacked jet field of `order` over coords, for l = t, x, y
+def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: int, dirs=AXES) -> np.ndarray:
+    """d_l of a stacked jet field of `order` over coords, for l in dirs
     along a new axis at `axis`, of order - 1; a zero block along a
     coordinate outside coords."""
     zero = np.zeros((jets.table_size(order - 1, coords),) + stack.shape[1:])
-    blocks = [stack[jets.shift_table(order, c, coords)] if c in coords else zero for c in range(3)]
-    return np.stack(blocks, axis=axis)
+    if not dirs:
+        return np.moveaxis(np.zeros((0,) + zero.shape), 0, axis)
+    return np.stack([stack[jets.shift_table(order, c, coords)] if c in coords else zero for c in dirs], axis=axis)
 
 
 def christoffel(g: MetricField, points, order: int = 0) -> ConnectionJet:
@@ -219,41 +232,45 @@ def _schouten_jets(conn: ConnectionJet, order: int) -> np.ndarray:
     return ric - 0.25 * stacked_product(",jk->jk", s, conn.metric[:n], order, coords)
 
 
-def _gamma_operator(gamma: np.ndarray, order_out: int, coords: tuple[int, ...]) -> np.ndarray:
-    """Dense Leibniz operators for multiplying a field by Gamma^a_{m i}.
+def _gamma_operators(gamma: np.ndarray, order_out: int, coords: tuple[int, ...], dirs) -> tuple[np.ndarray, np.ndarray]:
+    """Dense Leibniz operators for multiplying a field by Gamma^a_{m i}, m in dirs.
 
     One matrix per point, from field coefficients (q, a) to product
-    coefficients (p, m, i): shape (npts, p·m·i, q·a), built once per output
-    order.  Each (p, q) pair occurs once in the product table, so one
-    scatter fills it.
+    coefficients (p, m, i), built once per output order: for the first two
+    slots, i and a run over all three directions, shape (npts, p·m·i, q·a);
+    for a derivative slot, over dirs.  Each (p, q) pair occurs once in the
+    product table, so one scatter fills it.
     """
     a_pos, b_pos, out_pos, coef = jets.product_table(order_out, coords)
-    n = jets.table_size(order_out, coords)
+    n, d, dirs = jets.table_size(order_out, coords), len(dirs), list(dirs)
     npts = gamma.shape[1]
-    w = np.zeros((npts, n, 3, 3, n, 3))
-    w[:, out_pos, :, :, b_pos] = coef[:, None, None, None, None] * gamma[a_pos].transpose(0, 1, 3, 4, 2)
-    return w.reshape(npts, n * 9, n * 3)
+    w = np.zeros((npts, n, d, 3, n, 3))
+    w[:, out_pos, :, :, b_pos] = coef[:, None, None, None, None] * gamma[a_pos][:, :, :, dirs].transpose(0, 1, 3, 4, 2)
+    box = w[:, :, :, dirs][..., dirs]
+    return w.reshape(npts, n * d * 3, n * 3), box.reshape(npts, n * d * d, n * d)
 
 
-def _covariant_step(field: np.ndarray, order_in: int, w: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
+def _covariant_step(field: np.ndarray, order_in: int, ws, coords: tuple[int, ...], dirs) -> np.ndarray:
     """One covariant derivative of a stacked (0, n) jet field over coords
-    that is symmetric in its first two slots.
+    that is symmetric in its first two slots, whose other slots run over dirs.
 
-    field has shape (table_size(order_in, coords), npts, 3, ..., 3); the
-    result gains a trailing slot for the derivative direction and drops one
-    jet order.  The Gamma correction of each slot is one batched matrix
-    product over (q, a); the second slot's is the first's transposed.
+    field has shape (table_size(order_in, coords), npts, 3, 3, d, ..., d);
+    the result gains a trailing slot for the derivative direction, over
+    dirs, and drops one jet order.  The Gamma correction of each slot is one
+    batched matrix product over (q, a), by ws[0] for the first slot and
+    ws[1] for a derivative slot; the second slot's is the first's transposed.
     """
     n_out = jets.table_size(order_in - 1, coords)
     npts = field.shape[1]
-    out = _derivatives(field, order_in, coords, -1)
+    out = _derivatives(field, order_in, coords, -1, dirs)
     lower = field[:n_out]
-    for s in range(field.ndim - 2):
+    for s, size in enumerate(field.shape[2:]):
         if s == 1:
             continue
         moved = np.moveaxis(lower, (1, 2 + s), (0, 2))  # [pt, q, a, other slots]
         rest = moved.shape[3:]
-        corr = (w @ moved.reshape(npts, n_out * 3, -1)).reshape((npts, n_out, 3, 3) + rest)
+        corr = ws[s > 0] @ moved.reshape(npts, n_out * size, math.prod(rest))
+        corr = corr.reshape((npts, n_out, len(dirs), size) + rest)
         corr = np.moveaxis(corr, (0, 2, 3), (1, -1, 2 + s))  # [p, pt, .., i at slot s, .., m]
         if s == 0:
             corr = corr + corr.swapaxes(2, 3)
@@ -268,17 +285,18 @@ _KN = (_KN - _KN.swapaxes(0, 1) - _KN.swapaxes(2, 3) + _KN.swapaxes(0, 1).swapax
 
 
 def kulkarni_nomizu(g0: TensorAtPoint, seq: list[TensorAtPoint]) -> list[TensorAtPoint]:
-    """nabla^k P ⊙ g0 = nabla^k R for each nabla^k P in seq, on the points'
-    leading axes: one (81, 9) operator per point, one batched matmul each."""
-    batch = g0.components.shape[:-2]
+    """nabla^k P ⊙ g0 = nabla^k R for each nabla^k P in seq, whose first two
+    slots hold every direction, on the points' leading axes and P's box: one
+    (81, 9) operator per point, one batched matmul each."""
     op = (g0.components.reshape(-1, 9) @ _KN.T).reshape(-1, 81, 9)
-    rs = [op @ p.components.reshape(len(op), 9, 3 ** (p.rank - 2)) for p in seq]
-    return [TensorAtPoint(p.rank + 2, r.reshape(batch + (3,) * (p.rank + 2))) for p, r in zip(seq, rs)]
+    rs = [op @ p.components.reshape(len(op), 9, math.prod(p.shape[2:])) for p in seq]
+    return [TensorAtPoint(p.rank + 2, r.reshape(g0.batch + (3, 3) + p.shape), (AXES,) * 2 + p.supports) for p, r in zip(seq, rs)]
 
 
 def nabla_schouten_sequence(g: MetricField, points, kmax: int) -> tuple[TensorAtPoint, list[TensorAtPoint]]:
     """g and [P, nabla P, ..., nabla^kmax P] at the points, with the points'
-    leading axes; OverflowError at the first point with a non-finite entry."""
+    leading axes, each nabla^k P on the box (all, all, dirs, ..., dirs);
+    OverflowError at the first point with a non-finite entry."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     pts, batch = _as_points(points)
@@ -287,20 +305,20 @@ def nabla_schouten_sequence(g: MetricField, points, kmax: int) -> tuple[TensorAt
         field = _schouten_jets(conn, kmax)
         seq = [field[0]]
         for order_in in range(kmax, 0, -1):
-            w = _gamma_operator(conn.gamma, order_in - 1, conn.coords)
-            field = _covariant_step(field, order_in, w, conn.coords)
+            ws = _gamma_operators(conn.gamma, order_in - 1, conn.coords, conn.dirs)
+            field = _covariant_step(field, order_in, ws, conn.coords, conn.dirs)
             seq.append(field[0])
     finite = np.all([np.isfinite(p).all(axis=tuple(range(1, p.ndim))) for p in seq], axis=0)  # per point
     if not finite.all():
         raise OverflowError(f"curvature overflows at {tuple(pts[int(np.argmin(finite))].tolist())}")
     g0 = TensorAtPoint(2, conn.metric[0].reshape(batch + (3, 3)))
-    return g0, [TensorAtPoint(p.ndim - 1, p.reshape(batch + p.shape[1:])) for p in seq]
+    return g0, [TensorAtPoint(p.ndim - 1, p.reshape(batch + p.shape[1:]), (AXES,) * 2 + (conn.dirs,) * (p.ndim - 3)) for p in seq]
 
 
 def nabla_riemann_sequence(g: MetricField, points, kmax: int) -> list[TensorAtPoint]:
     """[R, nabla R, ..., nabla^kmax R] at the points, each a (0, 4+k)
-    TensorAtPoint with the points' leading axes."""
-    return kulkarni_nomizu(*nabla_schouten_sequence(g, points, kmax))
+    TensorAtPoint on every direction, with the points' leading axes."""
+    return [TensorAtPoint(r.rank, r.dense()) for r in kulkarni_nomizu(*nabla_schouten_sequence(g, points, kmax))]
 
 
 def riemann(g: MetricField, points) -> TensorAtPoint:

@@ -107,10 +107,10 @@ def scaling_lambda_h(h: Expr, p):
 
 
 def build_model(g: MetricField, p: Point, r: int, frame: Frame) -> ModelSpace:
-    """Pull g and nabla^k P at p back to the frame and expand R, ..., nabla^r R there."""
+    """Pull g and nabla^k P at p back to the frame and expand R, ..., nabla^r R there, densely."""
     g0, seq = nabla_schouten_sequence(g, p, r)
     phi = pullback(g0, frame)
-    return ModelSpace(r, phi, tuple(kulkarni_nomizu(phi, [pullback(t, frame) for t in seq])))
+    return ModelSpace(r, phi, tuple(TensorAtPoint(t.rank, t.dense()) for t in kulkarni_nomizu(phi, [pullback(t, frame) for t in seq])))
 
 
 def _scale(t: TensorAtPoint) -> float:

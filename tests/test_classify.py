@@ -448,6 +448,37 @@ def test_frame_expansion_equals_the_pullback_of_r(metric, profile, coord, frame)
     got = _pulled_back(*nabla_schouten_sequence(g, pts, 6), mask, f)
     want = [pullback(TensorAtPoint(t.rank, t.components[mask]), f).components for t in nabla_riemann_sequence(g, pts, 6)]
     assert len(got) == len(want) == 7
-    for a, b in zip(got, want):
+    for a, b in zip((t.dense() for t in got), want):
         assert a.shape == b.shape
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * np.abs(b).max())
+
+
+def _relative_spread_reference(vals):
+    """relative_spread with np.median, one column at a time."""
+    if np.abs(vals).max() < 1e-9:
+        return 0.0
+    return float((vals.max() - vals.min()) / max(abs(float(np.median(vals))), 1e-9))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, in both
+@pytest.mark.parametrize("npts", [1, 2, 3, 4, 7])
+def test_spreads_match_np_median_per_column(npts):
+    from curvhom.classify import _first_spread_over
+
+    rng = np.random.default_rng(npts)
+    cols = rng.normal(size=(npts, 40)) * 10.0 ** rng.integers(-12, 3, size=40)
+    cols[:, 0] = 2.5  # constant
+    cols[:, 1] = 1e-10 * rng.normal(size=npts)  # below the floor
+    cols[:, 2] = -1.0 - np.arange(npts)  # negative median
+    cols[:, 3] = np.nan
+    cols[0, 4] = np.nan
+    cols[:, 5] = np.inf
+    want = [_relative_spread_reference(c) for c in cols.T]
+    assert [relative_spread(c) for c in cols.T] == pytest.approx(want, nan_ok=True, rel=0, abs=0)
+    for tol in [1e-12, 1e-6, 0.5, 10.0]:
+        over = [i for i, w in enumerate(want) if w > tol]
+        got = _first_spread_over(cols, tol)
+        assert got == (want[over[0]] if over else None)
+        for i in range(cols.shape[1]):  # each column alone, so every one is compared
+            got = _first_spread_over(cols[:, [i]], tol)
+            assert got == (want[i] if want[i] > tol else None)

@@ -265,7 +265,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         comp[(0, 1, 1, 0) + (0,) * k] = 1.0
         return TensorAtPoint(4 + k, comp)
 
-    def fake_oracles(fn, p, kmax):
+    def fake_oracles(fn, p, kmax, dirs):
         return [fake_oracle(k) for k in range(kmax + 1)]
 
     monkeypatch.setattr(importlib.import_module("curvhom.classify"), "family_h_oracles", fake_oracles)
@@ -593,3 +593,42 @@ def test_cached_parser_gives_the_results_of_a_fresh_one():
         fresh.append(_outcome(argv))
     assert in_turn == fresh
     assert [code for code, _, _ in in_turn] == [EXIT_OK, EXIT_CONFIG, EXIT_CONFIG, EXIT_OK]
+
+
+def test_oracle_entry_outside_the_engine_box_is_a_relative_deviation_of_one(monkeypatch, capsys):
+    # the f engine runs its derivative slots over (t, x); an oracle entry
+    # with a y slot meets a structural zero of the engine
+    import importlib
+
+    from curvhom.families import family_f_oracles
+
+    def fake_oracles(fn, p, kmax, dirs):
+        out = family_f_oracles(fn, p, kmax, (0, 1, 2))
+        for t in out[1:]:
+            t.components[(..., 1, 0, 0, 1) + (2,) * (t.rank - 4)] = 1.0
+        return out
+
+    monkeypatch.setattr(importlib.import_module("curvhom.classify"), "family_f_oracles", fake_oracles)
+    code, out, _ = run(capsys, "verify", "--family", "f", "--function", "1/x", "--order", "2", "--grid", "x=0.5:1:3")
+    assert code == EXIT_CHECK_FAILED
+    rel = [v["max_relative_deviation"] for v in json.loads(out)["verdicts"]]
+    assert rel[0] < 1e-12 and rel[1:] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "--family", "f", "--order", "3"), EXIT_OK),
+        (("classify", "--family", "f", "--order", "3"), EXIT_OK),
+        (("invariants", "--family", "f", "--order", "3"), EXIT_HYPOTHESIS),
+        (("verify", "--family", "h", "--order", "2"), EXIT_OK),
+        (("classify", "--family", "h", "--order", "3"), EXIT_OK),
+        (("invariants", "--family", "h", "--order", "3"), EXIT_HYPOTHESIS),
+    ],
+)
+def test_zero_profile_runs_on_the_empty_box(capsys, argv, code):
+    # a zero profile has no Christoffel symbols: the derivative slots hold no direction
+    got, out, err = run(capsys, *argv, "--function", "0", "--grid", "x=0:1:3", "--grid", "t=0:1:2")
+    assert (got, err) == (code, "")
+    if argv[0] == "verify":
+        assert all(v["status"] == "pass" for v in json.loads(out)["verdicts"])

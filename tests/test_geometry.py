@@ -373,3 +373,68 @@ def test_non_finite_curvature_is_an_overflow_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=r"curvature overflows at \(0\.0, 0\.55, 0\.0\)"):
             nabla_schouten_sequence(g, [(0.0, 0.55, 0.0), (0.0, 1.0, 0.0)], 2)
+
+
+# --- the box of directions a derivative slot runs over ---------------------------
+
+
+def _custom(entries):
+    matrix = [[parse("0")] * 3 for _ in range(3)]
+    for slot, text in entries.items():
+        i, j = sorted("txy".index(c) for c in slot)
+        matrix[i][j] = parse(text)
+    return MetricField.from_matrix(matrix)
+
+
+BOX_CASES = [
+    (family_f_metric(parse("1/x")), (T, X), [(0.3, 0.6, -0.2), (0.0, 1.1, 0.4), (-0.5, 1.7, 0.0)]),
+    (family_h_metric(parse("exp(t) + t^4")), (T, X), [(0.6, 0.3, -0.2), (1.1, 0.0, 0.4), (-0.4, 1.7, 0.0)]),
+    (_custom({"tt": "exp(x^2)", "xy": "1"}), (T, X), [(0.4, 0.3, -0.5), (1.1, -0.2, 0.7), (0.8, 0.6, 0.2)]),
+    (_custom({"tt": "exp(2*x)", "xy": "1", "yy": "t^2"}), (T, X, Y), [(0.4, 0.3, -0.5), (1.1, -0.2, 0.7), (0.8, 0.6, 0.2)]),
+    (_custom({"tt": "exp(2*x)+y^2", "xy": "1", "yy": "t^2"}), (T, X, Y), [(0.4, 0.3, -0.5), (1.1, -0.2, 0.7)]),
+    (_custom({"tt": "2", "tx": "0.5", "xy": "1", "yy": "3"}), (), [(0.4, 0.3, -0.5), (1.1, -0.2, 0.7)]),
+]
+BOX_IDS = ["f 1/x", "h", "custom in x", "custom in t and x", "custom in t, x and y", "constant"]
+
+
+@pytest.mark.parametrize("g, dirs, points", BOX_CASES, ids=BOX_IDS)
+def test_box_sequence_equals_the_recursion_over_all_three_directions(monkeypatch, g, dirs, points):
+    from curvhom import geometry
+
+    assert christoffel(g, points, 7).dirs == dirs
+    g0, box = nabla_schouten_sequence(g, points, 6)
+    r_box = nabla_riemann_sequence(g, points, 6)
+    assert [t.supports for t in box] == [((T, X, Y),) * 2 + (dirs,) * k for k in range(7)]
+    monkeypatch.setattr(geometry.ConnectionJet, "dirs", property(lambda conn: (T, X, Y)))
+    g0_full, full = nabla_schouten_sequence(g, points, 6)
+    np.testing.assert_array_equal(g0.components, g0_full.components)
+    for got, want in [(a.dense(), b.components) for a, b in zip(box, full, strict=True)] + [
+        (a.components, b.components) for a, b in zip(r_box, nabla_riemann_sequence(g, points, 6), strict=True)
+    ]:
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max(initial=0.0))
+
+
+def test_box_sequence_batch_matches_batches_of_one():
+    # tt = 1 + x^9 has every metric jet of order < 9 flat at x = 0, so that
+    # point alone has the box (x) and the batch the box (t, x)
+    g = _custom({"tt": "1 + x^9", "xy": "1"})
+    pts = [(0.2, 0.0, 0.1), (0.0, 0.5, 0.0), (-0.3, 0.9, 0.4)]
+    g0, batched = nabla_schouten_sequence(g, pts, 6)
+    assert batched[1].supports[2] == (T, X)
+    for i, p in enumerate(pts):
+        g0_alone, alone = nabla_schouten_sequence(g, p, 6)
+        assert alone[1].supports[2] == ((X,) if i == 0 else (T, X))
+        np.testing.assert_array_equal(g0.components[i], g0_alone.components)
+        for a, b in zip(batched, alone, strict=True):
+            want = b.dense()
+            np.testing.assert_allclose(a.dense()[i], want, rtol=0, atol=1e-15 * np.abs(want).max(initial=0.0))
+
+
+def test_constant_metric_runs_on_the_empty_box():
+    g = _custom({"tt": "2", "xy": "1"})
+    g0, seq = nabla_schouten_sequence(g, [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0)], 4)
+    assert [t.components.shape for t in seq] == [(2, 3, 3) + (0,) * k for k in range(5)]
+    rs = kulkarni_nomizu(g0, seq)
+    assert [t.components.shape for t in rs] == [(2, 3, 3, 3, 3) + (0,) * k for k in range(5)]
+    assert all(np.abs(r.dense()).max() == 0.0 for r in rs)

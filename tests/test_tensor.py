@@ -102,3 +102,50 @@ def test_tiny_but_regular_frame_and_metric_are_accepted():
 def test_component_shape_validation():
     with pytest.raises(ValueError):
         TensorAtPoint(2, np.zeros((3, 4)))
+
+
+# --- tensors on a box of directions -------------------------------------------
+
+
+def test_box_embeds_through_its_supports():
+    comp = RNG.normal(size=(2, 3, 2, 1))
+    t = TensorAtPoint(3, comp, ((0, 1, 2), (0, 2), (1,)))
+    assert t.shape == (3, 2, 1) and t.batch == (2,)
+    dense = t.dense()
+    assert dense.shape == (2, 3, 3, 3)
+    np.testing.assert_array_equal(dense[:, :, [0, 2]][..., [1]], comp)
+    assert np.count_nonzero(dense) == comp.size
+    np.testing.assert_array_equal(dense[:, 1, 2, 1], comp[:, 1, 1, 0])
+    np.testing.assert_array_equal(t.embed(((0, 1, 2), (0, 1, 2), (0, 1))), dense[..., :2])
+    with pytest.raises(ValueError):
+        TensorAtPoint(3, comp, ((0, 1, 2), (0, 1, 2), (1,)))
+
+
+def _frames(npts):
+    """The f and h adapted frames, with a point axis, and a dense random one."""
+    lam = np.linspace(0.5, 2.0, npts)
+    f = np.zeros((npts, 3, 3))
+    f[:, 0, 0], f[:, 1, 1], f[:, 2, 2] = np.exp(-lam), lam, 1.0 / lam
+    h = np.zeros((npts, 3, 3))
+    h[:, 0, 0], h[:, 1, 1], h[:, 2, 1], h[:, 2, 2] = 1.0, lam, lam * lam**3, 1.0 / lam
+    return {"f": Frame(f), "h": Frame(h), "dense": random_frame()}
+
+
+@pytest.mark.parametrize("kind, new", [("f", (0, 1)), ("h", (0, 1)), ("dense", (0, 1, 2))])
+@pytest.mark.parametrize("rank", [2, 4, 7])
+def test_box_pullback_equals_the_dense_pullback(kind, new, rank):
+    npts = 4
+    supports = ((0, 1, 2),) * 2 + ((0, 1),) * (rank - 2)
+    t = TensorAtPoint(rank, RNG.normal(size=(npts, 3, 3) + (2,) * (rank - 2)), supports)
+    frame = _frames(npts)[kind]
+    got = pullback(t, frame)
+    want = pullback(TensorAtPoint(rank, t.dense()), frame)
+    assert got.supports == ((0, 1, 2),) * 2 + (new,) * (rank - 2)
+    assert want.supports == ((0, 1, 2),) * rank
+    np.testing.assert_allclose(got.dense(), want.components, rtol=0, atol=1e-14 * np.abs(want.components).max())
+
+
+def test_pullback_of_the_empty_box():
+    t = TensorAtPoint(3, np.zeros((2, 3, 3, 0)), ((0, 1, 2), (0, 1, 2), ()))
+    out = pullback(t, _frames(2)["h"])
+    assert out.supports[2] == () and out.components.shape == (2, 3, 3, 0)
