@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -477,28 +478,42 @@ def _sign_structure(stack: np.ndarray, supports=None) -> _OrderEntries:
     return replace(entries, live=live)
 
 
+@lru_cache(maxsize=None)
+def _x_multiplicities(supports: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Per flat entry of the box `supports`, how many of its slots hold X."""
+    counts = np.zeros((), dtype=np.intp)
+    for s in supports:
+        counts = np.add.outer(counts, np.asarray(s, dtype=np.intp) == X)
+    counts = counts.ravel()
+    counts.flags.writeable = False  # shared by every caller
+    return counts
+
+
 def _q_condition(entries: _OrderEntries, tol: float) -> _OrderAnalysis:
     """Order-k test behind CH_k(1,3): sign structure plus constant ratios
-    between live entries of equal X-multiplicity."""
+    between live entries of equal X-multiplicity, each over its group's first
+    column of largest minimum |entry|, with every spread from one sort."""
     out = entries.analysis()
     if out.status != "pass":
         return out
-    flat, live = entries.flat, entries.live
-    index = np.unravel_index(live, tuple(len(s) for s in entries.supports))
-    xmult = sum(np.asarray(s)[i] == X for s, i in zip(entries.supports, index))  # per live column
-    mults = np.unique(xmult)
+    live = entries.live
+    xmult = _x_multiplicities(entries.supports)[live]  # per live column
+    mults = np.flatnonzero(np.bincount(xmult))
+    low = entries.magnitude[:, live].min(axis=0)
+    ref = np.empty(len(live), dtype=np.intp)
     for mult in mults:
-        comps = live[xmult == mult]
-        if len(comps) < 2:
-            continue
-        ref = max(comps, key=lambda c: float(entries.magnitude[:, c].min()))
-        spread = _first_spread_over(flat[:, comps] / flat[:, [ref]], tol)  # ref's own ratio is 1: spread 0
-        if spread is not None:
-            out.status = "fail"
-            out.notes.append(
-                f"entries of X-multiplicity {mult} have point-dependent ratio (spread {spread:.2e})"
-            )
-            return out
+        cols = np.flatnonzero(xmult == mult)
+        ref[cols] = cols[np.argmax(low[cols])]
+    flat = entries.flat[:, live]
+    spread = _spreads(flat / flat[:, ref])  # a reference's own ratio is 1: spread 0
+    over = np.flatnonzero(spread > tol)
+    if over.size:
+        first = over[np.argmin(xmult[over])]  # the first column of the smallest failing multiplicity
+        out.status = "fail"
+        out.notes.append(
+            f"entries of X-multiplicity {xmult[first]} have point-dependent ratio (spread {float(spread[first]):.2e})"
+        )
+        return out
     if len(mults) > 2:
         out.notes.append(
             f"{len(mults)} distinct X-multiplicities at this order; "

@@ -255,10 +255,11 @@ def cmd_verify(config: RunConfig) -> int:
     fn = parse(config.function)
     metric = _build_metric(config)
     points = config.grid.points()
+    g0, schouten = nabla_schouten_sequence(metric, points, config.order)
+    seq = kulkarni_nomizu(g0, schouten)
     # measure each point's deviations in units of its largest |g_ij|: the
     # (0, 4+k) curvature of the metric rescaled to unit size
-    gscale = np.maximum(1.0, np.abs(metric.component_matrix(points)).max(axis=(1, 2)))
-    seq = kulkarni_nomizu(*nabla_schouten_sequence(metric, points, config.order))
+    gscale = np.maximum(1.0, np.abs(g0.components).max(axis=(1, 2)))
     # compare on the oracle's box: the engine's, widened where a closed form may put an entry (rel dev 1 there)
     dirs = seq[-1].supports[-1] if config.order else ()
     orders = []  # per order: (max rel dev, max abs dev on zeros, passed)

@@ -32,7 +32,12 @@ evaluates the metric to jet order k + 2.  A differentiation slot runs over
 the connection's `dirs` only: coords and every m with some Gamma^a_{m i}
 nonzero.  d_m vanishes off coords and Gamma is symmetric, so nabla^k P
 vanishes off the box (all, all, dirs, ..., dirs); the f and h families,
-with dirs = (t, x), pay 2^k entries per slot block for 3^k.  The algebraic
+with dirs = (t, x), pay 2^k entries per slot block for 3^k.  The recursion
+keeps the jet axis last, [pt, slots, q], so each slot's Gamma correction
+is one batched matmul over the trailing (slot, jet) pair, after which the
+slot rotates to the front (_covariant_step); the Gamma Leibniz operator is
+built once, at the top order, and each lower order cuts its leading jet
+block out of it (_gamma_operators).  The algebraic
 curvature symmetries hold by construction: the expansion is antisymmetric
 in each pair exactly, and pair symmetry and the first Bianchi identity
 follow from P being symmetric, which the recursion keeps.
@@ -179,14 +184,12 @@ def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int, coords: tup
     return inv
 
 
-def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: int, dirs=AXES) -> np.ndarray:
-    """d_l of a stacked jet field of `order` over coords, for l in dirs
+def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: int) -> np.ndarray:
+    """d_l of a stacked jet field of `order` over coords, for l = t, x, y
     along a new axis at `axis`, of order - 1; a zero block along a
     coordinate outside coords."""
     zero = np.zeros((jets.table_size(order - 1, coords),) + stack.shape[1:])
-    if not dirs:
-        return np.moveaxis(np.zeros((0,) + zero.shape), 0, axis)
-    return np.stack([stack[jets.shift_table(order, c, coords)] if c in coords else zero for c in dirs], axis=axis)
+    return np.stack([stack[jets.shift_table(order, c, coords)] if c in coords else zero for c in AXES], axis=axis)
 
 
 def christoffel(g: MetricField, points, order: int = 0) -> ConnectionJet:
@@ -235,47 +238,64 @@ def _schouten_jets(conn: ConnectionJet, order: int) -> np.ndarray:
 def _gamma_operators(gamma: np.ndarray, order_out: int, coords: tuple[int, ...], dirs) -> tuple[np.ndarray, np.ndarray]:
     """Dense Leibniz operators for multiplying a field by Gamma^a_{m i}, m in dirs.
 
-    One matrix per point, from field coefficients (q, a) to product
-    coefficients (p, m, i), built once per output order: for the first two
-    slots, i and a run over all three directions, shape (npts, p·m·i, q·a);
-    for a derivative slot, over dirs.  Each (p, q) pair occurs once in the
-    product table, so one scatter fills it.
+    One matrix per point, from field coefficients (a, q) to product
+    coefficients (i, m, p) at jet order order_out, shape (npts, 3, n, 3, d, n)
+    for the first two slots, and with i and a over dirs for a derivative
+    slot.  Each (p, q) pair occurs once in the product table, so one scatter
+    fills it.  Graded tables are prefixes and raw-derivative Leibniz weights
+    do not depend on the truncation order, so the operator at a lower order
+    is the leading (q, p) block (_cut): one build serves a whole sequence.
     """
     a_pos, b_pos, out_pos, coef = jets.product_table(order_out, coords)
     n, d, dirs = jets.table_size(order_out, coords), len(dirs), list(dirs)
-    npts = gamma.shape[1]
-    w = np.zeros((npts, n, d, 3, n, 3))
-    w[:, out_pos, :, :, b_pos] = coef[:, None, None, None, None] * gamma[a_pos][:, :, :, dirs].transpose(0, 1, 3, 4, 2)
-    box = w[:, :, :, dirs][..., dirs]
-    return w.reshape(npts, n * d * 3, n * 3), box.reshape(npts, n * d * d, n * d)
+    w = np.zeros((gamma.shape[1], 3, n, 3, d, n))
+    w[:, :, b_pos, :, :, out_pos] = coef[:, None, None, None, None] * gamma[a_pos][..., dirs]
+    return w, w[:, dirs][:, :, :, dirs]
 
 
-def _covariant_step(field: np.ndarray, order_in: int, ws, coords: tuple[int, ...], dirs) -> np.ndarray:
-    """One covariant derivative of a stacked (0, n) jet field over coords
+def _cut(w: np.ndarray, n: int) -> np.ndarray:
+    """The (a q, i m p) matrices of a _gamma_operators operator at n coefficients."""
+    npts, a, _, i, d, _ = w.shape
+    return w[:, :, :n, :, :, :n].reshape(npts, a * n, i * d * n)
+
+
+def _covariant_step(field: np.ndarray, order_in: int, ops, coords: tuple[int, ...], dirs) -> np.ndarray:
+    """One covariant derivative of a stacked (0, R) jet field over coords
     that is symmetric in its first two slots, whose other slots run over dirs.
 
-    field has shape (table_size(order_in, coords), npts, 3, 3, d, ..., d);
-    the result gains a trailing slot for the derivative direction, over
-    dirs, and drops one jet order.  The Gamma correction of each slot is one
-    batched matrix product over (q, a), by ws[0] for the first slot and
-    ws[1] for a derivative slot; the second slot's is the first's transposed.
+    field has the jet axis last, shape (npts, 3, 3, d, ..., d, n_in); the
+    result gains a slot for the derivative direction, over dirs, before the
+    jet axis, and drops one jet order.  The slot being corrected sits just
+    before the jet axis, so its Gamma correction is one batched matmul over
+    the trailing (slot, jet) pair, by the cut of ops[1]; then one contiguous
+    copy rotates it to the front, which brings the next slot to the end.
+    After the derivative slots, last to first, the second slot's correction
+    is one matmul by the cut of ops[0], the first's is its transpose, and
+    the pair rotates to the front: the slots are back in order.  The
+    corrections accumulate in the same rotated layout, so every subtraction
+    is contiguous; acc is rebound at each reshape, so a reshape that copies
+    cannot drop a subtraction.
     """
     n_out = jets.table_size(order_in - 1, coords)
-    npts = field.shape[1]
-    out = _derivatives(field, order_in, coords, -1, dirs)
-    lower = field[:n_out]
-    for s, size in enumerate(field.shape[2:]):
-        if s == 1:
-            continue
-        moved = np.moveaxis(lower, (1, 2 + s), (0, 2))  # [pt, q, a, other slots]
-        rest = moved.shape[3:]
-        corr = ws[s > 0] @ moved.reshape(npts, n_out * size, math.prod(rest))
-        corr = corr.reshape((npts, n_out, len(dirs), size) + rest)
-        corr = np.moveaxis(corr, (0, 2, 3), (1, -1, 2 + s))  # [p, pt, .., i at slot s, .., m]
-        if s == 0:
-            corr = corr + corr.swapaxes(2, 3)
-        out -= corr
-    return out
+    npts, rank, d = field.shape[0], field.ndim - 2, len(dirs)
+    acc = np.zeros(field.shape[:-1] + (d, n_out))  # [pt, slots, m, p] = d_m field
+    for r, c in enumerate(dirs):
+        if c in coords:
+            acc[..., r, :] = field[..., jets.shift_table(order_in, c, coords)]
+    lower = np.ascontiguousarray(field[..., :n_out])
+    dn, other, rest = d * n_out, math.prod(field.shape[1:-2]), math.prod(field.shape[3:-1])
+    w0, wd = (_cut(w, n_out) for w in ops)
+    for _ in range(rank - 2):  # lower [pt, other slots, slot, q], acc [pt, other slots, slot, m, p]
+        acc = acc.reshape(npts, other, d * dn)
+        acc -= lower.reshape(npts, other, dn) @ wd
+        lower = lower.reshape(npts, other, d, n_out).transpose(0, 2, 1, 3).copy()
+        acc = acc.reshape(npts, other, d, dn).transpose(0, 2, 1, 3).copy()
+    corr = (lower.reshape(npts, rest * 3, 3 * n_out) @ w0).reshape(npts, rest, 3, 3, dn)
+    acc = acc.reshape(npts, rest, 3, 3, dn)  # [pt, derivative slots, first, second, m, p]
+    acc -= corr
+    acc -= corr.swapaxes(2, 3)
+    acc = acc.reshape(npts, rest, 9, dn).transpose(0, 2, 1, 3).copy()
+    return acc.reshape(field.shape[:-1] + (d, n_out))
 
 
 # R_{ijkl} = P_il g_jk + P_jk g_il - P_ik g_jl - P_jl g_ik is bilinear in (P, g):
@@ -302,12 +322,12 @@ def nabla_schouten_sequence(g: MetricField, points, kmax: int) -> tuple[TensorAt
     pts, batch = _as_points(points)
     with np.errstate(all="ignore"):  # a non-finite entry is checked below
         conn = christoffel(g, pts, kmax + 1)
-        field = _schouten_jets(conn, kmax)
-        seq = [field[0]]
+        field = np.moveaxis(_schouten_jets(conn, kmax), 0, -1)  # [pt, i, j, q]
+        ops = _gamma_operators(conn.gamma, max(kmax - 1, 0), conn.coords, conn.dirs)
+        seq = [field[..., 0].copy()]
         for order_in in range(kmax, 0, -1):
-            ws = _gamma_operators(conn.gamma, order_in - 1, conn.coords, conn.dirs)
-            field = _covariant_step(field, order_in, ws, conn.coords, conn.dirs)
-            seq.append(field[0])
+            field = _covariant_step(field, order_in, ops, conn.coords, conn.dirs)
+            seq.append(field[..., 0].copy())
     finite = np.all([np.isfinite(p).all(axis=tuple(range(1, p.ndim))) for p in seq], axis=0)  # per point
     if not finite.all():
         raise OverflowError(f"curvature overflows at {tuple(pts[int(np.argmin(finite))].tolist())}")

@@ -384,11 +384,12 @@ def jet_compose_univariate(inner: Jet, outer_derivs: Sequence) -> Jet:
         raise ValueError(f"need {n + 1} outer derivatives, got {len(outer_derivs)}")
     w = inner.coeffs.copy()
     w[0] = 0.0
-    pert = Jet(n, w, inner.coords)
-    acc = jet_constant(outer_derivs[n] / math.factorial(n), n, w.shape[1:], inner.coords)
+    acc = np.zeros_like(w)
+    acc[0] = outer_derivs[n] / math.factorial(n)
     for k in range(n - 1, -1, -1):
-        acc = jet_mul(acc, pert) + outer_derivs[k] / math.factorial(k)
-    return acc
+        acc = stacked_product(",->", acc, w, n, inner.coords)
+        acc[0] += outer_derivs[k] / math.factorial(k)
+    return Jet(n, acc, inner.coords)
 
 
 def _apply(inner: Jet, deriv_seq: Callable[[np.ndarray, int], list]) -> Jet:

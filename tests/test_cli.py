@@ -632,3 +632,22 @@ def test_zero_profile_runs_on_the_empty_box(capsys, argv, code):
     assert (got, err) == (code, "")
     if argv[0] == "verify":
         assert all(v["status"] == "pass" for v in json.loads(out)["verdicts"])
+
+
+def test_classify_leaves_numpy_ma_unimported():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import contextlib, io, sys\n"
+        "from curvhom.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['classify', '--family', 'h', '--function', 't^3', '--order', '2', '--grid', 't=1:2:9'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

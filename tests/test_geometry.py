@@ -438,3 +438,107 @@ def test_constant_metric_runs_on_the_empty_box():
     rs = kulkarni_nomizu(g0, seq)
     assert [t.components.shape for t in rs] == [(2, 3, 3, 3, 3) + (0,) * k for k in range(5)]
     assert all(np.abs(r.dense()).max() == 0.0 for r in rs)
+
+
+# --- the jet-last recursion against the jet-first moveaxis recursion ---------------
+
+
+def _reference_operators(gamma, order_out, coords, dirs):
+    """Leibniz operators from field coefficients (q, a) to product coefficients
+    (p, m, i), rebuilt at each order: (npts, p·m·i, q·a) for the first two
+    slots and the same over dirs for a derivative slot."""
+    from curvhom import jets
+
+    a_pos, b_pos, out_pos, coef = jets.product_table(order_out, coords)
+    n, d, dirs = jets.table_size(order_out, coords), len(dirs), list(dirs)
+    npts = gamma.shape[1]
+    w = np.zeros((npts, n, d, 3, n, 3))
+    w[:, out_pos, :, :, b_pos] = coef[:, None, None, None, None] * gamma[a_pos][:, :, :, dirs].transpose(0, 1, 3, 4, 2)
+    box = w[:, :, :, dirs][..., dirs]
+    return w.reshape(npts, n * d * 3, n * 3), box.reshape(npts, n * d * d, n * d)
+
+
+def _reference_step(field, order_in, ws, coords, dirs):
+    """One covariant derivative of a jet-first field [q, pt, 3, 3, d, ..., d]:
+    each slot moved next to the point axis for its Gamma matmul and back."""
+    import math
+
+    from curvhom import jets
+
+    n_out = jets.table_size(order_in - 1, coords)
+    npts = field.shape[1]
+    out = np.zeros((n_out,) + field.shape[1:] + (len(dirs),))
+    for r, c in enumerate(dirs):
+        if c in coords:
+            out[..., r] = field[jets.shift_table(order_in, c, coords)]
+    lower = field[:n_out]
+    for s, size in enumerate(field.shape[2:]):
+        if s == 1:
+            continue
+        moved = np.moveaxis(lower, (1, 2 + s), (0, 2))  # [pt, q, a, other slots]
+        rest = moved.shape[3:]
+        corr = ws[s > 0] @ moved.reshape(npts, n_out * size, math.prod(rest))
+        corr = corr.reshape((npts, n_out, len(dirs), size) + rest)
+        corr = np.moveaxis(corr, (0, 2, 3), (1, -1, 2 + s))  # [p, pt, .., i at slot s, .., m]
+        if s == 0:
+            corr = corr + corr.swapaxes(2, 3)
+        out -= corr
+    return out
+
+
+def _reference_schouten_sequence(g, points, kmax):
+    """[P, nabla P, ..., nabla^kmax P] on the box, by the jet-first recursion."""
+    from curvhom.geometry import _schouten_jets
+
+    conn = christoffel(g, points, kmax + 1)
+    field = _schouten_jets(conn, kmax)
+    seq = [field[0]]
+    for order_in in range(kmax, 0, -1):
+        ws = _reference_operators(conn.gamma, order_in - 1, conn.coords, conn.dirs)
+        field = _reference_step(field, order_in, ws, conn.coords, conn.dirs)
+        seq.append(field[0])
+    return seq
+
+
+@pytest.mark.parametrize("g, dirs, points", BOX_CASES, ids=BOX_IDS)
+def test_jet_last_recursion_equals_the_moveaxis_recursion(g, dirs, points):
+    _, got = nabla_schouten_sequence(g, points, 6)
+    want = _reference_schouten_sequence(g, points, 6)
+    for k, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert a.components.shape == b.shape == (len(points), 3, 3) + (len(dirs),) * k
+        np.testing.assert_allclose(a.components, b, rtol=0, atol=1e-14 * np.abs(b).max(initial=0.0))
+
+
+@pytest.mark.parametrize("g, dirs, points", BOX_CASES, ids=BOX_IDS)
+def test_jet_last_recursion_batch_equals_batches_of_one(g, dirs, points):
+    _, batched = nabla_schouten_sequence(g, points, 6)
+    for i, p in enumerate(points):
+        _, alone = nabla_schouten_sequence(g, p, 6)
+        for a, b in zip(batched, alone, strict=True):
+            want = b.dense()
+            np.testing.assert_allclose(a.dense()[i], want, rtol=0, atol=1e-14 * np.abs(want).max(initial=0.0))
+
+
+@pytest.mark.parametrize(
+    "entries, coords",
+    [
+        ({"tt": "exp(x^2)", "xy": "1"}, (X,)),
+        ({"tt": "exp(2*x)", "xy": "1", "yy": "t^2"}, (T, X)),
+        ({"tt": "exp(2*x)+y^2", "xy": "1", "yy": "t^2"}, (T, X, Y)),
+    ],
+    ids=["x", "t and x", "t, x and y"],
+)
+def test_cut_gamma_operator_equals_a_fresh_build_at_every_order(entries, coords):
+    from curvhom import jets
+    from curvhom.geometry import _cut, _gamma_operators
+
+    top = 5
+    conn = christoffel(_custom(entries), [(0.4, 0.3, -0.5), (1.1, -0.2, 0.7)], top + 1)
+    assert conn.coords == coords
+    ops = _gamma_operators(conn.gamma, top, conn.coords, conn.dirs)
+    for order in range(top + 1):
+        n = jets.table_size(order, coords)
+        fresh = _gamma_operators(conn.gamma, order, conn.coords, conn.dirs)
+        assert fresh[0].shape[2] == n
+        for cut, built in zip(ops, fresh, strict=True):
+            np.testing.assert_array_equal(_cut(cut, n), _cut(built, n))

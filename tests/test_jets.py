@@ -326,3 +326,26 @@ def test_derivatives_along_absent_coordinates_are_zero():
         assert (d.order, d.coords, d.coeffs.shape) == (2, (X,), (3, 2))
         assert not d.coeffs.any()
     np.testing.assert_array_equal(jet_derivative(sq, X).coeffs, [[6.0, -2.0], [2.0, 2.0], [0.0, 0.0]])
+
+
+def _compose_reference(inner, outer_derivs):
+    """Horner on Jet objects: acc * (inner - value) + d_k / k!, k = n-1 .. 0."""
+    n = inner.order
+    w = inner.coeffs.copy()
+    w[0] = 0.0
+    pert = Jet(n, w, inner.coords)
+    acc = jet_constant(outer_derivs[n] / math.factorial(n), n, w.shape[1:], inner.coords)
+    for k in range(n - 1, -1, -1):
+        acc = jet_add(jet_mul(acc, pert), jet_constant(outer_derivs[k] / math.factorial(k), n, w.shape[1:], inner.coords))
+    return acc
+
+
+@pytest.mark.parametrize("coords", [(X,), (T, X), (T, X, Y)])
+@pytest.mark.parametrize("order", [0, 1, 4, 8])
+def test_compose_on_coefficient_arrays_equals_horner_on_jets(coords, order):
+    rng = np.random.default_rng(order * 10 + len(coords))
+    inner = Jet(order, rng.normal(size=(jets.table_size(order, coords), 5)), coords)
+    derivs = [rng.normal(size=5) for _ in range(order)] + [2.5]  # arrays over the batch, then a scalar
+    got, want = jet_compose_univariate(inner, derivs), _compose_reference(inner, derivs)
+    assert (got.order, got.coords) == (want.order, want.coords)
+    np.testing.assert_array_equal(got.coeffs, want.coeffs)  # bit-equal but for the sign of zeros, which the reference adds 0.0 to
