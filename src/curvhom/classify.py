@@ -53,6 +53,7 @@ FLOOR = 1e-8          # nonvanishing hypothesis floor on delta and h''
 ZERO_FLOOR = 1e-9     # entries below this (relative) count as structural zeros
 SPREAD_FLOOR = 1e-9   # denominator floor in relative spreads
 DEGENERATE_FLOOR = 1e-10
+TIE_MARGIN = 1e-9     # relative: column maxima this close to the largest tie
 
 PASS, FAIL, HYP = "pass", "fail", "hypothesis-violated"
 
@@ -536,7 +537,11 @@ def _scaled_constancy(entries: _OrderEntries, psi: np.ndarray, order: int, tol: 
 
 
 def _representative_scaled(entries: _OrderEntries, psi: np.ndarray, order: int) -> np.ndarray:
-    c = int(entries.magnitude.max(axis=0).argmax())
+    """The scaled entries of the first column whose largest |entry| is
+    within TIE_MARGIN of the order's largest: columns that tie up to
+    round-off always give the same one."""
+    top = entries.magnitude.max(axis=0)
+    c = int(np.argmax(top >= (1.0 - TIE_MARGIN) * top.max()))
     return entries.flat[:, c] / psi ** ((order + 2) / 2.0)
 
 

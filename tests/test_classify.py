@@ -168,6 +168,39 @@ def test_classify_h_exponential_all_constant():
     assert any("constant within tol" in n for n in rep.notes)
 
 
+def test_representative_scaled_entry_is_stable_under_round_off(monkeypatch):
+    """On h = exp(t) many order-2 columns reach |entry| 1 up to round-off,
+    with both signs; moving any one of them up by a few ulps leaves the
+    printed scaled_order_2 series as it was."""
+    import dataclasses
+    import importlib
+
+    from curvhom.tensor import TensorAtPoint
+
+    cl = importlib.import_module("curvhom.classify")  # the package exports the function under this name
+
+    spec = cl.FAMILIES["h"]
+    g, grid = family_h_metric(parse("exp(t)")), t_grid(0, 1, 9)
+    want = classify(g, 2, grid).series("scaled_order_2").values
+    a2 = spec.samples(g, 2, np.asarray(grid.points)).aligned[2]
+    flat = a2.components.reshape(len(grid.points), -1)
+    top = np.abs(flat).max(axis=0)
+    tied = np.flatnonzero(top >= (1 - 1e-12) * top.max())
+    assert set(np.sign(flat[0, tied]).tolist()) == {-1.0, 1.0}
+
+    for c in tied:
+        def nudged(g, kmax, points, c=c):
+            s = spec.samples(g, kmax, points)
+            comps = s.aligned[2].components.reshape(len(points), -1).copy()
+            comps[:, c] *= 1 + 1e-15
+            a2 = TensorAtPoint(4 + 2, comps.reshape(s.aligned[2].components.shape), s.aligned[2].supports)
+            return dataclasses.replace(s, aligned=[*s.aligned[:2], a2, *s.aligned[3:]])
+
+        monkeypatch.setitem(cl.FAMILIES, "h", dataclasses.replace(spec, samples=nudged))
+        got = classify(g, 2, grid).series("scaled_order_2").values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_classify_flat_metric_is_degenerate_pass():
     rep = classify(family_f_metric(parse("0")), 2, x_grid(0, 1, 5))
     assert rep.degenerate
