@@ -99,6 +99,13 @@ def commands() -> list[list[str]]:
     for metric, order in ((["tt=exp(2*x)", "xy=1"], 4), (["tt=exp(2*x)+y^2", "xy=1", "yy=t^2"], 3)):
         flags = [f for m in metric for f in ("--metric", m)]
         out.append(["classify", "--family", "custom", *flags, "--order", str(order), "--grid", "x=0.5:1.5:3"])
+    # the high-order ops on grids pulled inward as perfbench's tower_highk draws them
+    for profile, grid in (("exp(x)", "x=0.004538:0.993568:3"), ("2.5615528128088303*log(x)", "x=0.307404:1.482:3")):
+        out.append(["classify", "--family", "f", "--function", profile, "--order", "6", "--grid", grid])
+    out.append(["verify", "--family", "f", "--function", "1/x", "--order", "8", "--grid", "x=0.511046:1.48934:1"])
+    # orders whose arrays exceed the budget: a config error before anything large is allocated
+    for cmd, family, profile, grid in (("classify", "f", "exp(x)", "x=0:1:2"), ("verify", "f", "1/x", "x=0.5:1:1"), ("classify", "h", "t^3", "t=1:2:2")):
+        out.append([cmd, "--family", family, "--function", profile, "--order", "40", "--grid", grid])
     return out
 
 

@@ -59,6 +59,8 @@ from .tensor import AXES, TensorAtPoint, singular
 
 Point = tuple[float, float, float]
 
+MAX_ENTRIES = 1 << 24  # float64 entries (128 MiB) in the largest array one sequence may need
+
 
 @dataclass(frozen=True)
 class MetricField:
@@ -313,15 +315,35 @@ def kulkarni_nomizu(g0: TensorAtPoint, seq: list[TensorAtPoint]) -> list[TensorA
     return [TensorAtPoint(p.rank + 2, r.reshape(g0.batch + (3, 3) + p.shape), (AXES,) * 2 + p.supports) for p, r in zip(seq, rs)]
 
 
+def _require_size(npts: int, kmax: int, coords: tuple[int, ...], d: int):
+    """ValueError if a sequence to kmax at npts points, with derivative
+    slots over d directions, needs an array of more than MAX_ENTRIES
+    entries: the curvature of every order, npts 81 (1 + d + ... + d^kmax),
+    or the Gamma operator, npts 9 d n^2 with n jet coefficients at order
+    kmax - 1 (jets.table_size, counted without building the table)."""
+    slots = kmax + 1 if d == 1 else sum(d**k for k in range(min(kmax, 64) + 1))  # d^64 is past any budget
+    n = math.comb(max(kmax - 1, 0) + len(coords), len(coords))
+    if npts * max(81 * slots, 9 * d * n * n) > MAX_ENTRIES:
+        raise ValueError(
+            f"order {kmax} at {npts} points needs an array of more than {MAX_ENTRIES} entries; "
+            "lower the order or the number of points"
+        )
+
+
 def nabla_schouten_sequence(g: MetricField, points, kmax: int) -> tuple[TensorAtPoint, list[TensorAtPoint]]:
     """g and [P, nabla P, ..., nabla^kmax P] at the points, with the points'
     leading axes, each nabla^k P on the box (all, all, dirs, ..., dirs);
-    OverflowError at the first point with a non-finite entry."""
+    OverflowError at the first point with a non-finite entry.  ValueError
+    before anything large is allocated if the run needs more than
+    MAX_ENTRIES entries in one array: checked on the metric's coordinates,
+    which dirs holds, and again on dirs once the Christoffel jets give it."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     pts, batch = _as_points(points)
+    _require_size(len(pts), kmax, g.coords, len(g.coords))
     with np.errstate(all="ignore"):  # a non-finite entry is checked below
         conn = christoffel(g, pts, kmax + 1)
+        _require_size(len(pts), kmax, conn.coords, len(conn.dirs))
         field = np.moveaxis(_schouten_jets(conn, kmax), 0, -1)  # [pt, i, j, q]
         ops = _gamma_operators(conn.gamma, max(kmax - 1, 0), conn.coords, conn.dirs)
         seq = [field[..., 0].copy()]

@@ -651,3 +651,58 @@ def test_classify_leaves_numpy_ma_unimported():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+# ---------------------------------------------------------------------------
+# an order past the array budget is a config error before anything large is allocated
+
+
+_BUDGET_PROBE = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))  # a missing guard fails here, not on the machine
+from curvhom.cli import main
+from curvhom.families import custom_metric
+from curvhom.expr import parse
+from curvhom.geometry import nabla_schouten_sequence
+out = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.append((code, err.getvalue(), time.perf_counter() - start))
+g = custom_metric([[parse("exp(x)"), parse("0"), parse("0")], [parse("0"), parse("1"), parse("t*y")], [parse("0"), parse("t*y"), parse("y^2")]])
+assert g.coords == (0, 1, 2)
+start = time.perf_counter()
+try:
+    nabla_schouten_sequence(g, (0.3, 0.5, 0.7), 40)
+except ValueError as e:
+    out.append((2, str(e), time.perf_counter() - start))
+print(json.dumps(out))
+"""
+
+
+def test_order_past_the_array_budget_exits_2_at_once():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argvs = [
+        ["classify", "--family", "f", "--function", "exp(x)", "--order", "40", "--grid", "x=0:1:2"],
+        ["verify", "--family", "f", "--function", "exp(x)", "--order", "40", "--grid", "x=0:1:2"],
+        ["classify", "--family", "h", "--function", "t^3", "--order", "40", "--grid", "t=1:2:2"],
+        ["classify", "--family", "f", "--function", "exp(x)", "--order", str(10**40), "--grid", "x=0:1:2"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _BUDGET_PROBE, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(done.stdout)
+    assert len(runs) == len(argvs) + 1  # and the library call on a metric in all three coordinates
+    for code, err, seconds in runs:
+        assert code == EXIT_CONFIG
+        assert "needs an array of more than 16777216 entries" in err
+        assert seconds < 1.0

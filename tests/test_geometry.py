@@ -542,3 +542,28 @@ def test_cut_gamma_operator_equals_a_fresh_build_at_every_order(entries, coords)
         assert fresh[0].shape[2] == n
         for cut, built in zip(ops, fresh, strict=True):
             np.testing.assert_array_equal(_cut(cut, n), _cut(built, n))
+
+
+@pytest.mark.parametrize(
+    "npts, kmax, coords, d, fits",
+    [
+        (1, 16, (1,), 2, True),   # 81 (2^17 - 1) entries of curvature
+        (1, 17, (1,), 2, False),
+        (33, 11, (1,), 2, True),
+        (33, 12, (1,), 2, False),
+        (1, 1000, (1,), 1, True),  # one direction: 81 (k + 1) and 9 (k - 1)^2
+        (1, 1400, (1,), 1, False),
+        (1, 10**9, (), 0, True),  # a constant metric: no derivative slot, one jet coefficient
+        (1, 10, (0, 1, 2), 3, True),
+        (1, 12, (0, 1, 2), 3, False),
+        (2, 200, (0, 1), 1, False),  # the Gamma operator: 9 n^2 with n = 20100 coefficients
+    ],
+)
+def test_array_budget_counts_the_curvature_box_and_the_gamma_operator(npts, kmax, coords, d, fits):
+    from curvhom.geometry import _require_size
+
+    if fits:
+        _require_size(npts, kmax, coords, d)
+    else:
+        with pytest.raises(ValueError, match="needs an array of more than"):
+            _require_size(npts, kmax, coords, d)
