@@ -104,7 +104,9 @@ def commands() -> list[list[str]]:
         out.append(["classify", "--family", "f", "--function", profile, "--order", "6", "--grid", grid])
     out.append(["verify", "--family", "f", "--function", "1/x", "--order", "8", "--grid", "x=0.511046:1.48934:1"])
     # orders whose arrays exceed the budget: a config error before anything large is allocated
-    for cmd, family, profile, grid in (("classify", "f", "exp(x)", "x=0:1:2"), ("verify", "f", "1/x", "x=0.5:1:1"), ("classify", "h", "t^3", "t=1:2:2")):
+    for cmd, family, profile, grid in (
+        ("classify", "f", "exp(x)", "x=0:1:2"), ("verify", "f", "1/x", "x=0.5:1:1"), ("classify", "h", "t^3", "t=1:2:2")
+    ):
         out.append([cmd, "--family", family, "--function", profile, "--order", "40", "--grid", grid])
     return out
 

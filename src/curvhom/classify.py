@@ -23,6 +23,15 @@ vacuous passes marked "degenerate: zero curvature".
 `FAMILIES` is the one place a built-in family is described: its metric,
 oracle, hypotheses, frames, invariants and report columns.  The classifier,
 the CLI and the survey script read it; a new family is a new entry.
+
+Every order's tests run in one pass per frame (_order_tests): the frame's
+nabla^k R for k <= r arrive side by side in one CurvatureSequence, pulled
+back and expanded on one plan, and the sign structure, the X-multiplicity
+ratio test and the scaled-constancy test read all of them at once, with
+groups keyed by (order, multiplicity), one sort for every spread and
+per-order maxima gathered by each column's order.  The CH_0 entry is one
+more order of that pass; only the h family, whose SCH frame is a second
+frame at its own points, runs a second pass there.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,9 +54,9 @@ from .families import (
     profile_derivatives,
 )
 from .geometry import DegenerateMetricError, MetricField, Point, nabla_k_riemann
-from .geometry import kulkarni_nomizu, nabla_schouten_sequence
+from .geometry import CurvatureSequence, kulkarni_nomizu, nabla_schouten_sequence
 from .models import T, X, adapted_frame_f, adapted_frame_h, scaling_lambda_h
-from .tensor import TensorAtPoint, pullback
+from .tensor import AXES, TensorAtPoint, pullback
 
 FLOOR = 1e-8          # nonvanishing hypothesis floor on delta and h''
 ZERO_FLOOR = 1e-9     # entries below this (relative) count as structural zeros
@@ -120,13 +129,6 @@ def relative_spread(values) -> Optional[float]:
     """(max - min) / max(|median|, floor) over the non-None samples."""
     vals = np.asarray([v for v in values if v is not None], dtype=float)
     return float(_spreads(vals[:, None])[0]) if vals.size else None
-
-
-def _first_spread_over(columns: np.ndarray, tol: float) -> Optional[float]:
-    """The first column's relative spread that exceeds tol, or None."""
-    spread = _spreads(columns)
-    over = np.flatnonzero(spread > tol)
-    return float(spread[over[0]]) if over.size else None
 
 
 @dataclass(frozen=True)
@@ -223,8 +225,8 @@ class FamilySamples:
     sch_hyp: np.ndarray   # per point: |the quantity its SCH frame needs|
     ok: np.ndarray        # per point: hyp >= FLOOR
     sch: np.ndarray       # per point: has an SCH frame, ok and sch_hyp >= FLOOR
-    adapted: Optional[list[TensorAtPoint]] = None    # nabla^k R on the unit adapted frame, at the ok points
-    aligned: Optional[list[TensorAtPoint]] = None    # nabla^k R on the SCH frame, at the sch points
+    adapted: Optional[CurvatureSequence] = None    # nabla^k R on the unit adapted frame, at the ok points
+    aligned: Optional[CurvatureSequence] = None    # nabla^k R on the SCH frame, at the sch points
     values: dict = field(default_factory=dict)    # invariant -> (its mask, ok or sch; its values there)
 
     def column(self, name: str, index, n: int) -> tuple:
@@ -233,9 +235,9 @@ class FamilySamples:
         return per_point([index[j] for j in np.flatnonzero(mask)], values, n)
 
 
-def _pulled_back(g0, seq, mask, frame) -> list[TensorAtPoint]:
+def _pulled_back(g0, seq, mask, frame) -> CurvatureSequence:
     """nabla^k R on the frame at the mask's points: pullback(P ⊙ g) = pullback(P) ⊙ pullback(g)."""
-    g0, *seq = (pullback(TensorAtPoint(t.rank, t.components[mask], t.supports), frame) for t in (g0, *seq))
+    g0, *seq = pullback([TensorAtPoint(t.rank, t.components[mask], t.supports) for t in (g0, *seq)], frame)
     return kulkarni_nomizu(g0, seq)
 
 
@@ -425,124 +427,123 @@ def h_second_ratios(h: Expr, p) -> SecondOrderRatios:
 
 
 # ---------------------------------------------------------------------------
-# per-order sample analysis
-
-
-@dataclass
-class _OrderAnalysis:
-    status: str           # pass / fail / vacuous
-    notes: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class _OrderEntries:
-    """One order's entries at the samples on a frame, read once.
-
-    flat has shape (n_points, n_components) and magnitude is |flat|;
-    supports holds each slot's directions.  status and notes are the
-    single-rescaling compatibility of the entries across samples, and on a
-    pass live holds the live columns: the entries nonzero at every sample.
-    """
-
-    supports: tuple[tuple[int, ...], ...]
-    flat: np.ndarray
-    magnitude: np.ndarray
-    scale: float  # max |entry|
-    status: str
-    notes: tuple[str, ...] = ()
-    live: Optional[np.ndarray] = None
-
-    def analysis(self) -> _OrderAnalysis:
-        """A fresh analysis holding the sign structure's verdict."""
-        return _OrderAnalysis(self.status, list(self.notes))
-
-
-def _sign_structure(stack: np.ndarray, supports=None) -> _OrderEntries:
-    """The entries of one order's stack, shape (n_points, *slots), on the box
-    `supports` (directions 0, 1, ... of each slot by default), with their
-    sign structure across the samples."""
-    supports = supports or tuple(tuple(range(n)) for n in stack.shape[1:])
-    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
-    magnitude = np.abs(flat)
-    scale = float(magnitude.max(initial=0.0))
-    entries = _OrderEntries(supports, flat, magnitude, scale, "pass")
-    if scale < DEGENERATE_FLOOR:
-        return replace(entries, status="vacuous", notes=("all entries vanish at this order",))
-    zero = magnitude <= ZERO_FLOOR * scale
-    all_zero = zero.all(axis=0)
-    if (zero.any(axis=0) & ~all_zero).any():
-        return replace(entries, status="fail", notes=("an entry vanishes at some sample points only",))
-    live = np.flatnonzero(~all_zero)
-    signs = np.sign(flat[:, live])
-    if not (signs == signs[:1]).all():
-        return replace(entries, status="fail", notes=("an entry changes sign across sample points",))
-    return replace(entries, live=live)
+# the order tests: every order of a frame in one pass
 
 
 @lru_cache(maxsize=None)
-def _x_multiplicities(supports: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Per flat entry of the box `supports`, how many of its slots hold X."""
-    counts = np.zeros((), dtype=np.intp)
-    for s in supports:
-        counts = np.add.outer(counts, np.asarray(s, dtype=np.intp) == X)
-    counts = counts.ravel()
-    counts.flags.writeable = False  # shared by every caller
-    return counts
+def _x_multiplicities(tails: tuple) -> np.ndarray:
+    """Per (i, j, k, l) and column of a CurvatureSequence with these tail
+    boxes, how many of its slots hold X.  Cached and read-only: shared."""
+    def count(box):
+        out = np.zeros((), dtype=np.intp)
+        for slot in box:
+            out = np.add.outer(out, np.asarray(slot, dtype=np.intp) == X)
+        return out.ravel()
+
+    table = count((AXES,) * 4)[:, None] + np.concatenate([count(tail) for tail in tails])
+    table.flags.writeable = False
+    return table
 
 
-def _q_condition(entries: _OrderEntries, tol: float) -> _OrderAnalysis:
-    """Order-k test behind CH_k(1,3): sign structure plus constant ratios
-    between live entries of equal X-multiplicity, each over its group's first
-    column of largest minimum |entry|, with every spread from one sort."""
-    out = entries.analysis()
-    if out.status != "pass":
-        return out
-    live = entries.live
-    xmult = _x_multiplicities(entries.supports)[live]  # per live column
-    mults = np.flatnonzero(np.bincount(xmult))
-    low = entries.magnitude[:, live].min(axis=0)
-    ref = np.empty(len(live), dtype=np.intp)
-    for mult in mults:
-        cols = np.flatnonzero(xmult == mult)
-        ref[cols] = cols[np.argmax(low[cols])]
-    flat = entries.flat[:, live]
-    spread = _spreads(flat / flat[:, ref])  # a reference's own ratio is 1: spread 0
-    over = np.flatnonzero(spread > tol)
-    if over.size:
-        first = over[np.argmin(xmult[over])]  # the first column of the smallest failing multiplicity
-        out.status = "fail"
-        out.notes.append(
-            f"entries of X-multiplicity {xmult[first]} have point-dependent ratio (spread {float(spread[first]):.2e})"
-        )
-        return out
-    if len(mults) > 2:
-        out.notes.append(
-            f"{len(mults)} distinct X-multiplicities at this order; "
-            "two-parameter matching not fully determined, raw entries exposed"
-        )
-    return out
+class _OrderTests(NamedTuple):
+    """Per order: its largest |entry| and the (status, notes) of its CH and
+    SCH tests, status pass, fail or vacuous; given psi, its representative
+    scaled entry at each point, a column of scaled."""
+
+    scale: np.ndarray
+    ch: list
+    sch: list
+    scaled: Optional[np.ndarray]
 
 
-def _scaled_constancy(entries: _OrderEntries, psi: np.ndarray, order: int, tol: float) -> _OrderAnalysis:
-    """Order-k test behind SCH_k(1,3): entries / psi^{(k+2)/2} constant."""
-    out = entries.analysis()
-    if out.status != "pass":
-        return out
-    scaled = entries.flat[:, entries.live] / psi[:, None] ** ((order + 2) / 2.0)
-    spread = _first_spread_over(np.abs(scaled), tol)
-    if spread is not None:
-        out.status = "fail"
-        out.notes.append(f"a scaled order-{order} entry is nonconstant (spread {spread:.2e})")
-    return out
+def _first_per(groups: np.ndarray, keys: np.ndarray, n: int) -> dict[int, int]:
+    """Per group in range(n) that occurs, its smallest key."""
+    first = np.full(n, np.iinfo(np.intp).max)
+    np.minimum.at(first, groups, keys)
+    return {g: int(first[g]) for g in np.flatnonzero(first < np.iinfo(np.intp).max).tolist()}
 
 
-def _representative_scaled(entries: _OrderEntries, psi: np.ndarray, order: int) -> np.ndarray:
-    """The scaled entries of the first column whose largest |entry| is
-    within TIE_MARGIN of the order's largest: columns that tie up to
-    round-off always give the same one."""
-    top = entries.magnitude.max(axis=0)
-    c = int(np.argmax(top >= (1.0 - TIE_MARGIN) * top.max()))
-    return entries.flat[:, c] / psi ** ((order + 2) / 2.0)
+def _order_tests(seq: CurvatureSequence, tol: float, ratios: bool = True, psi=None, entry=None) -> _OrderTests:
+    """The CH and SCH tests of every order in seq, read in place, in one
+    pass; `entry`, one value per point, is one more order, last (CH_0's).
+
+    An order whose entries all vanish is vacuous; one with an entry that
+    vanishes (relative to its largest) at some points only, or changes
+    sign, fails.  The other entries are live.  With `ratios`, the live
+    entries of each passing order keep constant ratios within each (order,
+    X-multiplicity) group, over its first entry of largest minimum |entry|.
+    Given psi, those of each passing order k >= 1 over psi^((k+2)/2) are
+    constant, and the order's representative is its first column within
+    TIE_MARGIN of its largest |entry|.  The live entries lie side by side in
+    C order over [(i, j, k, l), column], which keeps each order's own C
+    order: "first" is first in it.  Every spread comes from one sort.
+    """
+    e, n = seq.entries, len(seq) + (entry is not None)
+    top = np.maximum(e.max(axis=0), -e.min(axis=0))  # max |entry| over the points, [ijkl, column]
+    scale = np.zeros(n)
+    np.maximum.at(scale, seq.owner, top.max(axis=0))
+    live = np.flatnonzero(~(top <= ZERO_FLOOR * scale[seq.owner]))  # not zero at every point, flat over [ijkl, column]
+    ab, col = np.divmod(live, top.shape[1])
+    lf, lseg, lx = e[:, ab, col], seq.owner[col], _x_multiplicities(seq.tails).ravel()[live]
+    if entry is not None:
+        scale[-1] = np.abs(entry).max()
+        if not scale[-1] <= ZERO_FLOOR * scale[-1]:  # live: a group of its own
+            lf, lseg, lx = np.column_stack((lf, entry)), np.append(lseg, n - 1), np.append(lx, 0)
+    lmag = np.abs(lf)
+    partial = np.bincount(lseg[np.fmin.reduce(lmag, axis=0) <= ZERO_FLOOR * scale[lseg]], minlength=n) > 0
+    flips = np.bincount(lseg[(np.sign(lf) != np.sign(lf[:1])).any(axis=0)], minlength=n) > 0
+    passed = ~((scale < DEGENERATE_FLOOR) | partial | flips)
+    ch = [
+        ("vacuous", ("all entries vanish at this order",)) if s < DEGENERATE_FLOOR
+        else ("fail", ("an entry vanishes at some sample points only",)) if p
+        else ("fail", ("an entry changes sign across sample points",)) if f
+        else ("pass", ())
+        for s, p, f in zip(scale.tolist(), partial.tolist(), flips.tolist())
+    ]
+    sch, scaled, blocks = list(ch), None, []
+    if ratios:  # each live entry of a passing order over its group's reference
+        pick = np.flatnonzero(passed[lseg])
+        cseg, cx = lseg[pick], lx[pick]
+        gid = cseg * (int(cx.max(initial=0)) + 1) + cx
+        by_group = np.lexsort((-lmag[:, pick].min(axis=0), gid))  # stable: a tie keeps the C order
+        head = np.ones(len(pick), dtype=bool)
+        head[1:] = gid[by_group][1:] != gid[by_group][:-1]
+        ref = np.empty(len(pick), dtype=np.intp)
+        ref[by_group] = by_group[head][np.cumsum(head) - 1]
+        blocks.append(lf[:, pick] / lf[:, pick[ref]])  # a reference's own ratio is 1: spread 0
+    if psi is not None:  # each live entry of a passing order k >= 1 over psi^((k+2)/2)
+        orders = [len(tail) for tail in seq.tails]
+        den = np.stack([psi ** ((k + 2) / 2.0) for k in orders], axis=1)  # a scalar exponent keeps numpy's fast paths
+        derived = np.asarray(orders + [0] * (n - len(seq))) >= 1  # CH_0's entry has no scaled test
+        spick = np.flatnonzero((passed & derived)[lseg])
+        blocks.append(np.abs(lf[:, spick] / den[:, lseg[spick]]))
+    spread = _spreads(np.concatenate(blocks, axis=1)) if blocks else None
+    if ratios:
+        over = np.flatnonzero(spread[: len(pick)] > tol)
+        for i, key in _first_per(cseg[over], cx[over] * len(pick) + over, n).items():  # smallest multiplicity, then C order
+            c = key % len(pick)
+            note = f"entries of X-multiplicity {cx[c]} have point-dependent ratio (spread {float(spread[c]):.2e})"
+            ch[i] = ("fail", ch[i][1] + (note,))
+        groups = np.bincount(cseg[by_group[head]], minlength=n).tolist()
+        for i, (status, notes) in enumerate(ch):
+            if status == "pass" and groups[i] > 2:
+                note = (
+                    f"{groups[i]} distinct X-multiplicities at this order; "
+                    "two-parameter matching not fully determined, raw entries exposed"
+                )
+                ch[i] = (status, notes + (note,))
+    if psi is not None:
+        scaled_spread = spread[len(spread) - len(spick) :]
+        over = np.flatnonzero(scaled_spread > tol)
+        for i, c in _first_per(lseg[spick[over]], over, n).items():
+            note = f"a scaled order-{orders[i]} entry is nonconstant (spread {float(scaled_spread[c]):.2e})"
+            sch[i] = ("fail", sch[i][1] + (note,))
+        first = np.full(len(seq), top.size)  # per order, its first entry near the largest
+        near = np.flatnonzero(top >= (1.0 - TIE_MARGIN) * scale[seq.owner])
+        np.minimum.at(first, seq.owner[near % top.shape[1]], near)
+        first = np.where(first < top.size, first, seq.bounds[:-1])  # none near a NaN scale: the first, as argmax
+        scaled = e[:, first // top.shape[1], first % top.shape[1]] / den
+    return _OrderTests(scale, ch, sch, scaled)
 
 
 def per_point(idx, values, n: int) -> tuple:
@@ -682,60 +683,57 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         return _unevaluated_report(fam.family, pretty(fn), r, pts, tol, note, exclusions)
 
     hyp_heavy = len(included) <= npts / 2.0
-    stacks = s.adapted
-    e0 = stacks[0].dense()[:, T, X, X, T]
+    e0 = s.adapted[0].dense()[:, T, X, X, T]
     series = {n: SampleSeries(n, s.column(n, good, npts)) for n in spec.invariants + spec.diagnostics if n in s.values}
     xi_spread = series["xi"].spread or 0.0
     notes: list[str] = []
     verdicts: list[Verdict] = []
 
-    def status_of(analysis: _OrderAnalysis) -> tuple[str, tuple[str, ...]]:
+    def status_of(status: str, found: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
         if hyp_heavy:
             return HYP, ("more than half the sample points violate the nonvanishing hypothesis",)
-        if analysis.status == "fail":
-            return FAIL, tuple(analysis.notes)
-        extra = tuple(analysis.notes)
-        if analysis.status == "vacuous":
-            extra = extra + ("vacuously satisfied: zero tensor at this order",)
-        return PASS, extra
+        if status == "fail":
+            return FAIL, found
+        if status == "vacuous":
+            return PASS, found + ("vacuously satisfied: zero tensor at this order",)
+        return PASS, found
+
+    # every order's tests in one pass: CH on the adapted frame, with CH_0's
+    # entry as one more order after them, and SCH on the aligned frame
+    sch_ok = bool(sch_idx) and not (spec.sch_hypothesis and len(sch_idx) <= npts / 2.0)
+    psi = s.values["psi"][1] if sch_ok else None
+    same = s.aligned is s.adapted
+    ch = _order_tests(s.adapted[: r + 1], tol, psi=psi if same else None, entry=e0)
+    sch = ch if same or psi is None else _order_tests(s.aligned[: r + 1], tol, ratios=False, psi=psi)
 
     # CH_0: constant-sign unit-normalized curvature entry
-    ch0 = _sign_structure(e0[:, None]).analysis()
-    st, nt = status_of(ch0)
-    eps_val = float(np.sign(e0[0])) if ch0.status == "pass" else None
-    if eps_val is not None:
-        nt = nt + (f"epsilon = {eps_val:+.0f}",)
+    st, nt = status_of(*ch.ch[r + 1])
+    if ch.ch[r + 1][0] == "pass":
+        nt = nt + (f"epsilon = {float(np.sign(e0[0])):+.0f}",)
     verdicts.append(Verdict("CH_0", st, nt))
 
     # per-order Q(k) conditions and cumulative CH_k(1,3)
-    entries = [_sign_structure(t.components, t.supports) for t in stacks[: r + 1]]  # for f, also the aligned frame's
-    q_results = [_q_condition(entries[k], tol) for k in range(r + 1)]
     q_statuses = []
     for k in range(r + 1):
-        st, nt = status_of(q_results[k])
+        st, nt = status_of(*ch.ch[k])
         q_statuses.append(st)
-        verdicts.append(Verdict(f"CH_{k}(1,3)", _overall(q_statuses[: k + 1]), nt))
+        verdicts.append(Verdict(f"CH_{k}(1,3)", _overall(q_statuses), nt))
 
     # SCH_k(1,3)
-
     scaled_series: list[SampleSeries] = []
     sch_statuses: list[str] = [verdicts[1].status]  # SCH_0 == CH_0(1,3) == Q(0)
     sch_notes: list[tuple[str, ...]] = [()]
     for k in range(1, r + 1):
-        if spec.sch_hypothesis and entries[k].scale < DEGENERATE_FLOOR:
-            st, nt = status_of(_OrderAnalysis("vacuous"))
+        if spec.sch_hypothesis and ch.scale[k] < DEGENERATE_FLOOR:
+            st, nt = status_of("vacuous", ())
         elif not sch_idx:
             st, nt = HYP, (f"|{spec.sch_hypothesis}| below floor at every hypothesis-satisfying point",)
-        elif spec.sch_hypothesis and len(sch_idx) <= npts / 2.0:
+        elif psi is None:
             st, nt = HYP, (f"|{spec.sch_hypothesis}| below floor at more than half the sample points",)
         else:
-            psi_arr = s.values["psi"][1]
-            aligned = entries[k] if s.aligned is s.adapted else _sign_structure(s.aligned[k].components, s.aligned[k].supports)
-            analysis = _scaled_constancy(aligned, psi_arr, k, tol)
-            st, nt = status_of(analysis)
-            if analysis.status != "vacuous":
-                scaled = _representative_scaled(aligned, psi_arr, k)
-                scaled_series.append(SampleSeries(f"scaled_order_{k}", per_point(sch_idx, scaled, npts)))
+            st, nt = status_of(*sch.sch[k])
+            if sch.sch[k][0] != "vacuous":
+                scaled_series.append(SampleSeries(f"scaled_order_{k}", per_point(sch_idx, sch.scaled[:, k], npts)))
             if k >= spec.contradiction_order and st == PASS and xi_spread > tol:
                 st = FAIL
                 nt = nt + (

@@ -30,7 +30,8 @@ import numpy as np
 from . import __version__
 from .classify import FAMILIES, GridAxis, GridSpec, SampleSet, below_floor, classify, evaluate_points, family_samples
 from .expr import DomainError, ParseError, parse
-from .geometry import kulkarni_nomizu, nabla_schouten_sequence
+from .geometry import CurvatureSequence, kulkarni_nomizu, nabla_schouten_sequence
+from .tensor import AXES, TensorAtPoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -221,28 +222,37 @@ def _emit(text: str, output: Optional[str]):
 # verify
 
 
-def _compare(engine: np.ndarray, oracle: np.ndarray, scale: np.ndarray) -> tuple[float, float]:
-    """(max relative deviation on oracle-nonzero entries,
-        max absolute deviation on oracle-zero entries) of engine / scale
-    against oracle / scale, where scale > 0 holds one number per point
-    (axis 0).  Only the oracle-nonzero entries are divided; on the zeros,
-    each point's max |engine| is divided once, which gives the same
-    maximum since dividing by a positive number keeps the order.  That max
-    is read with engine's oracle-nonzero entries set to 0 in place, then
-    restored, so engine is not copied.  The oracle broadcasts against it."""
-    oracle = np.broadcast_to(oracle, engine.shape)
-    nz = np.flatnonzero(oracle != 0.0)  # C-order positions in engine and oracle; a bool scan is fast
-    rows = engine.reshape(len(engine), -1)  # one per point
-    kept = rows.flat[nz]
-    rel = 0.0
-    if nz.size:
-        s = scale[nz // rows.shape[1]]
-        o = oracle.flat[nz] / s
-        rel = float(np.abs((kept / s - o) / o).max())
-    rows.flat[nz] = 0.0
-    on_zeros = np.abs(np.maximum(rows.max(axis=1), -rows.min(axis=1)))  # max |engine| per point, never -0.0
-    rows.flat[nz] = kept
-    return rel, float((on_zeros / scale).max())
+def _nonzeros(oracle: CurvatureSequence, npts: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The oracle's nonzero entries over npts points, which its entries
+    broadcast to: their (point, ijkl, column) indices in C order, and values."""
+    entries = np.broadcast_to(oracle.entries, (npts,) + oracle.entries.shape[1:])
+    at = np.unravel_index(np.flatnonzero(entries != 0.0), entries.shape)  # a bool scan is fast
+    return at, entries[at]
+
+
+def _compare(engine: CurvatureSequence, expect, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per order: (max relative deviation on oracle-nonzero entries,
+    max absolute deviation on oracle-zero entries) of engine / scale
+    against oracle / scale, where scale > 0 holds one number per point and
+    expect holds the oracle's nonzero entries (_nonzeros), on the engine's
+    columns.  One pass over every order: only the oracle-nonzero entries
+    are divided; on the zeros, each point's and column's largest |engine|
+    is divided once, which gives the same maximum since dividing by a
+    positive number keeps the order.  That max is read with the engine's
+    oracle-nonzero entries set to 0, then restored."""
+    rows, (at, values) = engine.entries, expect
+    s = scale[at[0]]
+    o = values / s
+    kept = rows[at]
+    rel = np.zeros(len(engine))
+    np.maximum.at(rel, engine.owner[at[2]], np.abs((kept / s - o) / o))
+    rows[at] = 0.0
+    outer = np.ascontiguousarray(rows.transpose(1, 0, 2))  # [ijkl, pt, column]: numpy reduces an outer axis fastest
+    on_zeros = np.abs(np.maximum(outer.max(axis=0), -outer.min(axis=0)))  # max |engine| per point and column, never -0.0
+    rows[at] = kept
+    absdev = np.zeros((len(engine), len(scale)))
+    np.maximum.at(absdev, engine.owner, (on_zeros / scale[:, None]).T)
+    return rel, absdev.max(axis=1)
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -256,16 +266,18 @@ def cmd_verify(config: RunConfig) -> int:
     metric = _build_metric(config)
     points = config.grid.points()
     g0, schouten = nabla_schouten_sequence(metric, points, config.order)
-    seq = kulkarni_nomizu(g0, schouten)
     # measure each point's deviations in units of its largest |g_ij|: the
     # (0, 4+k) curvature of the metric rescaled to unit size
     gscale = np.maximum(1.0, np.abs(g0.components).max(axis=(1, 2)))
     # compare on the oracle's box: the engine's, widened where a closed form may put an entry (rel dev 1 there)
-    dirs = seq[-1].supports[-1] if config.order else ()
-    orders = []  # per order: (max rel dev, max abs dev on zeros, passed)
-    for engine, closed in zip(seq, spec.oracle(fn, points, config.order, dirs), strict=True):
-        rel, absdev = _compare(engine.embed(closed.supports), closed.components, gscale)
-        orders.append((rel, absdev, rel <= REL_TOL and absdev <= ABS_TOL))
+    dirs = schouten[-1].supports[-1] if config.order else ()
+    closed = CurvatureSequence.of(spec.oracle(fn, points, config.order, dirs))
+    boxes = [(AXES, AXES) + tail for tail in closed.tails]
+    expect = _nonzeros(closed, len(points))
+    del closed  # mostly zeros: dropped before the engine's expansion, so the two are never held at once
+    engine = kulkarni_nomizu(g0, [TensorAtPoint(p.rank, p.embed(box), box) for p, box in zip(schouten, boxes, strict=True)])
+    rel, absdev = _compare(engine, expect, gscale)
+    orders = [(r, a, r <= REL_TOL and a <= ABS_TOL) for r, a in zip(rel.tolist(), absdev.tolist())]  # per order
     ok = all(passed for _, _, passed in orders)
     if config.format == "json":
         report = {

@@ -15,6 +15,7 @@ checked against each other componentwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .expr import Expr, eval_jet, parse, pretty, variables_of
-from .geometry import MetricField
+from .geometry import CurvatureSequence, MetricField
 from .jets import Jet, jet_derivative, jet_mul
 from .tensor import AXES, TensorAtPoint
 
@@ -110,14 +111,15 @@ def place_curvature_block(components: np.ndarray, pair: tuple[int, int], value, 
     components[(..., b, a, b, a) + tail] = -value
 
 
-def _zero_oracles(batch: tuple, kmax: int, dirs) -> list[TensorAtPoint]:
+def _zero_oracles(batch: tuple, kmax: int, dirs) -> CurvatureSequence:
     """Zero [R, ..., nabla^kmax R] whose derivative slots hold dirs, t and x:
     every direction a closed form uses, at the slot positions t = 0, x = 1."""
     box = tuple(sorted({*dirs, T, X}))
-    return [TensorAtPoint(4 + k, np.zeros(batch + (3,) * 4 + (len(box),) * k), (AXES,) * 4 + (box,) * k) for k in range(kmax + 1)]
+    width = sum(len(box) ** k for k in range(kmax + 1))
+    return CurvatureSequence(np.zeros((math.prod(batch), 81, width)), tuple((box,) * k for k in range(kmax + 1)), batch)
 
 
-def family_f_oracles(f: Expr, p, kmax: int, dirs=AXES) -> list[TensorAtPoint]:
+def family_f_oracles(f: Expr, p, kmax: int, dirs=AXES) -> CurvatureSequence:
     """Closed-form [R, nabla R, ..., nabla^kmax R] for the f-family at the
     point(s) p, from one jet of delta, on the box of _zero_oracles.
 
@@ -133,7 +135,7 @@ def family_f_oracles(f: Expr, p, kmax: int, dirs=AXES) -> list[TensorAtPoint]:
     return out
 
 
-def family_h_oracles(h: Expr, p, kmax: int, dirs=AXES) -> list[TensorAtPoint]:
+def family_h_oracles(h: Expr, p, kmax: int, dirs=AXES) -> CurvatureSequence:
     """Closed-form [R, nabla R, ..., nabla^kmax R] for the h-family at the
     point(s) p, from one jet of h, for kmax <= 2, on the box of _zero_oracles.
 

@@ -21,8 +21,10 @@ and since nabla g = 0 the same expansion turns nabla^k P into nabla^k R.
 The engine builds the Ricci jets straight from the Christoffel jets and
 runs the covariant recursion on the symmetric (0, 2+k) field nabla^k P;
 the (0, 4+k) curvature is formed only where it is read: classify and
-build_model expand on their frame, verify at the point.  Each covariant
-derivative trades one jet order for one extra tensor slot:
+build_model expand on their frame, verify at the point, every order with
+one matmul into a CurvatureSequence, so a pass over all orders reads one
+array.  Each covariant derivative trades one jet order for one extra
+tensor slot:
 
     (nabla T)_{i1..in; m} = d_m T_{i1..in} - sum_s Gamma^a_{m i_s} T_{..a..}
 
@@ -306,37 +308,82 @@ _KN = np.einsum("ip,lq,ja,kb->ijklpqab", *[np.eye(3)] * 4)  # P_il g_jk
 _KN = (_KN - _KN.swapaxes(0, 1) - _KN.swapaxes(2, 3) + _KN.swapaxes(0, 1).swapaxes(2, 3)).reshape(81 * 9, 9)
 
 
-def kulkarni_nomizu(g0: TensorAtPoint, seq: list[TensorAtPoint]) -> list[TensorAtPoint]:
+@dataclass(frozen=True, eq=False)
+class CurvatureSequence:
+    """Curvature tensors nabla^k R at the points, side by side in one array:
+    entries[point, (i, j, k, l), column], each tensor's slots past the
+    fourth, on the box tails[k], flattened into its own segment of columns.
+    Indexing gives a TensorAtPoint view with the points' leading shape
+    `batch`; a slice of consecutive tensors is the sequence of their columns."""
+
+    entries: np.ndarray = field(repr=False)  # (npts, 81, width)
+    tails: tuple
+    batch: tuple = ()
+
+    @staticmethod
+    def of(tensors) -> "CurvatureSequence":
+        """Tensors on one batch, whose first four slots hold every direction,
+        as a sequence: the tensors themselves if they are one, else a copy."""
+        if isinstance(tensors, CurvatureSequence):
+            return tensors
+        n = math.prod(tensors[0].batch)
+        parts = [t.components.reshape(n, 81, math.prod(t.shape[4:])) for t in tensors]
+        return CurvatureSequence(np.concatenate(parts, axis=2), tuple(t.supports[4:] for t in tensors), tensors[0].batch)
+
+    @cached_property
+    def bounds(self) -> list[int]:
+        """Tensor k's columns run from bounds[k] to bounds[k + 1]."""
+        return np.cumsum([0] + [math.prod(map(len, tail)) for tail in self.tails]).tolist()
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Per column, the index of its tensor."""
+        return np.repeat(np.arange(len(self.tails)), np.diff(self.bounds))
+
+    def __len__(self) -> int:
+        return len(self.tails)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            lo, hi, step = k.indices(len(self))
+            if step != 1:
+                raise ValueError("a CurvatureSequence slices consecutive tensors only")
+            hi = max(lo, hi)
+            return CurvatureSequence(self.entries[:, :, self.bounds[lo] : self.bounds[hi]], self.tails[lo:hi], self.batch)
+        tail = self.tails[k]
+        k %= len(self)
+        cols = self.entries[:, :, self.bounds[k] : self.bounds[k + 1]]
+        return TensorAtPoint(4 + len(tail), cols.reshape(self.batch + (3,) * 4 + tuple(map(len, tail))), (AXES,) * 4 + tail)
+
+
+def kulkarni_nomizu(g0: TensorAtPoint, seq: list[TensorAtPoint]) -> CurvatureSequence:
     """nabla^k P ⊙ g0 = nabla^k R for each nabla^k P in seq, whose first two
     slots hold every direction, on the points' leading axes and P's box: one
-    (81, 9) operator per point, one batched matmul each."""
+    (81, 9) operator per point, and one batched matmul over every order's
+    tail, laid side by side as the sequence's columns."""
     op = (g0.components.reshape(-1, 9) @ _KN.T).reshape(-1, 81, 9)
-    rs = [op @ p.components.reshape(len(op), 9, math.prod(p.shape[2:])) for p in seq]
-    return [TensorAtPoint(p.rank + 2, r.reshape(g0.batch + (3, 3) + p.shape), (AXES,) * 2 + p.supports) for p, r in zip(seq, rs)]
+    r = op @ np.concatenate([p.components.reshape(len(op), 9, math.prod(p.shape[2:])) for p in seq], axis=2)
+    return CurvatureSequence(r, tuple(p.supports[2:] for p in seq), g0.batch)
 
 
 def _require_size(npts: int, kmax: int, coords: tuple[int, ...], d: int):
-    """ValueError if a sequence to kmax at npts points, with derivative
-    slots over d directions, needs an array of more than MAX_ENTRIES
-    entries: the curvature of every order, npts 81 (1 + d + ... + d^kmax),
-    or the Gamma operator, npts 9 d n^2 with n jet coefficients at order
-    kmax - 1 (jets.table_size, counted without building the table)."""
+    """ValueError if a sequence to kmax with d derivative directions needs an
+    array over MAX_ENTRIES entries: the curvature of every order, npts 81
+    (1 + d + ... + d^kmax), or the Gamma operator, npts 9 d n^2 over n jet
+    coefficients at order kmax - 1 (counted, not built)."""
     slots = kmax + 1 if d == 1 else sum(d**k for k in range(min(kmax, 64) + 1))  # d^64 is past any budget
     n = math.comb(max(kmax - 1, 0) + len(coords), len(coords))
     if npts * max(81 * slots, 9 * d * n * n) > MAX_ENTRIES:
-        raise ValueError(
-            f"order {kmax} at {npts} points needs an array of more than {MAX_ENTRIES} entries; "
-            "lower the order or the number of points"
-        )
+        raise ValueError(f"order {kmax} at {npts} points needs an array of more than {MAX_ENTRIES} entries; "
+                         "lower the order or the number of points")
 
 
 def nabla_schouten_sequence(g: MetricField, points, kmax: int) -> tuple[TensorAtPoint, list[TensorAtPoint]]:
     """g and [P, nabla P, ..., nabla^kmax P] at the points, with the points'
     leading axes, each nabla^k P on the box (all, all, dirs, ..., dirs);
-    OverflowError at the first point with a non-finite entry.  ValueError
-    before anything large is allocated if the run needs more than
-    MAX_ENTRIES entries in one array: checked on the metric's coordinates,
-    which dirs holds, and again on dirs once the Christoffel jets give it."""
+    OverflowError at the first point with a non-finite entry; ValueError,
+    before allocating it, for an array over MAX_ENTRIES entries (checked on
+    the metric's coordinates, then on dirs once Gamma gives them)."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     pts, batch = _as_points(points)
@@ -346,15 +393,21 @@ def nabla_schouten_sequence(g: MetricField, points, kmax: int) -> tuple[TensorAt
         _require_size(len(pts), kmax, conn.coords, len(conn.dirs))
         field = np.moveaxis(_schouten_jets(conn, kmax), 0, -1)  # [pt, i, j, q]
         ops = _gamma_operators(conn.gamma, max(kmax - 1, 0), conn.coords, conn.dirs)
-        seq = [field[..., 0].copy()]
-        for order_in in range(kmax, 0, -1):
+        d = len(conn.dirs)
+        ends = np.cumsum([9 * d**k for k in range(kmax + 1)]).tolist()
+        flat = np.empty((len(pts), ends[-1]))  # every order's entries side by side, order k in [ends[k-1], ends[k])
+        flat[:, :9] = field[..., 0].reshape(len(pts), 9)
+        for k, order_in in enumerate(range(kmax, 0, -1), 1):
             field = _covariant_step(field, order_in, ops, conn.coords, conn.dirs)
-            seq.append(field[..., 0].copy())
-    finite = np.all([np.isfinite(p).all(axis=tuple(range(1, p.ndim))) for p in seq], axis=0)  # per point
+            flat[:, ends[k - 1] : ends[k]] = field[..., 0].reshape(len(pts), -1)
+    finite = np.isfinite(flat).all(axis=1)  # per point
     if not finite.all():
         raise OverflowError(f"curvature overflows at {tuple(pts[int(np.argmin(finite))].tolist())}")
     g0 = TensorAtPoint(2, conn.metric[0].reshape(batch + (3, 3)))
-    return g0, [TensorAtPoint(p.ndim - 1, p.reshape(batch + p.shape[1:]), (AXES,) * 2 + (conn.dirs,) * (p.ndim - 3)) for p in seq]
+    return g0, [
+        TensorAtPoint(2 + k, flat[:, e - 9 * d**k : e].reshape(batch + (3, 3) + (d,) * k), (AXES,) * 2 + (conn.dirs,) * k)
+        for k, e in enumerate(ends)
+    ]
 
 
 def nabla_riemann_sequence(g: MetricField, points, kmax: int) -> list[TensorAtPoint]:

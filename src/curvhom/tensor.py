@@ -22,7 +22,7 @@ AXES = tuple(range(DIM))  # a slot's default support: every direction
 DET_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorAtPoint:
     """Components of shape batch + shape, where shape holds the size of each
     slot's support; batch is () at one point."""
@@ -30,17 +30,15 @@ class TensorAtPoint:
     rank: int
     components: np.ndarray = field(repr=False)
     supports: tuple = None  # per slot, the sorted directions it holds; None: all three
+    shape: tuple = field(init=False, repr=False, compare=False)  # the size of each slot's support
 
     def __post_init__(self):
         if self.supports is None:
             object.__setattr__(self, "supports", (AXES,) * self.rank)
+        object.__setattr__(self, "shape", tuple(map(len, self.supports)))
         shape = self.components.shape
         if len(self.supports) != self.rank or len(shape) < self.rank or shape[len(shape) - self.rank:] != self.shape:
             raise ValueError(f"components of shape {shape} do not match rank {self.rank} on {self.supports}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.supports)
 
     @property
     def batch(self) -> tuple[int, ...]:
@@ -80,26 +78,31 @@ class Frame:
             raise ValueError("frame matrix is singular")
 
 
-def pullback(t: TensorAtPoint, frame: Frame) -> TensorAtPoint:
+def pullback(t, frame: Frame):
     """Components of the same tensor expressed on the frame's basis,
-    new_{a..} = old_{i..} m[i, a] per slot.
+    new_{a..} = old_{i..} m[i, a] per slot; t is one TensorAtPoint, or a
+    sequence of them, pulled back as a list on one plan.
 
     A frame with a point axis pulls each point's tensor back by that
-    point's matrix.  A slot's new support is every direction that one of
-    its old directions reaches, m[i, a] != 0 at some point.  Each step is
-    one batched matrix product, by the block m[old, new], that contracts
-    the leading slot and appends the new one last, so after `rank` steps
-    the slots are back in order.
+    point's matrix.  The plan is built once per frame: a slot's new support
+    is every direction that one of its old directions reaches, m[i, a] != 0
+    at some point, and each support pair has its block m[old, new].  Each
+    step is one batched matrix product by a block, that contracts the
+    leading slot and appends the new one last, so after `rank` steps the
+    slots are back in order.
     """
-    batch = np.broadcast_shapes(t.batch, frame.matrix.shape[:-2])
     m = frame.matrix.reshape(-1, DIM, DIM)
+    ts = [t] if isinstance(t, TensorAtPoint) else list(t)
     reach = (m != 0.0).any(axis=0).tolist()  # [old][new]
-    to = {s: tuple(a for a in AXES if any(reach[i][a] for i in s)) for s in set(t.supports)}
-    supports = tuple(to[s] for s in t.supports)
-    blocks = {(old, new): m[:, list(old)][:, :, list(new)] for old, new in to.items()}
-    comp = t.components.reshape((math.prod(t.batch),) + t.shape)
-    for old, new in zip(t.supports, supports):
-        rest = comp.shape[2:]
-        comp = comp.reshape(len(comp), len(old), math.prod(rest)).swapaxes(1, 2) @ blocks[old, new]
-        comp = comp.reshape((len(comp),) + rest + (len(new),))
-    return TensorAtPoint(t.rank, comp.reshape(batch + comp.shape[1:]), supports)
+    to = {s: tuple(a for a in AXES if any(reach[i][a] for i in s)) for s in {s for u in ts for s in u.supports}}
+    blocks = {old: m[:, list(old)][:, :, list(new)] for old, new in to.items()}
+    out = []
+    for u in ts:
+        batch = np.broadcast_shapes(u.batch, frame.matrix.shape[:-2])
+        comp = u.components.reshape((math.prod(u.batch),) + u.shape)
+        for old in u.supports:
+            rest = comp.shape[2:]
+            comp = comp.reshape(len(comp), len(old), math.prod(rest)).swapaxes(1, 2) @ blocks[old]
+            comp = comp.reshape((len(comp),) + rest + (len(to[old]),))
+        out.append(TensorAtPoint(u.rank, comp.reshape(batch + comp.shape[1:]), tuple(to[s] for s in u.supports)))
+    return out[0] if isinstance(t, TensorAtPoint) else out

@@ -175,8 +175,6 @@ def test_representative_scaled_entry_is_stable_under_round_off(monkeypatch):
     import dataclasses
     import importlib
 
-    from curvhom.tensor import TensorAtPoint
-
     cl = importlib.import_module("curvhom.classify")  # the package exports the function under this name
 
     spec = cl.FAMILIES["h"]
@@ -191,10 +189,9 @@ def test_representative_scaled_entry_is_stable_under_round_off(monkeypatch):
     for c in tied:
         def nudged(g, kmax, points, c=c):
             s = spec.samples(g, kmax, points)
-            comps = s.aligned[2].components.reshape(len(points), -1).copy()
-            comps[:, c] *= 1 + 1e-15
-            a2 = TensorAtPoint(4 + 2, comps.reshape(s.aligned[2].components.shape), s.aligned[2].supports)
-            return dataclasses.replace(s, aligned=[*s.aligned[:2], a2, *s.aligned[3:]])
+            a2 = s.aligned[2].components  # a view of the sequence's entries
+            a2[(slice(None),) + np.unravel_index(c, a2.shape[1:])] *= 1 + 1e-15
+            return s
 
         monkeypatch.setitem(cl.FAMILIES, "h", dataclasses.replace(spec, samples=nudged))
         got = classify(g, 2, grid).series("scaled_order_2").values
@@ -370,32 +367,172 @@ def test_bad_points_excluded_with_their_own_reasons():
         assert [e.reason for e in alone.exclusions] == [reason]
 
 
-def _q_condition_reference(stack, tol):
-    """_q_condition with each component's X-multiplicity counted over every
-    index tuple of the stack, in flattened order."""
-    from curvhom.classify import _sign_structure
+# --- the order tests, against a per-order reference ---------------------------------
 
-    entries = _sign_structure(stack)
-    if entries.status != "pass":
-        return entries.status, list(entries.notes)
-    flat, live = entries.flat, entries.live
-    xmult = [index.count(X) for index in itertools.product(range(3), repeat=stack.ndim - 1)]
+
+def _sign_reference(flat):
+    """One order's sign structure, (status, notes, live columns), read on its
+    own: vacuous below 1e-10, a zero relative to the order's largest |entry|."""
+    scale = float(np.abs(flat).max(initial=0.0))
+    if scale < 1e-10:
+        return "vacuous", ("all entries vanish at this order",), None
+    zero = np.abs(flat) <= 1e-9 * scale
+    all_zero = zero.all(axis=0)
+    if (zero.any(axis=0) & ~all_zero).any():
+        return "fail", ("an entry vanishes at some sample points only",), None
+    live = np.flatnonzero(~all_zero)
+    signs = np.sign(flat[:, live])
+    if not (signs == signs[:1]).all():
+        return "fail", ("an entry changes sign across sample points",), None
+    return "pass", (), live
+
+
+def _q_condition_reference(t, tol):
+    """The CH test of one order, column by column, with each column's
+    X-multiplicity counted on its index tuple."""
+    flat = t.components.reshape(len(t.components), -1)
+    status, notes, live = _sign_reference(flat)
+    if status != "pass":
+        return status, notes
+    xmult = [sum(s[i] == X for s, i in zip(t.supports, index)) for index in itertools.product(*map(range, t.shape))]
     groups = {}
     for c in live:
         groups.setdefault(xmult[c], []).append(c)
-    notes = []
     for mult, comps in sorted(groups.items()):
         ref = max(comps, key=lambda c: float(np.abs(flat[:, c]).min()))
         for c in comps:
             spread = relative_spread(flat[:, c] / flat[:, ref])
             if c != ref and spread > tol:
-                return "fail", [f"entries of X-multiplicity {mult} have point-dependent ratio (spread {spread:.2e})"]
+                return "fail", (f"entries of X-multiplicity {mult} have point-dependent ratio (spread {spread:.2e})",)
     if len(groups) > 2:
-        notes.append(
+        return "pass", (
             f"{len(groups)} distinct X-multiplicities at this order; "
-            "two-parameter matching not fully determined, raw entries exposed"
+            "two-parameter matching not fully determined, raw entries exposed",
         )
-    return "pass", notes
+    return "pass", ()
+
+
+def _scaled_reference(t, psi, tol):
+    """The SCH test of one order k >= 1, column by column."""
+    k = t.rank - 4
+    flat = t.components.reshape(len(t.components), -1)
+    status, notes, live = _sign_reference(flat)
+    if status != "pass":
+        return status, notes
+    for c in live:
+        spread = relative_spread(np.abs(flat[:, c] / psi ** ((k + 2) / 2.0)))
+        if spread > tol:
+            return "fail", (f"a scaled order-{k} entry is nonconstant (spread {spread:.2e})",)
+    return "pass", ()
+
+
+def _representative_reference(t, psi):
+    """The first column whose largest |entry| is within 1e-9 of the order's, over psi^((k+2)/2)."""
+    flat = t.components.reshape(len(t.components), -1)
+    top = np.abs(flat).max(axis=0)
+    c = next(c for c in range(len(top)) if top[c] >= (1 - 1e-9) * top.max())
+    return flat[:, c] / psi ** ((t.rank - 2) / 2.0)
+
+
+KINDS = ("pass", "scaled", "vacuous", "vanishes at some points", "sign change", "ratio", "tie")
+
+
+def _random_orders(seed):
+    """Seven orders k = 0..6 in a seeded order of KINDS, five samples each, on
+    the box (all,) * 4 + ((T, X),) * k, then CH_0's entry alone at (T, X, X, T)
+    as an eighth tensor.  A live
+    entry is a signed constant times psi^((k+2)/2) times base^(its
+    X-multiplicity), with base = 1 for "pass" and "tie", so only those pass
+    the scaled test; each other kind breaks one test."""
+    from curvhom.tensor import AXES, TensorAtPoint
+
+    rng = np.random.default_rng(seed)
+    psi, base = rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 5)
+    tensors = []
+    for k, kind in enumerate(rng.permutation(KINDS)):
+        supports = (AXES,) * 4 + ((T, X),) * k
+        stack = np.zeros((5,) + tuple(map(len, supports)))
+        flat = stack.reshape(5, -1)
+        xmult = [sum(s[i] == X for s, i in zip(supports, index)) for index in itertools.product(*map(range, stack.shape[1:]))]
+        live = rng.choice(flat.shape[1], size=8, replace=False)
+        b = 1.0 if kind in ("pass", "tie") else base
+        for c in live:
+            flat[:, c] = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1, 1) * psi ** ((k + 2) / 2.0) * b ** xmult[c]
+        if kind == "vacuous":
+            stack[...] = 1e-12 * rng.normal(size=stack.shape)
+        elif kind == "vanishes at some points":
+            flat[2, live[0]] = 0.0
+        elif kind == "sign change":
+            flat[3, live[1]] *= -1.0
+        elif kind == "ratio":
+            flat[:, live[2]] *= 1.0 + 0.1 * np.arange(5)
+        elif kind == "tie":  # the order's largest column, and a later one a few ulps above it, of the other sign
+            big = live[np.argmax(np.abs(flat[:, live]).max(axis=0))]
+            flat[:, min(set(range(flat.shape[1])) - set(live) - {big})] = -flat[:, big] * (1 + 4e-16)
+        tensors.append(TensorAtPoint(4 + k, stack, supports))
+    entry = np.zeros((5, 3, 3, 3, 3))
+    entry[:, T, X, X, T] = rng.choice([-1.0, 1.0]) * psi * (1.0 if seed % 3 else np.sign(base - 1.0))  # one sign, or both
+    tensors.append(TensorAtPoint(4, entry))
+    return psi, tensors
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_pass_order_tests_equal_the_per_order_reference(seed):
+    from curvhom.classify import _order_tests
+
+    from curvhom.geometry import CurvatureSequence
+
+    psi, tensors = _random_orders(seed)
+    got = _order_tests(CurvatureSequence.of(tensors[:-1]), 1e-6, psi=psi, entry=tensors[-1].components[:, T, X, X, T])
+    for i, t in enumerate(tensors):
+        flat = t.components.reshape(5, -1)
+        assert got.scale[i] == np.abs(flat).max()
+        assert got.ch[i] == _q_condition_reference(t, 1e-6)
+        sign = _sign_reference(flat)[:2]
+        if t.rank == 4:
+            assert got.sch[i] == sign
+        else:
+            assert got.sch[i] == _scaled_reference(t, psi, 1e-6)
+            if sign[0] != "vacuous":
+                np.testing.assert_array_equal(got.scaled[:, i], _representative_reference(t, psi))
+    # each test runs only where it is asked for
+    alone = _order_tests(CurvatureSequence.of(tensors), 1e-6, ratios=False)
+    assert alone.ch == alone.sch == [_sign_reference(t.components.reshape(5, -1))[:2] for t in tensors]
+    assert alone.scaled is None
+
+
+def test_order_tests_keep_groups_apart_at_high_multiplicity():
+    # a tail of twelve X slots lifts X-multiplicities to 16: groups keyed by
+    # (order, multiplicity) must not run into the next order's
+    from curvhom.classify import _order_tests
+    from curvhom.geometry import CurvatureSequence
+    from curvhom.tensor import AXES, TensorAtPoint
+
+    p = np.linspace(1.0, 2.0, 5)
+    low, high = np.zeros((5,) + (3,) * 4), np.zeros((5,) + (3,) * 4 + (1,) * 12)
+    low[:, T, T, T, T], low[:, Y, T, T, Y] = p, 2 * p  # multiplicity 0, one ratio
+    high[:, X, X, X, X] = (p**3).reshape(5, *(1,) * 12)  # multiplicity 16, its own group
+    tensors = [TensorAtPoint(16, high, (AXES,) * 4 + ((X,),) * 12), TensorAtPoint(4, low)]
+    got = _order_tests(CurvatureSequence.of(tensors), 1e-6)
+    assert got.ch == [_q_condition_reference(t, 1e-6) for t in tensors] == [("pass", ()), ("pass", ())]
+
+
+def test_random_orders_cover_every_outcome():
+    from curvhom.classify import _order_tests
+    from curvhom.geometry import CurvatureSequence
+
+    statuses, notes = set(), []
+    for seed in range(12):
+        psi, tensors = _random_orders(seed)
+        got = _order_tests(CurvatureSequence.of(tensors[:-1]), 1e-6, psi=psi, entry=tensors[-1].components[:, T, X, X, T])
+        statuses |= {s for s, _ in got.ch + got.sch}
+        notes += [n for _, found in got.ch + got.sch for n in found]
+    assert statuses == {"pass", "fail", "vacuous"}
+    for start in (
+        "all entries vanish", "an entry vanishes at some", "an entry changes sign", "entries of X-multiplicity",
+        "a scaled order-", "3 distinct X-multiplicities", "4 distinct X-multiplicities",
+    ):
+        assert any(n.startswith(start) for n in notes), start
 
 
 def _multiplicity_stack(rank, bend=None):
@@ -426,18 +563,20 @@ def _multiplicity_stack(rank, bend=None):
     ids=["constant ratios", "point-dependent ratio", "ratio within tol"],
 )
 def test_q_condition_matches_brute_force_multiplicities(rank, bend, status):
-    from curvhom.classify import _q_condition, _sign_structure
+    from curvhom.classify import _order_tests
+    from curvhom.geometry import CurvatureSequence
+    from curvhom.tensor import TensorAtPoint
 
-    stack = _multiplicity_stack(rank, bend)
-    got = _q_condition(_sign_structure(stack), 1e-6)
-    assert (got.status, got.notes) == _q_condition_reference(stack, 1e-6)
-    assert got.status == status
+    t = TensorAtPoint(rank, _multiplicity_stack(rank, bend))
+    got = _order_tests(CurvatureSequence.of([t]), 1e-6).ch[0]
+    assert got == _q_condition_reference(t, 1e-6)
+    assert got[0] == status
     if status == "pass":
-        assert got.notes == [
-            "4 distinct X-multiplicities at this order; two-parameter matching not fully determined, raw entries exposed"
-        ]
+        assert got[1] == (
+            "4 distinct X-multiplicities at this order; two-parameter matching not fully determined, raw entries exposed",
+        )
     else:
-        assert got.notes[0].startswith("entries of X-multiplicity 1 have point-dependent ratio")
+        assert got[1][0].startswith("entries of X-multiplicity 1 have point-dependent ratio")
 
 
 # --- nabla^k R on a frame, expanded from the pulled-back g and nabla^k P ----------
@@ -496,7 +635,7 @@ def _relative_spread_reference(vals):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, in both
 @pytest.mark.parametrize("npts", [1, 2, 3, 4, 7])
 def test_spreads_match_np_median_per_column(npts):
-    from curvhom.classify import _first_spread_over
+    from curvhom.classify import _spreads
 
     rng = np.random.default_rng(npts)
     cols = rng.normal(size=(npts, 40)) * 10.0 ** rng.integers(-12, 3, size=40)
@@ -508,10 +647,26 @@ def test_spreads_match_np_median_per_column(npts):
     cols[:, 5] = np.inf
     want = [_relative_spread_reference(c) for c in cols.T]
     assert [relative_spread(c) for c in cols.T] == pytest.approx(want, nan_ok=True, rel=0, abs=0)
-    for tol in [1e-12, 1e-6, 0.5, 10.0]:
-        over = [i for i, w in enumerate(want) if w > tol]
-        got = _first_spread_over(cols, tol)
-        assert got == (want[over[0]] if over else None)
-        for i in range(cols.shape[1]):  # each column alone, so every one is compared
-            got = _first_spread_over(cols[:, [i]], tol)
-            assert got == (want[i] if want[i] > tol else None)
+    assert _spreads(cols).tolist() == pytest.approx(want, nan_ok=True, rel=0, abs=0)  # one sort for every column
+
+
+# the survey panel of scripts/survey_families.py, on five points
+SURVEY_PANEL = [
+    ("f", "x", X, 0.1, 1.0), ("f", "x^2", X, 0.1, 1.0), ("f", "exp(x)", X, 0.0, 1.0),
+    ("f", "2.5615528128088303*log(x)", X, 0.3, 1.5), ("h", "t^2", T, 0.0, 1.0), ("h", "t^3", T, 1.0, 2.0),
+    ("h", "exp(t)", T, 0.0, 1.0), ("h", "t^5", T, 1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("family, profile, coord, lo, hi", SURVEY_PANEL, ids=[f"{f} {p}" for f, p, *_ in SURVEY_PANEL])
+def test_classify_at_r_and_r_plus_1_agree_on_every_shared_verdict(family, profile, coord, lo, hi):
+    from curvhom.classify import FAMILIES
+
+    g = FAMILIES[family].metric(parse(profile))
+    grid = x_grid(lo, hi, 5) if coord == X else t_grid(lo, hi, 5)
+    reports = [classify(g, r, grid) for r in range(6)]
+    for low, high in zip(reports, reports[1:]):
+        shared = {v.name: v for v in low.verdicts}
+        assert shared == {v.name: v for v in high.verdicts if v.name in shared}
+        for s in low.scaled_entries:
+            np.testing.assert_allclose(high.series(s.name).values, s.values, rtol=1e-12, atol=0)

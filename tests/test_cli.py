@@ -441,7 +441,9 @@ def _compare_reference(engine, oracle, gscale):
 @pytest.mark.parametrize("npts, rank", [(1, 4), (33, 4), (1, 12), (3, 12)])
 @pytest.mark.parametrize("oracle_kind", ["all zero", "all nonzero", "mixed"])
 def test_compare_is_bit_identical_to_dividing_full_copies(npts, rank, oracle_kind):
-    from curvhom.cli import _compare
+    from curvhom.cli import _compare, _nonzeros
+    from curvhom.geometry import CurvatureSequence
+    from curvhom.tensor import AXES
 
     rng = np.random.default_rng(npts * 100 + rank)
     shape = (npts,) + (3,) * rank
@@ -456,13 +458,51 @@ def test_compare_is_bit_identical_to_dividing_full_copies(npts, rank, oracle_kin
         oracle[0, (0,) * rank] = 3.0
     noise = rng.normal(size=shape) * 10.0 ** rng.integers(-16, -9, size=shape)
     engine = np.where(oracle != 0.0, oracle * (1 + noise), noise)
+    seq = CurvatureSequence(engine.reshape(npts, 81, -1), ((AXES,) * (rank - 4),), (npts,))
     before = engine.copy()
-    got = _compare(engine, oracle, gscale)
+    rel, absdev = _compare(seq, _nonzeros(CurvatureSequence(oracle.reshape(npts, 81, -1), seq.tails, (npts,)), npts), gscale)
     np.testing.assert_array_equal(engine, before)  # restored after zeroing the oracle-nonzero entries
+    got = (float(rel[0]), float(absdev[0]))
     assert got == _compare_reference(engine, oracle, gscale)
     assert (got[0] > 0.0) == (oracle_kind != "all zero")
     assert (got[1] > 0.0) == (oracle_kind != "all nonzero")
     assert np.copysign(1.0, got[1]) == 1.0  # a report prints 0.0, not -0.0
+
+
+@pytest.mark.parametrize("npts", [1, 2, 5])
+def test_compare_reads_every_order_in_one_pass(npts):
+    from curvhom.cli import _compare, _nonzeros
+    from curvhom.geometry import CurvatureSequence
+    from curvhom.tensor import AXES, TensorAtPoint
+
+    rng = np.random.default_rng(npts)
+    gscale = 1.0 + rng.random(npts) * 3.0
+    engines, oracles = [], []
+    for k, kind in enumerate(["mixed", "all zero", "all nonzero", "mixed", "mixed", "mixed"]):
+        shape = (npts,) + (3,) * 4 + (2,) * k
+        oracle = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        if kind == "all zero":
+            oracle[...] = 0.0
+        elif kind == "mixed":
+            oracle[rng.random(shape) < 0.8] = 0.0
+        noise = rng.normal(size=shape) * 10.0 ** rng.integers(-16, -9, size=shape)
+        engines.append(np.where(oracle != 0.0, oracle * (1 + noise), noise))
+        oracles.append(oracle)
+
+    def joined(arrays):
+        return CurvatureSequence.of([TensorAtPoint(a.ndim - 1, a, (AXES,) * 4 + ((0, 1),) * (a.ndim - 5)) for a in arrays])
+
+    rel, absdev = _compare(joined(engines), _nonzeros(joined(oracles), npts), gscale)
+    want = [_compare_reference(e, o, gscale) for e, o in zip(engines, oracles)]
+    assert list(zip(rel.tolist(), absdev.tolist())) == want
+    for k, (e, o) in enumerate(zip(engines, oracles)):  # each order alone reads the same
+        alone = _compare(joined([e]), _nonzeros(joined([o]), npts), gscale)
+        assert (float(alone[0][0]), float(alone[1][0])) == want[k]
+    # one closed form for every point broadcasts against the engine at each
+    common = [o[:1] for o in oracles]
+    rel, absdev = _compare(joined(engines), _nonzeros(joined(common), npts), gscale)
+    want = [_compare_reference(e, np.broadcast_to(o, e.shape), gscale) for e, o in zip(engines, common)]
+    assert list(zip(rel.tolist(), absdev.tolist())) == want
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +711,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     out.append((code, err.getvalue(), time.perf_counter() - start))
-g = custom_metric([[parse("exp(x)"), parse("0"), parse("0")], [parse("0"), parse("1"), parse("t*y")], [parse("0"), parse("t*y"), parse("y^2")]])
+zero, one, ty = parse("0"), parse("1"), parse("t*y")
+g = custom_metric([[parse("exp(x)"), zero, zero], [zero, one, ty], [zero, ty, parse("y^2")]])
 assert g.coords == (0, 1, 2)
 start = time.perf_counter()
 try:

@@ -26,7 +26,7 @@ from curvhom.geometry import (
     nabla_schouten_sequence,
     riemann,
 )
-from curvhom.tensor import TensorAtPoint
+from curvhom.tensor import AXES, TensorAtPoint
 
 T, X, Y = 0, 1, 2
 ORIGIN = (0.0, 0.0, 0.0)
@@ -567,3 +567,41 @@ def test_array_budget_counts_the_curvature_box_and_the_gamma_operator(npts, kmax
     else:
         with pytest.raises(ValueError, match="needs an array of more than"):
             _require_size(npts, kmax, coords, d)
+
+
+@pytest.mark.parametrize("metric, dirs, points", BOX_CASES[:5], ids=BOX_IDS[:5])
+def test_one_matmul_expansion_equals_the_expansion_of_each_order(metric, dirs, points):
+    g0, seq = nabla_schouten_sequence(metric, points, 5)
+    rs = kulkarni_nomizu(g0, seq)
+    assert len(rs) == 6 and [r.supports for r in rs] == [(AXES,) * 4 + p.supports[2:] for p in seq]
+    for r, p in zip(rs, seq):
+        alone = kulkarni_nomizu(g0, [p])[0]
+        want = _kulkarni_nomizu_einsum(p.components, g0.components)
+        np.testing.assert_allclose(r.components, alone.components, rtol=0, atol=1e-15 * np.abs(want).max())
+        np.testing.assert_allclose(r.components, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_curvature_sequence_indexes_and_slices_its_columns():
+    from curvhom.geometry import CurvatureSequence
+
+    rng = np.random.default_rng(5)
+    tails = [(), ((0, 1),), ((0, 1), (0, 1)), ((0, 1, 2),) * 2]
+    tensors = [TensorAtPoint(4 + len(t), rng.normal(size=(2,) + (3,) * 4 + tuple(map(len, t))), (AXES,) * 4 + t) for t in tails]
+    seq = CurvatureSequence.of(tensors)
+    assert seq.entries.shape == (2, 81, 1 + 2 + 4 + 9) and seq.bounds == [0, 1, 3, 7, 16]
+    assert seq.owner.tolist() == [0, 1, 1, 2, 2, 2, 2] + [3] * 9
+    assert CurvatureSequence.of(seq) is seq
+    for k, t in enumerate(tensors):
+        for got in (seq[k], seq[k - len(tensors)], list(seq)[k]):
+            assert got.rank == t.rank and got.supports == t.supports
+            np.testing.assert_array_equal(got.components, t.components)
+    middle = seq[1:3]
+    assert len(middle) == 2 and middle.tails == seq.tails[1:3]
+    np.testing.assert_array_equal(middle[1].components, tensors[2].components)
+    assert len(seq[3:1]) == 0
+    with pytest.raises(IndexError):
+        seq[4]
+    with pytest.raises(ValueError, match="consecutive"):
+        seq[::2]
+    one = CurvatureSequence(seq.entries[:1], seq.tails)  # one point, no point axis
+    assert one[3].components.shape == (3,) * 6

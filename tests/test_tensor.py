@@ -149,3 +149,20 @@ def test_pullback_of_the_empty_box():
     t = TensorAtPoint(3, np.zeros((2, 3, 3, 0)), ((0, 1, 2), (0, 1, 2), ()))
     out = pullback(t, _frames(2)["h"])
     assert out.supports[2] == () and out.components.shape == (2, 3, 3, 0)
+
+
+@pytest.mark.parametrize("kind", ["f", "h", "dense"])
+def test_sequence_pullback_equals_each_tensor_on_its_own(kind):
+    # g and nabla^0 P ... nabla^6 P on the box of the f and h families, and a
+    # point-free metric, on one plan
+    npts = 3
+    frame = _frames(npts)[kind]
+    seq = [TensorAtPoint(2, RNG.normal(size=(3, 3)))]
+    seq += [TensorAtPoint(2 + k, RNG.normal(size=(npts, 3, 3) + (2,) * k), ((0, 1, 2),) * 2 + ((0, 1),) * k) for k in range(7)]
+    got = pullback(seq, frame)
+    assert isinstance(got, list) and len(got) == len(seq)
+    for a, t in zip(got, seq):
+        want = pullback(t, frame)
+        assert a.supports == want.supports
+        np.testing.assert_array_equal(a.components, want.components)
+    assert pullback([], frame) == []
