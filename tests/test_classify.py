@@ -439,11 +439,11 @@ KINDS = ("pass", "scaled", "vacuous", "vanishes at some points", "sign change", 
 
 def _random_orders(seed):
     """Seven orders k = 0..6 in a seeded order of KINDS, five samples each, on
-    the box (all,) * 4 + ((T, X),) * k, then CH_0's entry alone at (T, X, X, T)
-    as an eighth tensor.  A live
-    entry is a signed constant times psi^((k+2)/2) times base^(its
-    X-multiplicity), with base = 1 for "pass" and "tie", so only those pass
-    the scaled test; each other kind breaks one test."""
+    the box (all,) * 4 + ((T, X),) * k, then CH_0's entry alone at
+    (T, X, X, T) as an eighth tensor.  A live entry is a signed constant
+    times psi^((k+2)/2) times base^(its X-multiplicity), with base = 1 for
+    "pass" and "tie", so only those pass the scaled test; each other kind
+    breaks one test."""
     from curvhom.tensor import AXES, TensorAtPoint
 
     rng = np.random.default_rng(seed)
