@@ -108,6 +108,14 @@ def commands() -> list[list[str]]:
         ("classify", "f", "exp(x)", "x=0:1:2"), ("verify", "f", "1/x", "x=0.5:1:1"), ("classify", "h", "t^3", "t=1:2:2")
     ):
         out.append([cmd, "--family", family, "--function", profile, "--order", "40", "--grid", grid])
+    # custom metrics that overflow: in g^{-1}, in the curvature, and inside an expression
+    for metric, extra in (
+        (["tt=1e-9/1e300", "xy=1"], []),
+        (["tt=exp(x)*1e-200", "xy=1", "yy=1e150*t^2"], ["--order", "2"]),
+        (["tt=cos(x*1e300*1e300)", "xy=1"], []),
+    ):
+        flags = [f for m in metric for f in ("--metric", m)]
+        out.append(["classify", "--family", "custom", *flags, *extra, "--grid", "x=0.1:1:3"])
     return out
 
 
