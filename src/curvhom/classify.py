@@ -53,8 +53,7 @@ from .families import (
     family_h_oracles,
     profile_derivatives,
 )
-from .geometry import DegenerateMetricError, MetricField, Point, nabla_k_riemann
-from .geometry import CurvatureSequence, kulkarni_nomizu, nabla_schouten_sequence
+from .geometry import CurvatureSequence, DegenerateMetricError, MetricField, Point, kulkarni_nomizu, nabla_schouten_sequence
 from .models import T, X, adapted_frame_f, adapted_frame_h, scaling_lambda_h
 from .tensor import AXES, TensorAtPoint, pullback
 
@@ -644,8 +643,9 @@ def _sorted_values(by_index: dict) -> tuple:
 def _custom_curvature(g: MetricField, points) -> float:
     """max |R^i_jkl| = max |g^im R_mjkl| over the points: the (1,3) curvature
     operator, which a constant rescaling g -> c g leaves unchanged."""
-    curv = nabla_k_riemann(g, points, 0).components
-    return float(np.abs(np.einsum("...im,...mjkl->...ijkl", np.linalg.inv(g.component_matrix(points)), curv)).max())
+    g0, seq = nabla_schouten_sequence(g, points, 0)
+    curv = kulkarni_nomizu(g0, seq)[0].components
+    return float(np.abs(np.einsum("...im,...mjkl->...ijkl", np.linalg.inv(g0.components), curv)).max())
 
 
 def _classify_custom(g: MetricField, r, pts, tol) -> HomogeneityReport:

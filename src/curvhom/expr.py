@@ -251,6 +251,7 @@ def pretty(e: Expr, parent_prec: int = 0, right_of: str | None = None) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+@jets.float_guard()
 def eval_jet(e: Expr, points, order: int, coords: tuple[int, ...] | None = None) -> Jet:
     """Table of all partial derivatives of e up to total `order` along
     coords (positions in COORDS), by default the coordinates e depends on;
@@ -261,19 +262,16 @@ def eval_jet(e: Expr, points, order: int, coords: tuple[int, ...] | None = None)
     a whole grid evaluates in one pass.  Raises DomainError when the function is
     undefined at any of the points (log or sqrt out of range, division by
     zero, abs or non-integer power at a non-differentiable argument); the
-    message names the first such value.  Raises OverflowError, as math.exp
-    does, when a coefficient is not finite: the function overflowed at one
-    of the points, anywhere inside the expression.
+    message names the first such value.  Under jets.float_guard, a step
+    that leaves the float range at any point raises OverflowError("math
+    range error"), which names no point; so no coefficient is non-finite
+    unless a literal is (1e400 reads as inf, as float() reads it).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if coords is None:
         coords = coords_of(e)
-    with np.errstate(all="ignore"):  # an overflow anywhere inside shows in the result
-        jet = _eval(e, np.asarray(points, dtype=np.float64), order, coords)
-    if not np.isfinite(jet.coeffs).all():
-        raise OverflowError("math range error")
-    return jet
+    return _eval(e, np.asarray(points, dtype=np.float64), order, coords)
 
 
 def _eval(e: Expr, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> Jet:

@@ -24,7 +24,7 @@ import numpy as np
 from . import jets
 from .expr import Expr, eval_jet, parse, pretty, variables_of
 from .geometry import CurvatureSequence, MetricField
-from .jets import Jet, jet_derivative, jet_mul
+from .jets import Jet, float_guard, jet_derivative, jet_mul
 from .tensor import AXES, TensorAtPoint
 
 _ZERO = parse("0")
@@ -71,16 +71,17 @@ def custom_metric(matrix) -> MetricField:
     return MetricField.from_matrix(matrix, family=FamilySpec("custom"))
 
 
-def delta_jet(f: Expr, p, order: int) -> Jet:
-    """Jet of delta = f'' + (f')^2 at the point(s) p, to the given order."""
-    fj = eval_jet(f, p, order + 2)
+def _delta(fj: Jet, order: int) -> Jet:
+    """Jet of delta = f'' + (f')^2 to `order`, from a jet of f to order + 2."""
     f1 = jet_derivative(fj, X)
     f2 = jet_derivative(f1, X)
-    with np.errstate(all="ignore"):  # a non-finite jet is checked below, as in eval_jet
-        dj = f2 + jet_mul(f1.truncate(order), f1.truncate(order))
-    if not np.isfinite(dj.coeffs).all():
-        raise OverflowError("math range error")
-    return dj
+    return f2 + jet_mul(f1.truncate(order), f1.truncate(order))
+
+
+@float_guard()
+def delta_jet(f: Expr, p, order: int) -> Jet:
+    """Jet of delta = f'' + (f')^2 at the point(s) p, to the given order."""
+    return _delta(eval_jet(f, p, order + 2), order)
 
 
 def delta_derivatives(f: Expr, p, kmax: int) -> list:
@@ -119,19 +120,22 @@ def _zero_oracles(batch: tuple, kmax: int, dirs) -> CurvatureSequence:
     return CurvatureSequence(np.zeros((math.prod(batch), 81, width)), tuple((box,) * k for k in range(kmax + 1)), batch)
 
 
+@float_guard()
 def family_f_oracles(f: Expr, p, kmax: int, dirs=AXES) -> CurvatureSequence:
     """Closed-form [R, nabla R, ..., nabla^kmax R] for the f-family at the
-    point(s) p, from one jet of delta, on the box of _zero_oracles.
+    point(s) p, from one jet of f, on the box of _zero_oracles.
 
     The only entries, up to curvature symmetries, are
     nabla^k R(dx, dt, dt, dx; dx, ..., dx) = -exp(2 f) * delta^(k).
     """
     if kmax < 0:
         raise ValueError("k must be nonnegative")
-    e2f = np.exp(2.0 * eval_jet(f, p, 0).value)
+    fj = eval_jet(f, p, kmax + 2)
+    dj = _delta(fj, kmax)
+    e2f = np.exp(2.0 * fj.value)
     out = _zero_oracles(np.shape(e2f), kmax, dirs)
-    for k, dk in enumerate(delta_derivatives(f, p, kmax)):
-        place_curvature_block(out[k].components, (X, T), -e2f * dk, (X,) * k)
+    for k in range(kmax + 1):
+        place_curvature_block(out[k].components, (X, T), -e2f * jets.partial(dj, (0, k, 0)), (X,) * k)
     return out
 
 

@@ -43,6 +43,10 @@ block out of it (_gamma_operators).  The algebraic
 curvature symmetries hold by construction: the expansion is antisymmetric
 in each pair exactly, and pair symmetry and the first Bianchi identity
 follow from P being symmetric, which the recursion keeps.
+
+christoffel and nabla_schouten_sequence run under jets.float_guard: a step
+that leaves the float range at any point raises OverflowError("math range
+error"), which names no point; classify.evaluate_points finds the points.
 """
 
 from __future__ import annotations
@@ -164,28 +168,19 @@ def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int, coords: tup
     m = m * dd
     r1, r2 = _MINOR_ROWS
     a, b = m[..., r1, :], m[..., r2, :]
-    with np.errstate(all="ignore"):  # an overflow shows in det, checked below
-        cof = _COFACTOR_SIGN * (
-            stacked_product("ij,ij->ij", a[..., r1], b[..., r2], order, coords)
-            - stacked_product("ij,ij->ij", a[..., r2], b[..., r1], order, coords)
-        )
-        det = stacked_product("j,j->", m[..., 0, :], cof[..., 0, :], order, coords)
-    overflow = ~np.isfinite(det[0])
-    if overflow.any():
-        raise OverflowError(f"metric determinant overflows at {tuple(pts[int(np.argmax(overflow))].tolist())}")
+    cof = _COFACTOR_SIGN * (
+        stacked_product("ij,ij->ij", a[..., r1], b[..., r2], order, coords)
+        - stacked_product("ij,ij->ij", a[..., r2], b[..., r1], order, coords)
+    )
+    det = stacked_product("j,j->", m[..., 0, :], cof[..., 0, :], order, coords)
     bad = singular(m[0], det[0])
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateMetricError(
             f"metric is degenerate at {tuple(pts[i].tolist())}: |det| = {np.ldexp(abs(det[0, i]), 2 * h[i].sum()):.3e}"
         )
-    with np.errstate(over="ignore"):  # g^{-1} itself can be out of range, checked below
-        recip = jet_div(jets.jet_constant(1.0, order, det.shape[1:], coords), Jet(order, det, coords)).coeffs
-        inv = stacked_product(",ij->ij", recip, cof, order, coords) * dd
-    overflow = ~np.isfinite(inv).all(axis=(0, 2, 3))
-    if overflow.any():
-        raise OverflowError(f"metric inverse overflows at {tuple(pts[int(np.argmax(overflow))].tolist())}")
-    return inv
+    recip = jet_div(jets.jet_constant(1.0, order, det.shape[1:], coords), Jet(order, det, coords)).coeffs
+    return stacked_product(",ij->ij", recip, cof, order, coords) * dd
 
 
 def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: int) -> np.ndarray:
@@ -196,6 +191,7 @@ def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: i
     return np.stack([stack[jets.shift_table(order, c, coords)] if c in coords else zero for c in AXES], axis=axis)
 
 
+@jets.float_guard()
 def christoffel(g: MetricField, points, order: int = 0) -> ConnectionJet:
     """Christoffel symbols of the Levi-Civita connection as jets over
     g.coords at the points.
@@ -378,31 +374,28 @@ def _require_size(npts: int, kmax: int, coords: tuple[int, ...], d: int):
                          "lower the order or the number of points")
 
 
+@jets.float_guard()
 def nabla_schouten_sequence(g: MetricField, points, kmax: int) -> tuple[TensorAtPoint, list[TensorAtPoint]]:
     """g and [P, nabla P, ..., nabla^kmax P] at the points, with the points'
     leading axes, each nabla^k P on the box (all, all, dirs, ..., dirs);
-    OverflowError at the first point with a non-finite entry; ValueError,
+    OverflowError("math range error") from the float guard; ValueError,
     before allocating it, for an array over MAX_ENTRIES entries (checked on
     the metric's coordinates, then on dirs once Gamma gives them)."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     pts, batch = _as_points(points)
     _require_size(len(pts), kmax, g.coords, len(g.coords))
-    with np.errstate(all="ignore"):  # a non-finite entry is checked below
-        conn = christoffel(g, pts, kmax + 1)
-        _require_size(len(pts), kmax, conn.coords, len(conn.dirs))
-        field = np.moveaxis(_schouten_jets(conn, kmax), 0, -1)  # [pt, i, j, q]
-        ops = _gamma_operators(conn.gamma, max(kmax - 1, 0), conn.coords, conn.dirs)
-        d = len(conn.dirs)
-        ends = np.cumsum([9 * d**k for k in range(kmax + 1)]).tolist()
-        flat = np.empty((len(pts), ends[-1]))  # every order's entries side by side, order k in [ends[k-1], ends[k])
-        flat[:, :9] = field[..., 0].reshape(len(pts), 9)
-        for k, order_in in enumerate(range(kmax, 0, -1), 1):
-            field = _covariant_step(field, order_in, ops, conn.coords, conn.dirs)
-            flat[:, ends[k - 1] : ends[k]] = field[..., 0].reshape(len(pts), -1)
-    finite = np.isfinite(flat).all(axis=1)  # per point
-    if not finite.all():
-        raise OverflowError(f"curvature overflows at {tuple(pts[int(np.argmin(finite))].tolist())}")
+    conn = christoffel(g, pts, kmax + 1)
+    _require_size(len(pts), kmax, conn.coords, len(conn.dirs))
+    field = np.moveaxis(_schouten_jets(conn, kmax), 0, -1)  # [pt, i, j, q]
+    ops = _gamma_operators(conn.gamma, max(kmax - 1, 0), conn.coords, conn.dirs)
+    d = len(conn.dirs)
+    ends = np.cumsum([9 * d**k for k in range(kmax + 1)]).tolist()
+    flat = np.empty((len(pts), ends[-1]))  # every order's entries side by side, order k in [ends[k-1], ends[k])
+    flat[:, :9] = field[..., 0].reshape(len(pts), 9)
+    for k, order_in in enumerate(range(kmax, 0, -1), 1):
+        field = _covariant_step(field, order_in, ops, conn.coords, conn.dirs)
+        flat[:, ends[k - 1] : ends[k]] = field[..., 0].reshape(len(pts), -1)
     g0 = TensorAtPoint(2, conn.metric[0].reshape(batch + (3, 3)))
     return g0, [
         TensorAtPoint(2 + k, flat[:, e - 9 * d**k : e].reshape(batch + (3, 3) + (d,) * k), (AXES,) * 2 + (conn.dirs,) * k)

@@ -32,7 +32,9 @@ rows into jet positions with one ``np.add.reduceat``.
 
 from __future__ import annotations
 
+import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -41,24 +43,35 @@ import numpy as np
 
 DIM = 3
 ALL_COORDS = (0, 1, 2)
+MAX_ORDER = 170  # the largest n whose n! is a float: composition divides by it
+
+
+@contextmanager
+def float_guard():
+    """numpy raises on overflow, invalid values and division by zero, and lets
+    underflow go to zero; a FloatingPointError leaves as OverflowError("math
+    range error"), as math.exp raises it.  Every evaluating entry point runs
+    under it, so no operation hands on an inf or a nan; nesting is harmless."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            yield
+    except FloatingPointError:
+        raise OverflowError("math range error") from None
 
 
 @lru_cache(maxsize=None)
 def multi_indices(order: int, coords: tuple[int, ...] = ALL_COORDS) -> tuple[tuple[int, int, int], ...]:
-    """All multi-indices (i_t, i_x, i_y) with total degree <= order that
-    are zero outside coords, graded."""
+    """All multi-indices (i_t, i_x, i_y) with total degree <= order that are zero
+    outside coords, graded, descending within a degree, built over coords alone.
+    Every table starts here, so here an order above MAX_ORDER is refused."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"jet order {order} is above {MAX_ORDER}, the largest whose factorial is a float; lower the order")
     if tuple(sorted(set(coords) & set(ALL_COORDS))) != tuple(coords):
         raise ValueError(f"coords must be a sorted tuple of distinct coordinates in 0..2, got {coords!r}")
-    out = []
-    for total in range(order + 1):
-        for i in range(total, -1, -1):
-            for j in range(total - i, -1, -1):
-                m = (i, j, total - i - j)
-                if all(m[c] == 0 for c in ALL_COORDS if c not in coords):
-                    out.append(m)
-    return tuple(out)
+    ranges = [range(order, -1, -1) if c in coords else (0,) for c in ALL_COORDS]
+    return tuple(sorted((m for m in itertools.product(*ranges) if sum(m) <= order), key=sum))  # stable: stays descending
 
 
 @lru_cache(maxsize=None)
@@ -401,18 +414,8 @@ def first_where(values, mask) -> float:
     return float(np.asarray(values)[np.asarray(mask)][0])
 
 
-def exp_values(u):
-    """np.exp that raises OverflowError where a finite argument overflows,
-    as math.exp does."""
-    with np.errstate(over="ignore"):
-        e = np.exp(u)
-    if np.any(np.isinf(e) & np.isfinite(u)):
-        raise OverflowError("math range error")
-    return e
-
-
 def jet_exp(j: Jet) -> Jet:
-    return _apply(j, lambda u, n: [exp_values(u)] * (n + 1))
+    return _apply(j, lambda u, n: [np.exp(u)] * (n + 1))
 
 
 def jet_log(j: Jet) -> Jet:
@@ -429,20 +432,19 @@ def jet_log(j: Jet) -> Jet:
     return _apply(j, seq)
 
 
-def jet_sin(j: Jet) -> Jet:
-    def seq(u, n):
-        cycle = [np.sin(u), np.cos(u), -np.sin(u), -np.cos(u)]
-        return [cycle[k % 4] for k in range(n + 1)]
+def _sin_derivatives(u, n: int, start: int) -> list:
+    """Derivatives start .. start + n of sin at u; cos' are sin's from start = 1."""
+    cycle = [np.sin(u), np.cos(u)]
+    cycle += [-v for v in cycle]
+    return [cycle[(start + k) % 4] for k in range(n + 1)]
 
-    return _apply(j, seq)
+
+def jet_sin(j: Jet) -> Jet:
+    return _apply(j, lambda u, n: _sin_derivatives(u, n, 0))
 
 
 def jet_cos(j: Jet) -> Jet:
-    def seq(u, n):
-        cycle = [np.cos(u), -np.sin(u), -np.cos(u), np.sin(u)]
-        return [cycle[k % 4] for k in range(n + 1)]
-
-    return _apply(j, seq)
+    return _apply(j, lambda u, n: _sin_derivatives(u, n, 1))
 
 
 def jet_sqrt(j: Jet) -> Jet:

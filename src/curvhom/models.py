@@ -30,7 +30,7 @@ import numpy as np
 from .expr import Expr, eval_jet
 from .families import delta_derivatives, place_curvature_block, profile_derivatives
 from .geometry import MetricField, Point, kulkarni_nomizu, nabla_schouten_sequence
-from .jets import exp_values
+from .jets import float_guard
 from .tensor import Frame, TensorAtPoint, pullback
 
 T, X, Y = 0, 1, 2
@@ -61,7 +61,8 @@ def adapted_frame_f(f: Expr, p, lam) -> Frame:
         raise ValueError("lam must be positive")
     fval = eval_jet(f, p, 0).value
     m = np.zeros(np.shape(fval) + (3, 3))
-    m[..., T, 0] = exp_values(-fval)
+    with float_guard():
+        m[..., T, 0] = np.exp(-fval)
     m[..., X, 1] = lam
     m[..., Y, 2] = 1.0 / lam
     return Frame(m)

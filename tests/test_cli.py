@@ -562,7 +562,7 @@ def test_metric_whose_inverse_overflows_is_excluded_without_numpy_warnings(capsy
     reasons = _exclusion_reasons(out)
     assert len(reasons) == 3
     for point, text in reasons.items():
-        assert text == f"cannot evaluate the metric (OverflowError): metric inverse overflows at {point}"
+        assert text == "cannot evaluate the metric (OverflowError): math range error"
 
 
 def test_non_finite_curvature_is_excluded_without_numpy_warnings(capsys):
@@ -580,7 +580,7 @@ def test_non_finite_curvature_is_excluded_without_numpy_warnings(capsys):
     reasons = _exclusion_reasons(out)
     assert len(reasons) == 3
     for point, text in reasons.items():
-        assert text == f"cannot evaluate the metric (OverflowError): curvature overflows at {point}"
+        assert text == "cannot evaluate the metric (OverflowError): math range error"
 
 
 def test_overflowing_delta_is_excluded_without_numpy_warnings(capsys):
@@ -747,3 +747,39 @@ def test_order_past_the_array_budget_exits_2_at_once():
         assert code == EXIT_CONFIG
         assert "needs an array of more than 16777216 entries" in err
         assert seconds < 1.0
+
+
+# ---------------------------------------------------------------------------
+# jet orders up to the largest whose factorial is a float
+
+
+def test_jet_order_past_the_largest_float_factorial_exits_2_at_once(capsys):
+    import math
+    import time
+
+    base = ("invariants", "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:2")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *base, "--order", "169")  # delta^(169) needs f to jet order 171
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: jet order 171 is above 170, the largest whose factorial is a float; lower the order\n"
+    code, out, err = run(capsys, *base, "--order", "168")
+    assert (code, err) == (EXIT_OK, "")
+    for row in _strict_json(out)["invariants"]:
+        x = row["x"]
+        for k in (1, 50, 168):  # delta = e^x + e^(2x), so delta^(k) = e^x + 2^k e^(2x)
+            assert row[f"delta_{k}"] == pytest.approx(math.exp(x) + 2.0**k * math.exp(2 * x), rel=1e-12)
+
+
+def test_literal_past_the_float_range_is_excluded_without_numpy_warnings(capsys):
+    import warnings
+
+    # 1e400 reads as inf, which no operation flags; the guard stops it in the metric inverse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "classify", "--family", "custom", "--metric", "tt=1e400", "--metric", "xy=1",
+                             "--grid", "x=0.1:1:3")
+    assert (code, err) == (EXIT_HYPOTHESIS, "")
+    reasons = _exclusion_reasons(out)
+    assert len(reasons) == 3
+    assert set(reasons.values()) == {"cannot evaluate the metric (OverflowError): math range error"}

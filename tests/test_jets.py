@@ -349,3 +349,71 @@ def test_compose_on_coefficient_arrays_equals_horner_on_jets(coords, order):
     got, want = jet_compose_univariate(inner, derivs), _compose_reference(inner, derivs)
     assert (got.order, got.coords) == (want.order, want.coords)
     np.testing.assert_array_equal(got.coeffs, want.coeffs)  # bit-equal but for the sign of zeros, which the reference adds 0.0 to
+
+
+# ---------------------------------------------------------------------------
+# the floating-point guard every evaluation runs under
+
+
+def test_underflow_to_zero_is_silent_under_the_guard():
+    import warnings
+
+    from curvhom.expr import eval_jet, parse
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = eval_jet(parse("exp(-x)"), [(0.0, 800.0, 0.0)], 3)
+    assert j.coeffs.shape == (4, 1)
+    np.testing.assert_array_equal(j.coeffs, 0.0)  # e^-800 is below the smallest subnormal
+
+
+@pytest.mark.parametrize("text", ["exp(x)", "x*1e300*1e300", "cos(x*1e300*1e300)", "x^1000"])
+def test_overflow_under_the_guard_is_a_math_range_error(text):
+    from curvhom.expr import eval_jet, parse
+
+    with pytest.raises(OverflowError, match=r"^math range error$"):
+        eval_jet(parse(text), [(0.0, 800.0, 0.0)], 2)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_the_guard_leaves_numpy_error_state_as_it_found_it(fails):
+    before = np.geterr()
+    with np.errstate(over="warn", invalid="ignore", divide="print", under="raise"):
+        inner = np.geterr()
+        try:
+            with jets.float_guard():
+                assert np.geterr() == {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
+                np.exp(np.array([1000.0 if fails else 1.0]))
+        except OverflowError:
+            assert fails
+        else:
+            assert not fails
+        assert np.geterr() == inner
+    assert np.geterr() == before
+
+
+def test_zero_division_is_raised_before_the_guard_sees_it():
+    with jets.float_guard(), pytest.raises(ZeroDivisionError):
+        jet_div(jet_constant(1.0, 2), jet_constant(0.0, 2))
+
+
+# ---------------------------------------------------------------------------
+# the order of a jet table
+
+
+def test_orders_above_the_largest_float_factorial_are_refused():
+    assert float(math.factorial(jets.MAX_ORDER)) < math.inf
+    with pytest.raises(OverflowError):
+        float(math.factorial(jets.MAX_ORDER + 1))
+    assert jets.table_size(jets.MAX_ORDER, (X,)) == jets.MAX_ORDER + 1
+    with pytest.raises(ValueError, match=f"jet order {jets.MAX_ORDER + 1} is above {jets.MAX_ORDER}"):
+        jets.multi_indices(jets.MAX_ORDER + 1, (X,))
+
+
+def test_one_coordinate_table_at_the_top_order_builds_in_linear_time():
+    import time
+
+    start = time.perf_counter()
+    idx = jets.multi_indices(jets.MAX_ORDER, (Y,))
+    assert time.perf_counter() - start < 0.5  # the three-coordinate loop took seconds at this order
+    assert idx == tuple((0, 0, n) for n in range(jets.MAX_ORDER + 1))
