@@ -93,8 +93,8 @@ def _parse_grid_arg(text: str) -> tuple[str, GridAxis]:
         raise ConfigError(f"unknown grid coordinate {coord!r}; expected one of {_COORDS}")
     if axis.count < 1:
         raise ConfigError(f"grid count must be >= 1 in {text!r}")
-    if not math.isfinite(axis.lo) or not math.isfinite(axis.hi):
-        raise ConfigError(f"grid bounds must be finite in {text!r}")
+    if not math.isfinite(axis.hi - axis.lo):  # else np.linspace makes inf and nan points, which no guard flags
+        raise ConfigError(f"grid bounds must be finite, and so must their difference, in {text!r}")
     return coord, axis
 
 

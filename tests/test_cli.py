@@ -783,3 +783,10 @@ def test_literal_past_the_float_range_is_excluded_without_numpy_warnings(capsys)
     reasons = _exclusion_reasons(out)
     assert len(reasons) == 3
     assert set(reasons.values()) == {"cannot evaluate the metric (OverflowError): math range error"}
+
+
+def test_grid_whose_span_overflows_exits_2(capsys):
+    # finite bounds whose difference is not: np.linspace would make the points nan and inf
+    code, out, err = run(capsys, "invariants", "--family", "f", "--function", "x", "--grid=x=-1e308:1e308:3")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: grid bounds must be finite, and so must their difference, in 'x=-1e308:1e308:3'\n"
