@@ -116,6 +116,14 @@ def commands() -> list[list[str]]:
     ):
         flags = [f for m in metric for f in ("--metric", m)]
         out.append(["classify", "--family", "custom", *flags, *extra, "--grid", "x=0.1:1:3"])
+    # h''' vanishes at t = 0 only: the SCH points are a strict subset of the hypothesis points
+    base = ["--family", "h", "--function", "t^4 + t^2", "--order", "4", "--grid", "t=-1:1:5"]
+    out += [["classify", *base], ["invariants", *base, "--format", "csv"]]
+    # a profile literal past the float range
+    out += [[cmd, "--family", "f", "--function", "1e400", "--grid", "x=0:1:2"] for cmd in ("classify", "invariants")]
+    # a format the command does not write
+    base = ["--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3"]
+    out += [[cmd, *base, "--format", fmt] for cmd, fmt in (("verify", "csv"), ("invariants", "text"), ("classify", "csv"))]
     return out
 
 
