@@ -41,6 +41,7 @@ EXIT_HYPOTHESIS = 3
 REL_TOL = 1e-8   # relative tolerance on closed-form nonzero entries
 ABS_TOL = 1e-10  # absolute tolerance on closed-form zero entries
 
+_FORMATS = {"verify": ("json", "text"), "classify": ("json",), "invariants": ("json", "csv")}  # what each command writes
 _COORDS = ("t", "x", "y")
 _METRIC_SLOTS = ("tt", "tx", "ty", "xx", "xy", "yy")
 
@@ -180,8 +181,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("tol must be positive and finite")
 
     fmt = pick("format", args.format, "json")
-    if fmt not in ("json", "csv", "text"):
-        raise ConfigError(f"unknown format {fmt!r}")
+    if fmt not in _FORMATS[args.command]:
+        raise ConfigError(f"{args.command} writes no format {fmt!r}; expected {' or '.join(_FORMATS[args.command])}")
     return RunConfig(
         command=args.command,
         family=family,
@@ -411,7 +412,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", action="append", help="coord=min:max:count (repeatable)")
         p.add_argument("--tol", help="relative constancy tolerance")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--format", help="json, csv or text")
+        p.add_argument("--format", help=" or ".join(_FORMATS[name]))
         p.add_argument("--metric", action="append", help="custom metric entry slot=expr (repeatable)")
         p.add_argument("--config", help="flat key = value file mirroring the flags")
     return parser

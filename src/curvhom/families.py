@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import jets
-from .expr import Expr, eval_jet, parse, pretty, variables_of
+from .expr import BinOp, Call, Expr, Neg, Num, eval_jet, parse, variables_of
 from .geometry import CurvatureSequence, MetricField
 from .jets import Jet, float_guard, jet_derivative, jet_mul
 from .tensor import AXES, TensorAtPoint
@@ -52,7 +52,7 @@ def family_f_metric(f: Expr) -> MetricField:
     bad = variables_of(f) - {"x"}
     if bad:
         raise ValueError(f"f-family profile must depend on x only, found {sorted(bad)}")
-    gtt = parse(f"exp(2*({pretty(f)}))")
+    gtt = Call("exp", BinOp("*", Num(2.0), f))
     matrix = ((gtt, _ZERO, _ZERO), (_ZERO, _ZERO, _ONE), (_ZERO, _ONE, _ZERO))
     return MetricField.from_matrix(matrix, family=FamilySpec("f", f))
 
@@ -62,7 +62,7 @@ def family_h_metric(h: Expr) -> MetricField:
     bad = variables_of(h) - {"t"}
     if bad:
         raise ValueError(f"h-family profile must depend on t only, found {sorted(bad)}")
-    gxx = parse(f"-2*({pretty(h)})")
+    gxx = BinOp("*", Neg(Num(2.0)), h)
     matrix = ((_ONE, _ZERO, _ZERO), (_ZERO, gxx, _ONE), (_ZERO, _ONE, _ZERO))
     return MetricField.from_matrix(matrix, family=FamilySpec("h", h))
 

@@ -790,3 +790,44 @@ def test_grid_whose_span_overflows_exits_2(capsys):
     code, out, err = run(capsys, "invariants", "--family", "f", "--function", "x", "--grid=x=-1e308:1e308:3")
     assert (code, out) == (EXIT_CONFIG, "")
     assert err == "config error: grid bounds must be finite, and so must their difference, in 'x=-1e308:1e308:3'\n"
+
+
+def test_profile_literal_past_the_float_range_is_excluded_at_every_point(capsys):
+    # the family metric is built as a tree around the parsed profile, so inf never goes through text
+    for cmd in ("classify", "invariants"):
+        code, out, err = run(capsys, cmd, "--family", "f", "--function", "1e400", "--grid", "x=0:1:2")
+        assert (code, err) == (EXIT_HYPOTHESIS, "")
+        reasons = [e["reason"] for e in json.loads(out)["exclusions"]]
+        assert reasons == ["cannot evaluate the metric (OverflowError): math range error"] * 2
+
+
+FORMATS = {"verify": ("json", "text"), "classify": ("json",), "invariants": ("json", "csv")}
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+@pytest.mark.parametrize(
+    "cmd, fmt", [(cmd, fmt) for cmd, written in FORMATS.items() for fmt in ("json", "csv", "text", "xml") if fmt not in written]
+)
+def test_a_format_the_command_does_not_write_is_a_config_error(tmp_path, capsys, source, cmd, fmt):
+    argv = [cmd, "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3"]
+    if source == "flag":
+        argv += ["--format", fmt]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"format = {fmt}\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"config error: {cmd} writes no format {fmt!r}")
+
+
+@pytest.mark.parametrize("cmd, fmt", [(cmd, fmt) for cmd, written in FORMATS.items() for fmt in written])
+def test_each_command_writes_its_formats(capsys, cmd, fmt):
+    code, out, err = run(capsys, cmd, "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3", "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    if fmt == "json":
+        assert json.loads(out)["config"]["format"] == "json"
+    elif fmt == "csv":
+        assert out.startswith("t,x,y,delta,")
+    else:
+        assert out.endswith("result: pass\n")

@@ -158,3 +158,19 @@ def test_overflowing_delta_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="math range error"):
             delta_derivatives(parse("1e300*x"), [(0.0, -2.0, 0.0), (0.0, 1.0, 0.0)], 1)
+
+
+@pytest.mark.parametrize("profile", ["x", "exp(x)", "1/x", "-x", "x - 20", "2.5615528128088303*log(x)", "(x*1e-300)^-2"])
+def test_family_metrics_are_trees_around_the_profile(profile):
+    """The metric entries equal what parsing their text gives, and hold the
+    profile's own tree: no printing and parsing again."""
+    import re
+
+    from curvhom.expr import BinOp, Call, Neg, Num, pretty
+
+    f = parse(profile)
+    h = parse(re.sub(r"\bx\b", "t", profile))
+    gtt, gxx = family_f_metric(f).entry(T, T), family_h_metric(h).entry(X, X)
+    assert gtt == Call("exp", BinOp("*", Num(2.0), f)) == parse(f"exp(2*({pretty(f)}))")
+    assert gxx == BinOp("*", Neg(Num(2.0)), h) == parse(f"-2*({pretty(h)})")
+    assert gtt.arg.right is f and gxx.right is h
