@@ -37,7 +37,7 @@ frame at its own points, runs a second pass there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -54,10 +54,11 @@ from .families import (
     profile_derivatives,
 )
 from .geometry import CurvatureSequence, DegenerateMetricError, MetricField, Point, kulkarni_nomizu, nabla_schouten_sequence
-from .models import T, X, adapted_frame_f, adapted_frame_h, scaling_lambda_h
-from .tensor import AXES, TensorAtPoint, pullback
+from .jets import float_guard
+from .models import T, X, Y, adapted_frame
+from .tensor import AXES, pullback
 
-FLOOR = 1e-8          # nonvanishing hypothesis floor on delta and h''
+FLOOR = 1e-8          # nonvanishing floor on |R(T,X,X,T)| (|delta|, |h''|) and |h'''| on the unit adapted frame
 ZERO_FLOOR = 1e-9     # entries below this (relative) count as structural zeros
 SPREAD_FLOOR = 1e-9   # denominator floor in relative spreads
 DEGENERATE_FLOOR = 1e-10
@@ -218,15 +219,16 @@ class HomogeneityReport:
 
 @dataclass(frozen=True)
 class FamilySamples:
-    """One batched evaluation of a family metric over sample points."""
+    """One batched evaluation of a family metric over sample points, every
+    field read off nabla^k R on the unit adapted frame: none evaluates the profile."""
 
     hyp: np.ndarray       # per point: |the family's hypothesis quantity| = |R(T,X,X,T)| on the unit adapted frame
     sch_hyp: np.ndarray   # per point: |the quantity its SCH frame needs|
     ok: np.ndarray        # per point: hyp >= FLOOR
     sch: np.ndarray       # per point: has an SCH frame, ok and sch_hyp >= FLOOR
-    adapted: Optional[CurvatureSequence] = None    # nabla^k R on the unit adapted frame, at the ok points
-    aligned: Optional[CurvatureSequence] = None    # nabla^k R on the SCH frame, at the sch points
-    values: dict = field(default_factory=dict)    # invariant -> (its mask, ok or sch; its values there)
+    adapted: CurvatureSequence    # nabla^k R on the unit adapted frame, at the ok points
+    aligned: CurvatureSequence    # nabla^k R on the SCH frame, at the sch points
+    values: dict          # invariant -> (its mask, ok or sch; its values there)
 
     def column(self, name: str, index, n: int) -> tuple:
         """Invariant `name` over n samples, None where undefined; this batch's point j is sample index[j]."""
@@ -234,60 +236,54 @@ class FamilySamples:
         return per_point([index[j] for j in np.flatnonzero(mask)], values, n)
 
 
-def _pulled_back(g0, seq, mask, frame) -> CurvatureSequence:
-    """nabla^k R on the frame at the mask's points: pullback(P ⊙ g) = pullback(P) ⊙ pullback(g)."""
-    g0, *seq = pullback([TensorAtPoint(t.rank, t.components[mask], t.supports) for t in (g0, *seq)], frame)
-    return kulkarni_nomizu(g0, seq)
+def _unit_frame_sequence(g: MetricField, kmax: int, points: np.ndarray) -> tuple[CurvatureSequence, list]:
+    """nabla^k R at every point on the unit adapted frame of g's own matrices, from one sequence, pullback and
+    expansion; and its entries R(T,X,X,T; T, ..., T) per point, k <= min(kmax, 2)."""
+    g0, seq = nabla_schouten_sequence(g, points, kmax)
+    phi, *seq = pullback([g0, *seq], adapted_frame(g0.components, 1.0))
+    unit = kulkarni_nomizu(phi, seq)
+    return unit, [unit[k].dense()[(slice(None), T, X, X, T) + (T,) * k] for k in range(min(kmax, 2) + 1)]
+
+
+def _rescaled(seq: CurvatureSequence, lam) -> CurvatureSequence:
+    """seq on its frame times diag(1, lam, 1/lam), lam per point: each entry times lam^(#X - #Y) of its slots."""
+    weight = _multiplicities(seq.tails, X) - _multiplicities(seq.tails, Y)
+    return CurvatureSequence(seq.entries * np.reshape(lam, (-1, 1, 1)) ** weight, seq.tails, seq.batch)
 
 
 def _f_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
-    """xi = nabla R(T,X,X,T;X)^2 = (delta')^2 on the unit-lambda frame, and
-    the scale-free sch_ratio = xi / R(T,X,X,T)^3; the SCH frame is that
-    frame."""
-    fn = g.family.function
-    g0, seq = nabla_schouten_sequence(g, points, kmax)  # before delta: a bad metric is excluded for its own reason
-    hyp = np.abs(delta_derivatives(fn, points, 0)[0])
-    s = FamilySamples(hyp, hyp, hyp >= FLOOR, hyp >= FLOOR)
-    if not s.ok.any():
-        return s
-    adapted = _pulled_back(g0, seq, s.ok, adapted_frame_f(fn, points[s.ok], 1.0))
-    e0 = adapted[0].dense()[:, T, X, X, T]
-    xi = adapted[1].dense()[:, T, X, X, T, X] ** 2
-    values = dict(xi=(s.ok, xi), sch_ratio=(s.ok, xi / e0**3), psi=(s.sch, np.abs(e0)))
-    return replace(s, adapted=adapted, aligned=adapted, values=values)
+    """On the unit adapted frame R(T,X,X,T) = -delta, xi = nabla R(T,X,X,T;X)^2 = (delta')^2, and the
+    scale-free sch_ratio = xi / R(T,X,X,T)^3.  The SCH frame is that frame."""
+    unit, (e0, *_) = _unit_frame_sequence(g, kmax, points)
+    hyp = np.abs(e0)
+    ok = hyp >= FLOOR
+    adapted = unit.at(ok)
+    e0, xi = e0[ok], adapted[1].dense()[:, T, X, X, T, X] ** 2
+    values = dict(xi=(ok, xi), sch_ratio=(ok, xi / e0**3), psi=(ok, np.abs(e0)))
+    return FamilySamples(hyp, hyp, ok, ok, adapted, adapted, values)
 
 
 def _h_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
-    """xi = (nabla R(T,X,X,T;T) / R(T,X,X,T))^2 = (h'''/h'')^2; the SCH
-    frame uses lam^2 = (h''')^2 / |h''|^3, so the order-0 and order-1
-    entries become (+-psi, +-psi^{3/2}) with psi = (h'''/h'')^2, and then
+    """On the unit adapted frame R(T,X,X,T), nabla R(T,X,X,T;T) and nabla^2 R(T,X,X,T;T,T) are h'', h''' and
+    h''''; xi = (h'''/h'')^2 and xi_T_alt = h'''' / h''^2.  The SCH frame is the unit frame _rescaled by
+    lam = |h'''| / |h''|^{3/2}: its order-0 and order-1 entries are (+-psi, +-psi^{3/2}), psi = (h'''/h'')^2, and
 
         xi_T = nabla^2 R(T,X,X,T;T,T) / psi^2 = h'''' h'' / (h''')^2
         xi_X = -nabla^2 R(T,X,X,T;X,X) / psi^2 = h' h''' / (h'')^2
 
-    The sign on xi_X compensates the recursion's -Gamma^t_{xx} term so that
-    exponential profiles report +1.  xi_T_alt = h'''' / h''^2.
+    The sign on xi_X compensates the recursion's -Gamma^t_{xx} term so that exponential profiles report +1.
     """
-    fn = g.family.function
-    d = profile_derivatives(fn, points, 4)
-    g0, seq = nabla_schouten_sequence(g, points, kmax)
-    hyp, sch_hyp = np.abs(d[2]), np.abs(d[3])
+    unit, (e0, e1, e2) = _unit_frame_sequence(g, kmax, points)
+    hyp, sch_hyp = np.abs(e0), np.abs(e1)
     ok, sch = hyp >= FLOOR, (hyp >= FLOOR) & (sch_hyp >= FLOOR)
-    s = FamilySamples(hyp, sch_hyp, ok, sch)
-    if not ok.any():
-        return s
-    adapted = _pulled_back(g0, seq, ok, adapted_frame_h(fn, points[ok], 1.0))
-    e0 = adapted[0].dense()[:, T, X, X, T]
-    values = dict(xi=(ok, adapted[1].dense()[:, T, X, X, T, T] ** 2 / e0**2), xi_T_alt=(ok, d[4][ok] / d[2][ok] ** 2))
-    if not sch.any():
-        return replace(s, adapted=adapted, values=values)
-    aligned = _pulled_back(g0, seq, sch, adapted_frame_h(fn, points[sch], scaling_lambda_h(fn, points[sch])))
-    psi = np.abs(aligned[0].dense()[:, T, X, X, T])
-    a2 = aligned[2].dense()
-    values.update(
-        psi=(sch, psi), xi_T=(sch, a2[:, T, X, X, T, T, T] / psi**2), xi_X=(sch, -a2[:, T, X, X, T, X, X] / psi**2)
-    )
-    return replace(s, adapted=adapted, aligned=aligned, values=values)
+    values = dict(xi=(ok, e1[ok] ** 2 / e0[ok] ** 2), xi_T_alt=(ok, e2[ok] / e0[ok] ** 2))
+    aligned = _rescaled(unit.at(sch), sch_hyp[sch] / hyp[sch] ** 1.5)
+    if sch.any():  # else classify reports no xi_T and xi_X series
+        psi, a2 = np.abs(aligned[0].components[:, T, X, X, T]), aligned[2].dense()
+        values.update(
+            psi=(sch, psi), xi_T=(sch, a2[:, T, X, X, T, T, T] / psi**2), xi_X=(sch, -a2[:, T, X, X, T, X, X] / psi**2)
+        )
+    return FamilySamples(hyp, sch_hyp, ok, sch, unit.at(ok), aligned, values)
 
 
 @dataclass(frozen=True)
@@ -342,9 +338,13 @@ FAMILIES = {
 }
 
 
+@float_guard()
 def family_samples(g: MetricField, kmax: int, points) -> FamilySamples:
     """R, ..., nabla^kmax R of a built-in family metric at all points (shape
-    (npts, 3)) at once, on the family's adapted and SCH frames, with its invariants."""
+    (npts, 3)) at once, on the family's adapted and SCH frames, with its
+    invariants, from the metric alone.  Under the float guard, an overflow
+    in the frame or invariant arithmetic is OverflowError("math range
+    error"), which evaluate_points makes the point's exclusion."""
     return FAMILIES[g.family.family].samples(g, kmax, np.asarray(points, dtype=np.float64))
 
 
@@ -430,13 +430,13 @@ def h_second_ratios(h: Expr, p) -> SecondOrderRatios:
 
 
 @lru_cache(maxsize=None)
-def _x_multiplicities(tails: tuple) -> np.ndarray:
+def _multiplicities(tails: tuple, axis: int) -> np.ndarray:
     """Per (i, j, k, l) and column of a CurvatureSequence with these tail
-    boxes, how many of its slots hold X.  Cached and read-only: shared."""
+    boxes, how many of its slots hold `axis`.  Cached and read-only: shared."""
     def count(box):
         out = np.zeros((), dtype=np.intp)
         for slot in box:
-            out = np.add.outer(out, np.asarray(slot, dtype=np.intp) == X)
+            out = np.add.outer(out, np.asarray(slot, dtype=np.intp) == axis)
         return out.ravel()
 
     table = count((AXES,) * 4)[:, None] + np.concatenate([count(tail) for tail in tails])
@@ -483,7 +483,7 @@ def _order_tests(seq: CurvatureSequence, tol: float, ratios: bool = True, psi=No
     np.maximum.at(scale, seq.owner, top.max(axis=0))
     live = np.flatnonzero(~(top <= ZERO_FLOOR * scale[seq.owner]))  # not zero at every point, flat over [ijkl, column]
     ab, col = np.divmod(live, top.shape[1])
-    lf, lseg, lx = e[:, ab, col], seq.owner[col], _x_multiplicities(seq.tails).ravel()[live]
+    lf, lseg, lx = e[:, ab, col], seq.owner[col], _multiplicities(seq.tails, X).ravel()[live]
     if entry is not None:
         scale[-1] = np.abs(entry).max()
         if not scale[-1] <= ZERO_FLOOR * scale[-1]:  # live: a group of its own

@@ -336,6 +336,10 @@ class CurvatureSequence:
         """Per column, the index of its tensor."""
         return np.repeat(np.arange(len(self.tails)), np.diff(self.bounds))
 
+    def at(self, mask) -> "CurvatureSequence":
+        """The sequence at the points where the flat mask holds, on one point axis."""
+        return CurvatureSequence(self.entries[mask], self.tails, (int(np.count_nonzero(mask)),))
+
     def __len__(self) -> int:
         return len(self.tails)
 

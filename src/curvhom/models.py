@@ -27,10 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Expr, eval_jet
-from .families import delta_derivatives, place_curvature_block, profile_derivatives
+from .expr import Expr
+from .families import delta_derivatives, family_f_metric, family_h_metric, place_curvature_block, profile_derivatives
 from .geometry import MetricField, Point, kulkarni_nomizu, nabla_schouten_sequence
-from .jets import float_guard
 from .tensor import Frame, TensorAtPoint, pullback
 
 T, X, Y = 0, 1, 2
@@ -54,32 +53,28 @@ class ModelSpace:
         return self.tensors[k]
 
 
-def adapted_frame_f(f: Expr, p, lam) -> Frame:
-    """Frame T = e^{-f} dt, X = lam dx, Y = (1/lam) dy for the f-family, at
-    the point(s) p; lam is a scalar or one value per point."""
+def adapted_frame(g, lam) -> Frame:
+    """Frame T = g_tt^{-1/2} dt, X = lam (dx - g_xx / (2 g_xy) dy), Y = dy / (lam g_xy) of metric matrices g,
+    shape (..., 3, 3), whose entries other than g_tt > 0, g_xx and g_xy != 0 vanish, as in both families; g is
+    PHI_CANONICAL on it.  lam is a scalar or one value per matrix."""
     if np.any(np.asarray(lam) <= 0):
         raise ValueError("lam must be positive")
-    fval = eval_jet(f, p, 0).value
-    m = np.zeros(np.shape(fval) + (3, 3))
-    with float_guard():
-        m[..., T, 0] = np.exp(-fval)
-    m[..., X, 1] = lam
-    m[..., Y, 2] = 1.0 / lam
+    m = np.zeros(np.shape(g))
+    m[..., T, T] = g[..., T, T] ** -0.5
+    m[..., X, X] = lam
+    m[..., Y, X] = -lam * g[..., X, X] / (2.0 * g[..., X, Y])
+    m[..., Y, Y] = 1.0 / (lam * g[..., X, Y])
     return Frame(m)
+
+
+def adapted_frame_f(f: Expr, p, lam) -> Frame:
+    """adapted_frame of the f-family at the point(s) p: T = e^{-f} dt, X = lam dx, Y = (1/lam) dy."""
+    return adapted_frame(family_f_metric(f).component_matrix(p), lam)
 
 
 def adapted_frame_h(h: Expr, p, lam) -> Frame:
-    """Frame T = dt, X = lam (dx + h dy), Y = (1/lam) dy for the h-family, at
-    the point(s) p; lam is a scalar or one value per point."""
-    if np.any(np.asarray(lam) <= 0):
-        raise ValueError("lam must be positive")
-    hval = eval_jet(h, p, 0).value
-    m = np.zeros(np.shape(hval) + (3, 3))
-    m[..., T, 0] = 1.0
-    m[..., X, 1] = lam
-    m[..., Y, 1] = lam * hval
-    m[..., Y, 2] = 1.0 / lam
-    return Frame(m)
+    """adapted_frame of the h-family at the point(s) p: T = dt, X = lam (dx + h dy), Y = (1/lam) dy."""
+    return adapted_frame(family_h_metric(h).component_matrix(p), lam)
 
 
 def ch0_lambda_f(f: Expr, p: Point) -> float:

@@ -582,33 +582,27 @@ def test_q_condition_matches_brute_force_multiplicities(rank, bend, status):
 # --- nabla^k R on a frame, expanded from the pulled-back g and nabla^k P ----------
 
 
-def _unit_frame_f(fn, p):
-    return adapted_frame_f(fn, p, 1.0)
-
-
-def _unit_frame_h(fn, p):
-    return adapted_frame_h(fn, p, 1.0)
-
-
-def _sch_frame_h(fn, p):
-    return adapted_frame_h(fn, p, scaling_lambda_h(fn, p))
+def _unit_lambda(fn, p):
+    return 1.0
 
 
 @pytest.mark.parametrize(
-    "metric, profile, coord, frame",
+    "metric, profile, coord, frame, scale",
     [
-        (family_f_metric, "exp(x)", X, _unit_frame_f),
-        (family_f_metric, "1/x", X, _unit_frame_f),
-        (family_h_metric, "t^3", T, _unit_frame_h),
-        (family_h_metric, "t^3", T, _sch_frame_h),
-        (family_h_metric, "exp(t) + t^4", T, _unit_frame_h),
-        (family_h_metric, "exp(t) + t^4", T, _sch_frame_h),
+        (family_f_metric, "exp(x)", X, adapted_frame_f, _unit_lambda),
+        (family_f_metric, "1/x", X, adapted_frame_f, _unit_lambda),
+        (family_h_metric, "t^3", T, adapted_frame_h, _unit_lambda),
+        (family_h_metric, "t^3", T, adapted_frame_h, scaling_lambda_h),
+        (family_h_metric, "exp(t) + t^4", T, adapted_frame_h, _unit_lambda),
+        (family_h_metric, "exp(t) + t^4", T, adapted_frame_h, scaling_lambda_h),
     ],
     ids=["f exp(x)", "f 1/x", "h t^3 unit", "h t^3 sch", "h exp unit", "h exp sch"],
 )
-def test_frame_expansion_equals_the_pullback_of_r(metric, profile, coord, frame):
-    from curvhom.classify import _pulled_back
-    from curvhom.geometry import nabla_riemann_sequence, nabla_schouten_sequence
+def test_frame_expansion_equals_the_pullback_of_r(metric, profile, coord, frame, scale):
+    """The unit-frame sequence at the mask's points, rescaled by lam, is R,
+    ..., nabla^6 R pulled back to the adapted frame with that lam."""
+    from curvhom.classify import _rescaled, _unit_frame_sequence
+    from curvhom.geometry import nabla_riemann_sequence
     from curvhom.tensor import TensorAtPoint, pullback
 
     fn = parse(profile)
@@ -616,8 +610,9 @@ def test_frame_expansion_equals_the_pullback_of_r(metric, profile, coord, frame)
     pts = np.zeros((3, 3))
     pts[:, coord] = [0.6, 1.1, 1.7]
     mask = np.array([True, False, True])
-    f = frame(fn, pts[mask])
-    got = _pulled_back(*nabla_schouten_sequence(g, pts, 6), mask, f)
+    lam = scale(fn, pts[mask])
+    f = frame(fn, pts[mask], lam)
+    got = _rescaled(_unit_frame_sequence(g, 6, pts)[0].at(mask), lam)
     want = [pullback(TensorAtPoint(t.rank, t.components[mask]), f).components for t in nabla_riemann_sequence(g, pts, 6)]
     assert len(got) == len(want) == 7
     for a, b in zip((t.dense() for t in got), want):
@@ -670,3 +665,51 @@ def test_classify_at_r_and_r_plus_1_agree_on_every_shared_verdict(family, profil
         assert shared == {v.name: v for v in high.verdicts if v.name in shared}
         for s in low.scaled_entries:
             np.testing.assert_allclose(high.series(s.name).values, s.values, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("metric, profile, grid", [
+    (family_f_metric, "exp(x) + x^3", x_grid(-1.0, 1.0, 7)), (family_h_metric, "t^4 + t^2", t_grid(-1.0, 1.0, 5)),
+])
+def test_family_samples_read_the_metric_alone(metric, profile, grid):
+    """A family metric whose spec names a profile that cannot be evaluated
+    anywhere gives the same samples: only the metric's entries are read."""
+    from curvhom.classify import family_samples
+    from curvhom.expr import Call, Num
+    from curvhom.families import FamilySpec
+    from curvhom.geometry import MetricField
+
+    g = metric(parse(profile))
+    blind = MetricField(g.entries, FamilySpec(g.family.family, Call("log", Num(-1.0))))
+    pts = np.asarray(grid.points)
+    want, got = family_samples(g, 3, pts), family_samples(blind, 3, pts)
+    for name in ("hyp", "sch_hyp", "ok", "sch"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    for name in ("adapted", "aligned"):
+        assert getattr(got, name).tails == getattr(want, name).tails
+        np.testing.assert_array_equal(getattr(got, name).entries, getattr(want, name).entries)
+    assert got.values.keys() == want.values.keys()
+    for name, (mask, values) in want.values.items():
+        np.testing.assert_array_equal(got.values[name][0], mask)
+        np.testing.assert_array_equal(got.values[name][1], values)
+
+
+def test_sch_sequence_is_the_pullback_to_the_scaled_frame():
+    """On h = t^4 + t^2, h''' vanishes at t = 0 only: the SCH points are a
+    strict subset of the hypothesis points.  There, the lam-rescaled unit
+    sequence is R, ..., nabla^4 R pulled back to adapted_frame_h with
+    scaling_lambda_h."""
+    from curvhom.classify import family_samples
+    from curvhom.geometry import nabla_riemann_sequence
+    from curvhom.tensor import TensorAtPoint, pullback
+
+    h = parse("t^4 + t^2")
+    pts = np.asarray(t_grid(-1.0, 1.0, 5).points)
+    s = family_samples(family_h_metric(h), 4, pts)
+    assert s.ok.all() and s.sch.tolist() == [True, True, False, True, True]
+    frame = adapted_frame_h(h, pts[s.sch], scaling_lambda_h(h, pts[s.sch]))
+    want = [pullback(TensorAtPoint(t.rank, t.components[s.sch]), frame).components
+            for t in nabla_riemann_sequence(family_h_metric(h), pts, 4)]
+    assert len(s.aligned) == len(want) == 5
+    for a, b in zip((t.dense() for t in s.aligned), want):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * np.abs(b).max())

@@ -204,3 +204,24 @@ def test_model_space_order_validation():
     phi = TensorAtPoint(2, PHI_CANONICAL.copy())
     with pytest.raises(ValueError):
         ModelSpace(1, phi, (TensorAtPoint(4, np.zeros((3,) * 4)),))
+
+
+@pytest.mark.parametrize(
+    "metric, profile, coord",
+    [(family_f_metric, "sin(x) + x^2", X), (family_f_metric, "-3*x", X), (family_h_metric, "exp(t) - t^3", T)],
+)
+def test_adapted_frame_of_the_metric_matrices_is_canonical(metric, profile, coord):
+    """adapted_frame(g, lam) takes either family's metric to PHI_CANONICAL,
+    at random points and a random lam per point; a scalar lam works too."""
+    from curvhom.models import adapted_frame
+    from curvhom.tensor import pullback
+
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-2.0, 2.0, size=(6, 3))
+    g = metric(parse(profile)).component_matrix(pts)
+    for lam in (rng.uniform(0.1, 10.0, size=6), 2.5):
+        phi = pullback(TensorAtPoint(2, g), adapted_frame(g, lam)).components
+        cancel = np.max(lam) ** 2 * np.abs(g).max()  # g(X, X) = lam^2 (g_xx - g_xx)
+        np.testing.assert_allclose(phi, np.broadcast_to(PHI_CANONICAL, phi.shape), rtol=0, atol=1e-15 * cancel)
+    with pytest.raises(ValueError, match="lam must be positive"):
+        adapted_frame(g, 0.0)
