@@ -219,8 +219,7 @@ class HomogeneityReport:
 
 @dataclass(frozen=True)
 class FamilySamples:
-    """One batched evaluation of a family metric over sample points, every
-    field read off nabla^k R on the unit adapted frame: none evaluates the profile."""
+    """One batched evaluation of a family metric over sample points, read off its unit adapted frame alone."""
 
     hyp: np.ndarray       # per point: |the family's hypothesis quantity| = |R(T,X,X,T)| on the unit adapted frame
     sch_hyp: np.ndarray   # per point: |the quantity its SCH frame needs|
@@ -238,11 +237,13 @@ class FamilySamples:
 
 def _unit_frame_sequence(g: MetricField, kmax: int, points: np.ndarray) -> tuple[CurvatureSequence, list]:
     """nabla^k R at every point on the unit adapted frame of g's own matrices, from one sequence, pullback and
-    expansion; and its entries R(T,X,X,T; T, ..., T) per point, k <= min(kmax, 2)."""
+    expansion; and its entries R(T,X,X,T; T, ..., T), k <= min(kmax, 2), per point, read in place on the box
+    of a family, whose derivative slots hold t and x at most."""
     g0, seq = nabla_schouten_sequence(g, points, kmax)
     phi, *seq = pullback([g0, *seq], adapted_frame(g0.components, 1.0))
     unit = kulkarni_nomizu(phi, seq)
-    return unit, [unit[k].dense()[(slice(None), T, X, X, T) + (T,) * k] for k in range(min(kmax, 2) + 1)]
+    tx = [unit[k].embed((AXES,) * 4 + ((T, X),) * k) for k in range(min(kmax, 2) + 1)]
+    return unit, [t[(slice(None), T, X, X, T) + (T,) * k] for k, t in enumerate(tx)]
 
 
 def _rescaled(seq: CurvatureSequence, lam) -> CurvatureSequence:
@@ -279,10 +280,8 @@ def _h_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
     values = dict(xi=(ok, e1[ok] ** 2 / e0[ok] ** 2), xi_T_alt=(ok, e2[ok] / e0[ok] ** 2))
     aligned = _rescaled(unit.at(sch), sch_hyp[sch] / hyp[sch] ** 1.5)
     if sch.any():  # else classify reports no xi_T and xi_X series
-        psi, a2 = np.abs(aligned[0].components[:, T, X, X, T]), aligned[2].dense()
-        values.update(
-            psi=(sch, psi), xi_T=(sch, a2[:, T, X, X, T, T, T] / psi**2), xi_X=(sch, -a2[:, T, X, X, T, X, X] / psi**2)
-        )
+        psi, a2 = np.abs(aligned[0].components[:, T, X, X, T]), aligned[2].dense()[:, T, X, X, T]
+        values.update(psi=(sch, psi), xi_T=(sch, a2[:, T, T] / psi**2), xi_X=(sch, -a2[:, X, X] / psi**2))
     return FamilySamples(hyp, sch_hyp, ok, sch, unit.at(ok), aligned, values)
 
 
@@ -342,9 +341,7 @@ FAMILIES = {
 def family_samples(g: MetricField, kmax: int, points) -> FamilySamples:
     """R, ..., nabla^kmax R of a built-in family metric at all points (shape
     (npts, 3)) at once, on the family's adapted and SCH frames, with its
-    invariants, from the metric alone.  Under the float guard, an overflow
-    in the frame or invariant arithmetic is OverflowError("math range
-    error"), which evaluate_points makes the point's exclusion."""
+    invariants, from the metric alone, under the float guard: an overflow there is an exclusion."""
     return FAMILIES[g.family.family].samples(g, kmax, np.asarray(points, dtype=np.float64))
 
 

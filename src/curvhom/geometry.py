@@ -337,7 +337,9 @@ class CurvatureSequence:
         return np.repeat(np.arange(len(self.tails)), np.diff(self.bounds))
 
     def at(self, mask) -> "CurvatureSequence":
-        """The sequence at the points where the flat mask holds, on one point axis."""
+        """The sequence at the points where the flat mask holds, on one point axis: itself if it holds everywhere."""
+        if np.all(mask):
+            return self
         return CurvatureSequence(self.entries[mask], self.tails, (int(np.count_nonzero(mask)),))
 
     def __len__(self) -> int:
