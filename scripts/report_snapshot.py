@@ -124,6 +124,17 @@ def commands() -> list[list[str]]:
     # a format the command does not write
     base = ["--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3"]
     out += [[cmd, *base, "--format", fmt] for cmd, fmt in (("verify", "csv"), ("invariants", "text"), ("classify", "csv"))]
+    # every function of the grammar, real, integer and negative powers, and quotients
+    out += [
+        ["invariants", "--family", "f", "--function", "sqrt(x)*sin(x) + cos(x)^2/x - abs(x - 2)^1.5 + x^(-3) + log(x)",
+         "--order", "4", "--grid", "x=0.5:1.5:5"],
+        ["verify", "--family", "f", "--function", "exp(-x)/(1 + x^2)", "--order", "6", "--grid", "x=0.5:1.5:3"],
+        ["classify", "--family", "h", "--function", "t^2.5 - 2*sin(t)", "--order", "3", "--grid", "t=1:2:5"],
+        ["verify", "--family", "h", "--function", "cos(t)*sqrt(t) - t^(-2)", "--order", "2", "--grid", "t=1:2:3",
+         "--format", "text"],
+    ]
+    # an expression nested deeper than the parser descends
+    out.append(["classify", "--family", "f", "--function", "(" * 300 + "x" + ")" * 300, "--grid", "x=0:1:3"])
     return out
 
 
