@@ -23,7 +23,7 @@ from .families import (
     family_h_oracle,
 )
 from .geometry import ConnectionJet, MetricField, christoffel, nabla_k_riemann, nabla_riemann_sequence, riemann
-from .jets import Jet, jet_add, jet_compose_univariate, jet_div, jet_mul, partial
+from .jets import jet_compose_univariate, jet_div, jet_mul, partial
 from .models import (
     ModelSpace,
     adapted_frame_f,
@@ -45,7 +45,6 @@ __all__ = [
     "GridSpec",
     "HomogeneityReport",
     "HypothesisViolation",
-    "Jet",
     "MetricField",
     "ModelSpace",
     "ParseError",
@@ -69,7 +68,6 @@ __all__ = [
     "family_h_oracle",
     "h_first_invariant",
     "h_second_ratios",
-    "jet_add",
     "jet_compose_univariate",
     "jet_div",
     "jet_mul",

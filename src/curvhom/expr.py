@@ -21,7 +21,6 @@ from typing import Union
 import numpy as np
 
 from . import jets
-from .jets import Jet
 
 COORDS = ("t", "x", "y")
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs")
@@ -252,14 +251,14 @@ def pretty(e: Expr, parent_prec: int = 0, right_of: str | None = None) -> str:
 
 
 @jets.float_guard()
-def eval_jet(e: Expr, points, order: int, coords: tuple[int, ...] | None = None) -> Jet:
-    """Table of all partial derivatives of e up to total `order` along
+def eval_jet(e: Expr, points, order: int, coords: tuple[int, ...] | None = None) -> np.ndarray:
+    """Stack of all partial derivatives of e up to total `order` along
     coords (positions in COORDS), by default the coordinates e depends on;
     coords must include them.
 
     points is one point (t, x, y) or an array of them of shape (..., 3);
-    the jet's coefficients have shape (table_size(order, coords), ...), so
-    a whole grid evaluates in one pass.  Raises DomainError when the function is
+    the stack has shape (table_size(order, coords), ...), so a whole grid
+    evaluates in one pass.  Raises DomainError when the function is
     undefined at any of the points (log or sqrt out of range, division by
     zero, abs or non-integer power at a non-differentiable argument); the
     message names the first such value.  Under jets.float_guard, a step
@@ -274,7 +273,10 @@ def eval_jet(e: Expr, points, order: int, coords: tuple[int, ...] | None = None)
     return _eval(e, np.asarray(points, dtype=np.float64), order, coords)
 
 
-def _eval(e: Expr, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> Jet:
+_UNIVARIATE = {"exp": jets.jet_exp, "log": jets.jet_log, "sin": jets.jet_sin, "cos": jets.jet_cos, "sqrt": jets.jet_sqrt}
+
+
+def _eval(e: Expr, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
     if isinstance(e, Num):
         return jets.jet_constant(e.value, order, pts.shape[:-1], coords)
     if isinstance(e, Var):
@@ -284,24 +286,14 @@ def _eval(e: Expr, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> Jet:
         return -_eval(e.arg, pts, order, coords)
     if isinstance(e, Call):
         arg = _eval(e.arg, pts, order, coords)
+        if e.func == "abs":
+            if np.any(arg[0] == 0.0):
+                raise DomainError(e, "abs is not differentiable at 0")
+            return arg * np.where(arg[0] > 0, 1.0, -1.0)
         try:
-            if e.func == "exp":
-                return jets.jet_exp(arg)
-            if e.func == "log":
-                return jets.jet_log(arg)
-            if e.func == "sin":
-                return jets.jet_sin(arg)
-            if e.func == "cos":
-                return jets.jet_cos(arg)
-            if e.func == "sqrt":
-                return jets.jet_sqrt(arg)
+            return _UNIVARIATE[e.func](arg, order, coords)
         except ValueError as err:
             raise DomainError(e, str(err)) from None
-        if e.func == "abs":
-            if np.any(arg.value == 0.0):
-                raise DomainError(e, "abs is not differentiable at 0")
-            return Jet(arg.order, arg.coeffs * np.where(arg.value > 0, 1.0, -1.0), arg.coords)
-        raise ValueError(f"unknown function {e.func!r}")
     if isinstance(e, BinOp):
         if e.op == "^":
             return _eval_pow(e, pts, order, coords)
@@ -312,27 +304,28 @@ def _eval(e: Expr, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> Jet:
         if e.op == "-":
             return left - right
         if e.op == "*":
-            return jets.jet_mul(left, right)
+            return jets.jet_mul(left, right, order, coords)
         if e.op == "/":
-            if np.any(right.value == 0.0):
+            if np.any(right[0] == 0.0):
                 raise DomainError(e, "division by zero")
-            return jets.jet_div(left, right)
+            return jets.jet_div(left, right, order, coords)
     raise TypeError(f"not an Expr node: {e!r}")
 
 
 _ORIGIN = np.zeros(3)
 
 
-def _eval_pow(e: BinOp, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> Jet:
+def _eval_pow(e: BinOp, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
     base = _eval(e.left, pts, order, coords)
-    exponent = float(_eval(e.right, _ORIGIN, 0, ()).value)  # a constant: the parser allows no variable
+    exponent = float(_eval(e.right, _ORIGIN, 0, ())[0])  # a constant: the parser allows no variable
     if exponent == round(exponent):
         n = int(round(exponent))
-        if n < 0 and np.any(base.value == 0.0):
+        if n < 0 and np.any(base[0] == 0.0):
             raise DomainError(e, "negative power of zero")
-        return jets.jet_powi(base, n)
+        return jets.jet_powi(base, n, order, coords)
     # real exponent: exp(c * log(base)), defined for positive base only
-    bad = base.value <= 0.0
+    bad = base[0] <= 0.0
     if np.any(bad):
-        raise DomainError(e, f"non-integer power of nonpositive base {jets.first_where(base.value, bad)}")
-    return jets.jet_exp(jets.jet_log(base) * exponent)
+        raise DomainError(e, f"non-integer power of nonpositive base {jets.first_where(base[0], bad)}")
+    scale = jets.jet_constant(exponent, order, base.shape[1:], coords)
+    return jets.jet_exp(jets.jet_mul(jets.jet_log(base, order, coords), scale, order, coords), order, coords)

@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import jets
-from .expr import BinOp, Call, Expr, Neg, Num, eval_jet, parse, variables_of
+from .expr import BinOp, Call, Expr, Neg, Num, coords_of, eval_jet, parse, variables_of
 from .geometry import CurvatureSequence, MetricField
-from .jets import Jet, float_guard, jet_derivative, jet_mul
+from .jets import float_guard, jet_derivative, jet_mul
 from .tensor import AXES, TensorAtPoint
 
 _ZERO = parse("0")
@@ -71,30 +71,32 @@ def custom_metric(matrix) -> MetricField:
     return MetricField.from_matrix(matrix, family=FamilySpec("custom"))
 
 
-def _delta(fj: Jet, order: int) -> Jet:
-    """Jet of delta = f'' + (f')^2 to `order`, from a jet of f to order + 2."""
-    f1 = jet_derivative(fj, X)
-    f2 = jet_derivative(f1, X)
-    return f2 + jet_mul(f1.truncate(order), f1.truncate(order))
+def _delta(fj: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Stack of delta = f'' + (f')^2 to `order`, from a stack of f to order + 2."""
+    f1 = jet_derivative(fj, X, order + 2, coords)
+    f2 = jet_derivative(f1, X, order + 1, coords)
+    return f2 + jet_mul(f1, f1, order, coords)
 
 
 @float_guard()
-def delta_jet(f: Expr, p, order: int) -> Jet:
-    """Jet of delta = f'' + (f')^2 at the point(s) p, to the given order."""
-    return _delta(eval_jet(f, p, order + 2), order)
+def delta_jet(f: Expr, p, order: int) -> np.ndarray:
+    """Stack of delta = f'' + (f')^2 over coords_of(f) at the point(s) p, to
+    the given order."""
+    coords = coords_of(f)
+    return _delta(eval_jet(f, p, order + 2, coords), order, coords)
 
 
 def delta_derivatives(f: Expr, p, kmax: int) -> list:
     """[delta, delta', ..., delta^(kmax)] at the point(s) p; each entry is a
     scalar at one point, an array over a batch."""
     dj = delta_jet(f, p, kmax)
-    return [jets.partial(dj, (0, k, 0)) for k in range(kmax + 1)]
+    return [jets.partial(dj, (0, k, 0), kmax, coords_of(f)) for k in range(kmax + 1)]
 
 
 def profile_derivatives(h: Expr, p, kmax: int) -> list:
     """[h, h', ..., h^(kmax)] at the point(s) p for a t-profile."""
     hj = eval_jet(h, p, kmax)
-    return [jets.partial(hj, (k, 0, 0)) for k in range(kmax + 1)]
+    return [jets.partial(hj, (k, 0, 0), kmax, coords_of(h)) for k in range(kmax + 1)]
 
 
 def place_curvature_block(components: np.ndarray, pair: tuple[int, int], value, tail: tuple[int, ...]):
@@ -130,12 +132,13 @@ def family_f_oracles(f: Expr, p, kmax: int, dirs=AXES) -> CurvatureSequence:
     """
     if kmax < 0:
         raise ValueError("k must be nonnegative")
-    fj = eval_jet(f, p, kmax + 2)
-    dj = _delta(fj, kmax)
-    e2f = np.exp(2.0 * fj.value)
+    coords = coords_of(f)
+    fj = eval_jet(f, p, kmax + 2, coords)
+    dj = _delta(fj, kmax, coords)
+    e2f = np.exp(2.0 * fj[0])
     out = _zero_oracles(np.shape(e2f), kmax, dirs)
     for k in range(kmax + 1):
-        place_curvature_block(out[k].components, (X, T), -e2f * jets.partial(dj, (0, k, 0)), (X,) * k)
+        place_curvature_block(out[k].components, (X, T), -e2f * jets.partial(dj, (0, k, 0), kmax, coords), (X,) * k)
     return out
 
 

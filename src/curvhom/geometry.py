@@ -60,7 +60,7 @@ import numpy as np
 
 from . import jets
 from .expr import Expr, coords_of, eval_jet
-from .jets import Jet, jet_div, stacked_product
+from .jets import jet_div, stacked_product
 from .tensor import AXES, TensorAtPoint, singular
 
 Point = tuple[float, float, float]
@@ -145,7 +145,7 @@ def _metric_jets(g: MetricField, points, order: int) -> np.ndarray:
     m = np.empty((jets.table_size(order, g.coords),) + np.shape(points)[:-1] + (3, 3))
     for i in range(3):
         for j in range(i, 3):
-            m[..., i, j] = m[..., j, i] = eval_jet(g.entry(i, j), points, order, g.coords).coeffs
+            m[..., i, j] = m[..., j, i] = eval_jet(g.entry(i, j), points, order, g.coords)
     return m
 
 
@@ -179,7 +179,7 @@ def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int, coords: tup
         raise DegenerateMetricError(
             f"metric is degenerate at {tuple(pts[i].tolist())}: |det| = {np.ldexp(abs(det[0, i]), 2 * h[i].sum()):.3e}"
         )
-    recip = jet_div(jets.jet_constant(1.0, order, det.shape[1:], coords), Jet(order, det, coords)).coeffs
+    recip = jet_div(jets.jet_constant(1.0, order, det.shape[1:], coords), det, order, coords)
     return stacked_product(",ij->ij", recip, cof, order, coords) * dd
 
 

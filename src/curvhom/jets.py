@@ -15,14 +15,15 @@ Multi-indices are ``(i_t, i_x, i_y)`` triples, zero outside ``coords``.
 Coefficient vectors are laid out along a graded ordering of multi-indices,
 so the table for order ``n`` is a prefix of the table for order ``n + 1``
 and truncation is a slice; the table over ``coords`` is the subsequence of
-the three-coordinate table that is zero elsewhere.  Every table takes
-``coords``, defaulting to all three, and jets over different coordinate
-sets do not combine.  Coefficient arrays carry the jet axis first and the
-point axis after it: a jet over a grid of ``npts`` sample points has shape
+the three-coordinate table that is zero elsewhere.  A jet is a coefficient
+stack, a plain array with the jet axis first and the point axis after it,
+and every function here takes its ``order`` and ``coords`` alongside it: a
+jet over a grid of ``npts`` sample points has shape
 ``(table_size(n, coords), npts)`` and every operation acts on all points
 at once, so one call evaluates the whole grid.  A single point is a batch
-of one, or a jet with no point axis at all; the code is the same either
-way.  ``stacked_product`` multiplies whole tensor fields of jets, stored as
+of one, or a stack with no point axis at all; the code is the same either
+way.  Stacks of one order and coords add, subtract and scale as arrays.
+``stacked_product`` multiplies whole tensor fields of jets, stored as
 coefficient arrays of shape ``(table_size(n, coords), npts, 3, ..., 3)``;
 ``jet_mul`` is its scalar case.  It gathers the coefficients of each
 Leibniz row, contracts the tensor slots of all rows and points with one
@@ -35,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -60,7 +60,7 @@ def float_guard():
 
 
 @lru_cache(maxsize=None)
-def multi_indices(order: int, coords: tuple[int, ...] = ALL_COORDS) -> tuple[tuple[int, int, int], ...]:
+def multi_indices(order: int, coords: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     """All multi-indices (i_t, i_x, i_y) with total degree <= order that are zero
     outside coords, graded, descending within a degree, built over coords alone.
     Every table starts here, so here an order above MAX_ORDER is refused."""
@@ -75,18 +75,18 @@ def multi_indices(order: int, coords: tuple[int, ...] = ALL_COORDS) -> tuple[tup
 
 
 @lru_cache(maxsize=None)
-def index_position(order: int, coords: tuple[int, ...] = ALL_COORDS) -> dict[tuple[int, int, int], int]:
+def index_position(order: int, coords: tuple[int, ...]) -> dict[tuple[int, int, int], int]:
     return {m: p for p, m in enumerate(multi_indices(order, coords))}
 
 
 @lru_cache(maxsize=None)
-def table_size(order: int, coords: tuple[int, ...] = ALL_COORDS) -> int:
+def table_size(order: int, coords: tuple[int, ...]) -> int:
     return len(multi_indices(order, coords))
 
 
 @lru_cache(maxsize=None)
 def product_table(
-    order: int, coords: tuple[int, ...] = ALL_COORDS
+    order: int, coords: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index/coefficient arrays implementing the Leibniz convolution.
 
@@ -107,7 +107,7 @@ def product_table(
 
 
 @lru_cache(maxsize=None)
-def _sorted_product_table(order: int, coords: tuple[int, ...] = ALL_COORDS):
+def _sorted_product_table(order: int, coords: tuple[int, ...]):
     """product_table sorted by output position, with each position's start."""
     a_pos, b_pos, out_pos, coef = product_table(order, coords)
     perm = np.argsort(out_pos, kind="stable")
@@ -153,7 +153,7 @@ def _slot_plan(spec: str, ndim_a: int, ndim_b: int):
 
 
 def stacked_product(
-    spec: str, a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...] = ALL_COORDS
+    spec: str, a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...]
 ) -> np.ndarray:
     """Leibniz product of two stacked jet fields, contracted over tensor slots.
 
@@ -190,7 +190,7 @@ def stacked_product(
 
 
 @lru_cache(maxsize=None)
-def shift_table(order: int, coord: int, coords: tuple[int, ...] = ALL_COORDS) -> np.ndarray:
+def shift_table(order: int, coord: int, coords: tuple[int, ...]) -> np.ndarray:
     """Gather positions mapping a jet of `order` over coords to its
     d/d(coord) of order-1, for a coord in coords.
 
@@ -210,80 +210,14 @@ def shift_table(order: int, coord: int, coords: tuple[int, ...] = ALL_COORDS) ->
     return np.asarray(out, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Derivative table of a scalar function at a point or a batch of points.
-
-    coeffs[p] is the raw partial derivative for the p-th graded multi-index
-    over coords; coeffs has shape (table_size(order, coords), *batch), with
-    no batch axis for a single point.  Jets are immutable values.
-    """
-
-    order: int
-    coeffs: np.ndarray
-    coords: tuple[int, ...] = ALL_COORDS
-
-    def __post_init__(self):
-        n = table_size(self.order, self.coords)
-        if self.coeffs.shape[:1] != (n,):
-            raise ValueError(
-                f"coefficient array has shape {self.coeffs.shape}, "
-                f"expected {n} coefficients for order {self.order} over {self.coords}"
-            )
-
-    @property
-    def value(self):
-        """Function value: a scalar at one point, an array over a batch."""
-        return self.coeffs[0]
-
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} jet to {order}")
-        if order == self.order:
-            return self
-        return Jet(order, self.coeffs[: table_size(order, self.coords)].copy(), self.coords)
-
-    # arithmetic sugar; scalars and point arrays promote to constant jets
-    def __add__(self, other):
-        return jet_add(self, _coerce(other, self))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return jet_sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return jet_sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return jet_mul(self, _coerce(other, self))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return jet_div(self, _coerce(other, self))
-
-    def __rtruediv__(self, other):
-        return jet_div(_coerce(other, self), self)
-
-    def __neg__(self):
-        return Jet(self.order, -self.coeffs, self.coords)
-
-
-def _coerce(v, like: Jet) -> Jet:
-    if isinstance(v, Jet):
-        return v
-    return jet_constant(v, like.order, like.coeffs.shape[1:], like.coords)
-
-
-def jet_constant(value, order: int, batch: tuple[int, ...] = (), coords: tuple[int, ...] = ALL_COORDS) -> Jet:
+def jet_constant(value, order: int, batch: tuple[int, ...], coords: tuple[int, ...]) -> np.ndarray:
     c = np.zeros((table_size(order, coords),) + tuple(batch))
     c[0] = value
-    return Jet(order, c, coords)
+    return c
 
 
-def jet_variable(coord: int, value, order: int, coords: tuple[int, ...] = ALL_COORDS) -> Jet:
-    """Jet of the coordinate function itself: value plus unit first derivative.
+def jet_variable(coord: int, value, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Stack of the coordinate function itself: value plus unit first derivative.
 
     value is the coordinate at one point or an array of it over a batch;
     coord must be one of coords.
@@ -296,35 +230,16 @@ def jet_variable(coord: int, value, order: int, coords: tuple[int, ...] = ALL_CO
         unit = [0, 0, 0]
         unit[coord] = 1
         c[index_position(order, coords)[tuple(unit)]] = 1.0
-    return Jet(order, c, coords)
+    return c
 
 
-def _common_order(a: Jet, b: Jet) -> int:
-    """The order two jets combine at; they must share their coordinates."""
-    if a.coords != b.coords:
-        raise ValueError(f"cannot combine jets over coordinates {a.coords} and {b.coords}")
-    return min(a.order, b.order)
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    n = _common_order(a, b)
-    size = table_size(n, a.coords)
-    return Jet(n, a.coeffs[:size] + b.coeffs[:size], a.coords)
-
-
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    n = _common_order(a, b)
-    size = table_size(n, a.coords)
-    return Jet(n, a.coeffs[:size] - b.coeffs[:size], a.coords)
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    n = _common_order(a, b)
-    return Jet(n, stacked_product(",->", a.coeffs, b.coeffs, n, a.coords), a.coords)
+def jet_mul(a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Leibniz product of two scalar stacks at `order`."""
+    return stacked_product(",->", a, b, order, coords)
 
 
 @lru_cache(maxsize=None)
-def _division_plan(order: int, coords: tuple[int, ...] = ALL_COORDS):
+def _division_plan(order: int, coords: tuple[int, ...]):
     """Per total degree d >= 1, the convolution rows that reference lower degrees.
 
     For a = q * b the position of gamma receives q[gamma] * b[0] plus these
@@ -346,67 +261,67 @@ def _division_plan(order: int, coords: tuple[int, ...] = ALL_COORDS):
     return tuple(plan)
 
 
-def jet_div(a: Jet, b: Jet) -> Jet:
-    """Quotient jet; solves the Leibniz relation a = q * b degree by degree."""
-    n = _common_order(a, b)
-    size = table_size(n, a.coords)
-    ac, bc = a.coeffs[:size], b.coeffs[:size]
+def jet_div(a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Quotient stack at `order`; solves the Leibniz relation a = q * b degree by degree."""
+    size = table_size(order, coords)
+    ac, bc = a[:size], b[:size]
     b0 = bc[0]
     if np.any(b0 == 0.0):
         raise ZeroDivisionError("division by a jet with zero value")
     q = np.empty(np.broadcast_shapes(ac.shape, bc.shape))
     q[0] = ac[0] / b0
-    for lo, hi, qa, bb, cf, starts in _division_plan(n, a.coords):
+    for lo, hi, qa, bb, cf, starts in _division_plan(order, coords):
         terms = cf.reshape((-1,) + (1,) * (q.ndim - 1)) * q[qa] * bc[bb]
         q[lo:hi] = (ac[lo:hi] - np.add.reduceat(terms, starts, axis=0)) / b0
-    return Jet(n, q, a.coords)
+    return q
 
 
-def partial(j: Jet, m: Sequence[int]):
-    """Derivative value for multi-index m = (i_t, i_x, i_y): a scalar at one
-    point, an array over a batch; zero along a coordinate outside j.coords."""
+def partial(j: np.ndarray, m: Sequence[int], order: int, coords: tuple[int, ...]):
+    """Derivative value for multi-index m = (i_t, i_x, i_y) of a stack of
+    `order` over coords: a scalar at one point, an array over a batch; zero
+    along a coordinate outside coords."""
     m = tuple(int(v) for v in m)
     if len(m) != DIM or min(m) < 0:
         raise ValueError(f"bad multi-index {m}")
-    if sum(m) > j.order:
-        raise ValueError(f"multi-index {m} exceeds jet order {j.order}")
-    if any(m[c] for c in ALL_COORDS if c not in j.coords):
-        return np.zeros(j.coeffs.shape[1:])[()]
-    return j.coeffs[index_position(j.order, j.coords)[m]]
+    if sum(m) > order:
+        raise ValueError(f"multi-index {m} exceeds jet order {order}")
+    if any(m[c] for c in ALL_COORDS if c not in coords):
+        return np.zeros(j.shape[1:])[()]
+    return j[index_position(order, coords)[m]]
 
 
-def jet_derivative(j: Jet, coord: int) -> Jet:
-    """Jet of the partial derivative along `coord`, one order lower; zero
-    along a coordinate outside j.coords."""
-    if coord not in j.coords:
-        return jet_constant(0.0, j.order - 1, j.coeffs.shape[1:], j.coords)
-    return Jet(j.order - 1, j.coeffs[shift_table(j.order, coord, j.coords)], j.coords)
+def jet_derivative(j: np.ndarray, coord: int, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Stack of the partial derivative along `coord`, of order - 1; zero
+    along a coordinate outside coords."""
+    if coord not in coords:
+        return jet_constant(0.0, order - 1, j.shape[1:], coords)
+    return j[shift_table(order, coord, coords)]
 
 
-def jet_compose_univariate(inner: Jet, outer_derivs: Sequence) -> Jet:
-    """Compose a univariate function (given by its derivatives at inner.value)
-    with a jet.
+def jet_compose_univariate(inner: np.ndarray, outer_derivs: Sequence, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Compose a univariate function (given by its derivatives at inner[0])
+    with a stack of `order`.
 
     outer_derivs[k] must be the k-th derivative of the outer function at the
-    inner jet's value, for k = 0 .. inner.order (scalars, or arrays over the
-    jet's batch).  Evaluated by Horner on the zero-value perturbation, which
-    is exact at the truncation order.
+    inner value, for k = 0 .. order (scalars, or arrays over the stack's
+    batch).  Evaluated by Horner on the zero-value perturbation, which is
+    exact at the truncation order.
     """
-    n = inner.order
+    n = order
     if len(outer_derivs) < n + 1:
         raise ValueError(f"need {n + 1} outer derivatives, got {len(outer_derivs)}")
-    w = inner.coeffs.copy()
+    w = inner.copy()
     w[0] = 0.0
     acc = np.zeros_like(w)
     acc[0] = outer_derivs[n] / math.factorial(n)
     for k in range(n - 1, -1, -1):
-        acc = stacked_product(",->", acc, w, n, inner.coords)
+        acc = stacked_product(",->", acc, w, n, coords)
         acc[0] += outer_derivs[k] / math.factorial(k)
-    return Jet(n, acc, inner.coords)
+    return acc
 
 
-def _apply(inner: Jet, deriv_seq: Callable[[np.ndarray, int], list]) -> Jet:
-    return jet_compose_univariate(inner, deriv_seq(np.asarray(inner.value), inner.order))
+def _apply(j: np.ndarray, deriv_seq: Callable[[np.ndarray, int], list], order: int, coords: tuple[int, ...]) -> np.ndarray:
+    return jet_compose_univariate(j, deriv_seq(np.asarray(j[0]), order), order, coords)
 
 
 def first_where(values, mask) -> float:
@@ -414,14 +329,14 @@ def first_where(values, mask) -> float:
     return float(np.asarray(values)[np.asarray(mask)][0])
 
 
-def jet_exp(j: Jet) -> Jet:
-    return _apply(j, lambda u, n: [np.exp(u)] * (n + 1))
+def jet_exp(j: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    return _apply(j, lambda u, n: [np.exp(u)] * (n + 1), order, coords)
 
 
-def jet_log(j: Jet) -> Jet:
-    bad = j.value <= 0.0
+def jet_log(j: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    bad = j[0] <= 0.0
     if np.any(bad):
-        raise ValueError(f"log of nonpositive value {first_where(j.value, bad)}")
+        raise ValueError(f"log of nonpositive value {first_where(j[0], bad)}")
 
     def seq(u, n):
         d = [np.log(u)]
@@ -429,7 +344,7 @@ def jet_log(j: Jet) -> Jet:
             d.append(math.factorial(k - 1) * (-1.0) ** (k - 1) / u**k)
         return d
 
-    return _apply(j, seq)
+    return _apply(j, seq, order, coords)
 
 
 def _sin_derivatives(u, n: int, start: int) -> list:
@@ -439,18 +354,18 @@ def _sin_derivatives(u, n: int, start: int) -> list:
     return [cycle[(start + k) % 4] for k in range(n + 1)]
 
 
-def jet_sin(j: Jet) -> Jet:
-    return _apply(j, lambda u, n: _sin_derivatives(u, n, 0))
+def jet_sin(j: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    return _apply(j, lambda u, n: _sin_derivatives(u, n, 0), order, coords)
 
 
-def jet_cos(j: Jet) -> Jet:
-    return _apply(j, lambda u, n: _sin_derivatives(u, n, 1))
+def jet_cos(j: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    return _apply(j, lambda u, n: _sin_derivatives(u, n, 1), order, coords)
 
 
-def jet_sqrt(j: Jet) -> Jet:
-    bad = j.value <= 0.0
+def jet_sqrt(j: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    bad = j[0] <= 0.0
     if np.any(bad):
-        raise ValueError(f"sqrt of nonpositive value {first_where(j.value, bad)}")
+        raise ValueError(f"sqrt of nonpositive value {first_where(j[0], bad)}")
 
     def seq(u, n):
         d = [np.sqrt(u)]
@@ -459,25 +374,25 @@ def jet_sqrt(j: Jet) -> Jet:
             d.append(d[0] * math.prod(e - i for i in range(k)) / u**k)
         return d
 
-    return _apply(j, seq)
+    return _apply(j, seq, order, coords)
 
 
-def jet_powi(j: Jet, exponent: int) -> Jet:
+def jet_powi(j: np.ndarray, exponent: int, order: int, coords: tuple[int, ...]) -> np.ndarray:
     """Integer power by binary exponentiation; negative exponents via jet_div."""
     if exponent == 0:
-        return jet_constant(1.0, j.order, j.coeffs.shape[1:], j.coords)
+        return jet_constant(1.0, order, j.shape[1:], coords)
     if exponent < 0:
-        power = jet_powi(j, -exponent)
-        if np.any(power.value == 0.0):  # j^|exponent| underflowed, so its reciprocal overflows
+        power = jet_powi(j, -exponent, order, coords)
+        if np.any(power[0] == 0.0):  # j^|exponent| underflowed, so its reciprocal overflows
             raise OverflowError("math range error")
-        return jet_div(jet_constant(1.0, j.order, j.coeffs.shape[1:], j.coords), power)
+        return jet_div(jet_constant(1.0, order, j.shape[1:], coords), power, order, coords)
     acc = None
     base = j
     e = exponent
     while e:
         if e & 1:
-            acc = base if acc is None else jet_mul(acc, base)
+            acc = base if acc is None else jet_mul(acc, base, order, coords)
         e >>= 1
         if e:
-            base = jet_mul(base, base)
+            base = jet_mul(base, base, order, coords)
     return acc

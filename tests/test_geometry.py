@@ -173,7 +173,7 @@ def second_bianchi_deviation(nr):
 
 def nabla_g_deviation(g, p):
     """Metric compatibility from Christoffel jets, computed independently."""
-    from curvhom.expr import eval_jet
+    from curvhom.expr import coords_of, eval_jet
     from curvhom.jets import partial as jpartial
 
     gamma = christoffel(g, p).gamma[0]
@@ -183,7 +183,7 @@ def nabla_g_deviation(g, p):
         direction[m] = 1
         for i in range(3):
             for j in range(3):
-                dg = jpartial(eval_jet(g.entry(i, j), p, 1), tuple(direction))
+                dg = jpartial(eval_jet(g.entry(i, j), p, 1), tuple(direction), 1, coords_of(g.entry(i, j)))
                 corr = sum(gamma[a, m, i] * g.component_matrix(p)[a, j] for a in range(3))
                 corr += sum(gamma[a, m, j] * g.component_matrix(p)[i, a] for a in range(3))
                 dev = max(dev, abs(dg - corr))
@@ -260,14 +260,18 @@ def direct_riemann(g, p):
     """R_{ijkl} = g_la (d_i G^a_jk - d_j G^a_ik + G^a_ib G^b_jk - G^a_jb G^b_ik)
     from plain metric derivatives at p, without jet products: a reference
     for the engine's Schouten route on metrics with no closed form."""
-    from curvhom.expr import eval_jet
-    from curvhom.jets import partial as jpartial
+    from curvhom.expr import coords_of, eval_jet
+    from curvhom.jets import partial
 
     unit = np.eye(3, dtype=int)
     jet = [[eval_jet(g.entry(i, j), p, 2) for j in range(3)] for i in range(3)]
-    gm = np.array([[jet[i][j].value for j in range(3)] for i in range(3)])
-    d1 = np.array([[[jpartial(jet[i][j], unit[l]) for j in range(3)] for i in range(3)] for l in range(3)])
-    d2 = np.array([[[[jpartial(jet[i][j], unit[l] + unit[m]) for j in range(3)] for i in range(3)]
+
+    def jpartial(i, j, m):
+        return partial(jet[i][j], m, 2, coords_of(g.entry(i, j)))
+
+    gm = np.array([[jet[i][j][0] for j in range(3)] for i in range(3)])
+    d1 = np.array([[[jpartial(i, j, unit[l]) for j in range(3)] for i in range(3)] for l in range(3)])
+    d2 = np.array([[[[jpartial(i, j, unit[l] + unit[m]) for j in range(3)] for i in range(3)]
                     for m in range(3)] for l in range(3)])
     ginv = np.linalg.inv(gm)
     first = 0.5 * (np.einsum("ijb->bij", d1) + np.einsum("jib->bij", d1) - d1)
