@@ -820,3 +820,15 @@ def test_a_format_the_command_does_not_write_is_a_config_error(tmp_path, capsys,
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith(f"config error: {cmd} writes no format {fmt!r}")
 
+
+
+@pytest.mark.parametrize("cmd, fmt", [(cmd, fmt) for cmd, written in FORMATS.items() for fmt in written])
+def test_each_command_writes_its_formats(capsys, cmd, fmt):
+    code, out, err = run(capsys, cmd, "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3", "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    if fmt == "json":
+        assert json.loads(out)["config"]["format"] == "json"
+    elif fmt == "csv":
+        assert out.startswith("t,x,y,delta,")
+    else:
+        assert out.endswith("result: pass\n")
