@@ -53,7 +53,15 @@ from .families import (
     family_h_oracles,
     profile_derivatives,
 )
-from .geometry import CurvatureSequence, DegenerateMetricError, MetricField, Point, kulkarni_nomizu, nabla_schouten_sequence
+from .geometry import (
+    MAX_ENTRIES,
+    CurvatureSequence,
+    DegenerateMetricError,
+    MetricField,
+    Point,
+    kulkarni_nomizu,
+    nabla_schouten_sequence,
+)
 from .jets import float_guard
 from .models import T, X, Y, adapted_frame
 from .tensor import AXES, pullback
@@ -96,6 +104,12 @@ class GridSpec:
     axes: tuple[Optional[GridAxis], Optional[GridAxis], Optional[GridAxis]]
 
     def points(self) -> tuple[Point, ...]:
+        """Every grid point, sorted; ValueError, before any is built, past the
+        MAX_ENTRIES // 81 points whose order-0 curvature one array holds."""
+        size = math.prod(axis.count for axis in self.axes if axis)
+        if size > MAX_ENTRIES // 81:
+            raise ValueError(f"the grid has {size} points, more than the {MAX_ENTRIES // 81} whose curvature "
+                             f"fits in {MAX_ENTRIES} entries; lower the counts")
         values = [axis.values() if axis else [0.0] for axis in self.axes]
         pts = [(tv, xv, yv) for tv in values[0] for xv in values[1] for yv in values[2]]
         return tuple(sorted(pts))

@@ -24,6 +24,11 @@ from . import jets
 
 COORDS = ("t", "x", "y")
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs")
+# Parsing and every walk of the tree recurse, so both are bounded well below
+# Python's recursion limit: the levels of parentheses, calls, unary minuses and
+# exponents open at once, and the depth of the tree, operator chains included.
+MAX_NESTING = 50
+MAX_DEPTH = 200
 
 
 class ParseError(Exception):
@@ -99,11 +104,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent that returns each node with the depth of its tree."""
+
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.text = text
         self.variables = variables
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # parentheses, calls, unary minuses and exponents being parsed
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -121,67 +129,85 @@ class _Parser:
             raise ParseError(tok[2], f"expected '{symbol}', found {tok[1]!r}")
         self.advance()
 
+    def nested(self, at: int, rule):
+        """rule() one level deeper, at most MAX_NESTING levels down."""
+        if self.open == MAX_NESTING:
+            raise ParseError(at, f"expression nested more than {MAX_NESTING} levels deep")
+        self.open += 1
+        out = rule()
+        self.open -= 1
+        return out
+
+    def node(self, e: Expr, below: int, at: int) -> tuple[Expr, int]:
+        """e over children of depth `below`, at most MAX_DEPTH levels deep."""
+        if below == MAX_DEPTH:
+            raise ParseError(at, f"expression tree deeper than {MAX_DEPTH} levels")
+        return e, below + 1
+
     def parse(self) -> Expr:
-        node = self.sum()
+        node, _ = self.sum()
         tok = self.peek()
         if tok is not None:
             raise ParseError(tok[2], f"unexpected trailing input {tok[1]!r}")
         return node
 
-    def sum(self) -> Expr:
-        node = self.term()
+    def sum(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
             self.advance()
-            node = BinOp(tok[1], node, self.term())
-        return node
+            right, d = self.term()
+            node, depth = self.node(BinOp(tok[1], node, right), max(depth, d), tok[2])
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.unary()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "*/":
             self.advance()
-            node = BinOp(tok[1], node, self.unary())
-        return node
+            right, d = self.unary()
+            node, depth = self.node(BinOp(tok[1], node, right), max(depth, d), tok[2])
+        return node, depth
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.advance()
-            return Neg(self.unary())
+            arg, d = self.nested(tok[2], self.unary)
+            return self.node(Neg(arg), d, tok[2])
         return self.power()
 
-    def power(self) -> Expr:
-        node = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        node, depth = self.atom()
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
             self.advance()
             at = self.peek()[2] if self.peek() else len(self.text)
-            exponent = self.unary()  # right associative, allows 2^-3
+            exponent, d = self.nested(at, self.unary)  # right associative, allows 2^-3
             if variables_of(exponent):
                 raise ParseError(at, "exponent must be a constant expression")
-            return BinOp("^", node, exponent)
-        return node
+            return self.node(BinOp("^", node, exponent), max(depth, d), tok[2])
+        return node, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok is None:
             raise ParseError(len(self.text), "empty operand")
         kind, value, at = tok
         if kind == "num":
             self.advance()
-            return Num(float(value))
+            return Num(float(value)), 1
         if kind == "name":
             self.advance()
             if value in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.sum()
+                arg, d = self.nested(at, self.sum)
                 self.expect_op(")")
-                return Call(value, arg)
+                return self.node(Call(value, arg), d, at)
             if value in self.variables:
-                return Var(value)
+                return Var(value), 1
             raise ParseError(at, f"unknown identifier {value!r}")
         if value == "(":
             self.advance()
-            node = self.sum()
+            node = self.nested(at, self.sum)
             self.expect_op(")")
             return node
         raise ParseError(at, f"unexpected token {value!r}")

@@ -713,3 +713,13 @@ def test_sch_sequence_is_the_pullback_to_the_scaled_frame():
     for a, b in zip((t.dense() for t in s.aligned), want):
         assert a.shape == b.shape
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * np.abs(b).max())
+
+
+def test_an_oversized_grid_is_refused_before_any_point_is_built(monkeypatch):
+    def fail(axis):
+        raise AssertionError("the grid's values were built")
+
+    monkeypatch.setattr(GridAxis, "values", fail)
+    grid = GridSpec((GridAxis(0.0, 1.0, 10**4), GridAxis(0.0, 1.0, 10**4), GridAxis(0.0, 1.0, 10**4)))
+    with pytest.raises(ValueError, match="^the grid has 1000000000000 points, more than the 207126 "):
+        grid.points()

@@ -832,3 +832,111 @@ def test_each_command_writes_its_formats(capsys, cmd, fmt):
         assert out.startswith("t,x,y,delta,")
     else:
         assert out.endswith("result: pass\n")
+
+
+# ---------------------------------------------------------------------------
+# the parser's nesting and depth limits, and the grid size, are config errors
+
+DEEP = {
+    "300 parentheses": "(" * 300 + "x" + ")" * 300,
+    "a 3000-term chain": "+".join(["x"] * 3000),
+    "1000 unary minuses": "-" * 1000 + "x",
+    "300 calls": "exp(" * 300 + "x" + ")" * 300,
+    "300 exponents": "x" + "^1" * 300,
+}
+
+
+@pytest.mark.parametrize("cmd", ["classify", "verify", "invariants"])
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+def test_nesting_past_the_parser_limits_exits_2(capsys, cmd, text):
+    code, out, err = run(capsys, cmd, "--family", "f", f"--function={text}", "--grid", "x=0:1:3")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: cannot parse function: expression ")
+    assert "Traceback" not in err
+
+
+def test_nesting_past_the_limit_exits_2_from_a_fresh_process():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["classify", "--family", "f", "--function=" + "(" * 200 + "x" + ")" * 200, "--grid", "x=0:1:3"]
+    done = subprocess.run([sys.executable, "-m", "curvhom", *argv], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert done.stderr == "config error: cannot parse function: expression nested more than 50 levels deep (at offset 50)\n"
+
+
+def test_an_expression_at_both_parser_limits_runs_every_command(capsys):
+    from curvhom.expr import MAX_DEPTH, MAX_NESTING
+
+    # f = x, nested MAX_NESTING deep, in a tree MAX_DEPTH deep: x*1 then 2 * 99 more terms
+    text = "(" * MAX_NESTING + "x*1" + "+x-x" * 99 + ")" * MAX_NESTING
+    assert MAX_DEPTH == 2 + 2 * 99
+    for cmd in ("classify", "verify", "invariants"):
+        code, out, err = run(capsys, cmd, "--family", "f", f"--function={text}", "--grid", "x=0:1:3")
+        assert (code, err) == (EXIT_OK, "")
+        assert _strict_json(out)["config"]["function"] == text
+
+
+def test_a_grid_past_the_point_budget_exits_2(capsys):
+    code, out, err = run(capsys, "classify", "--family", "f", "--function", "x", "--grid", "x=0:1:300", "--grid", "y=0:1:1000")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == ("config error: the grid has 300000 points, more than the 207126 whose curvature fits in 16777216 "
+                   "entries; lower the counts\n")
+
+
+def _grammar_texts(coord):
+    """Expression text over the whole grammar, sometimes nested past the parser's limits."""
+    from curvhom.expr import FUNCTIONS, MAX_DEPTH, MAX_NESTING
+
+    leaf = st.sampled_from(["0", "1", "2", "0.5", "1e300", coord, coord, "t", "x", "y"])
+
+    def extend(inner):
+        return st.one_of(
+            st.builds("-{}".format, inner),
+            st.builds("{}({})".format, st.sampled_from(FUNCTIONS), inner),
+            st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner),
+            st.builds("({})^{}".format, inner, st.sampled_from(["2", "3", "-1", "0", "0.5", "(1/3)"])),
+            st.builds("({})".format, inner),
+        )
+
+    shallow = st.recursive(leaf, extend, max_leaves=6)
+    nestings = [
+        lambda e, n: "(" * n + e + ")" * n,
+        lambda e, n: "sqrt(" * n + e + ")" * n,
+        lambda e, n: "-" * n + e,
+        lambda e, n: e + "^1" * n,
+        lambda e, n: " + ".join([e] * (n * MAX_DEPTH // MAX_NESTING)),
+    ]
+    deep = st.builds(lambda nest, e, n: nest(e, n), st.sampled_from(nestings), shallow,
+                     st.sampled_from([MAX_NESTING - 1, MAX_NESTING + 1, 3000]))
+    return st.one_of(shallow, deep)
+
+
+@st.composite
+def _grammar_argv(draw):
+    family = draw(st.sampled_from(["f", "h", "custom"]))
+    coord = {"f": "x", "h": "t"}.get(family) or draw(st.sampled_from("txy"))
+    text = draw(_grammar_texts(coord))
+    cmd = draw(st.sampled_from(["verify", "classify", "invariants"]))
+    argv = [cmd, "--family", family, "--order", str(draw(st.integers(0, 2)))]
+    argv += [f"--metric=tt={text}", "--metric", "xy=1"] if family == "custom" else [f"--function={text}"]
+    lo, hi = (draw(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])) for _ in range(2))
+    return argv + ["--grid", f"{coord}={lo}:{hi}:{draw(st.integers(1, 4))}"]
+
+
+@given(_grammar_argv())
+@settings(max_examples=40, deadline=None)
+def test_any_grammar_text_keeps_the_exit_code_contract(argv):
+    import contextlib
+    import io
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_HYPOTHESIS)
+    assert code != EXIT_CHECK_FAILED or argv[0] == "verify"
+    assert "Traceback" not in err.getvalue()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from curvhom import jets
 from curvhom.expr import (
+    MAX_DEPTH,
+    MAX_NESTING,
     BinOp,
     Call,
     DomainError,
@@ -45,6 +47,34 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse("x + q")
     assert err.value.position == 4
+
+
+NESTINGS = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "calls": lambda n: "exp(" * n + "x" + ")" * n,
+    "unary minuses": lambda n: "-" * n + "x",
+    "exponents": lambda n: "x" + "^1" * n,
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_to_the_limit_parses_and_one_level_more_is_refused(kind):
+    e = parse(NESTINGS[kind](MAX_NESTING))
+    assert parse(pretty(e)) == e
+    with pytest.raises(ParseError, match=f"^expression nested more than {MAX_NESTING} levels deep"):
+        parse(NESTINGS[kind](MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("op", "+-*/")
+def test_operator_chains_to_the_depth_limit_parse_and_one_term_more_is_refused(op):
+    assert variables_of(parse(op.join(["x"] * MAX_DEPTH))) == {"x"}
+    with pytest.raises(ParseError, match=f"^expression tree deeper than {MAX_DEPTH} levels"):
+        parse(op.join(["x"] * (MAX_DEPTH + 1)))
+    # the depth adds up over the levels of nesting: ten calls take ten levels of the tree
+    e = parse("sin(" * 10 + op.join(["x"] * (MAX_DEPTH - 10)) + ")" * 10)
+    assert pretty(parse(pretty(e))) == pretty(e)
+    with pytest.raises(ParseError, match="deeper than"):
+        parse("sin(" * 10 + op.join(["x"] * (MAX_DEPTH - 9)) + ")" * 10)
 
 
 def test_unary_minus_binds_looser_than_pow():
