@@ -89,14 +89,15 @@ def delta_jet(f: Expr, p, order: int) -> np.ndarray:
 def delta_derivatives(f: Expr, p, kmax: int) -> list:
     """[delta, delta', ..., delta^(kmax)] at the point(s) p; each entry is a
     scalar at one point, an array over a batch."""
-    dj = delta_jet(f, p, kmax)
-    return [jets.partial(dj, (0, k, 0), kmax, coords_of(f)) for k in range(kmax + 1)]
+    dj, coords = delta_jet(f, p, kmax), coords_of(f)
+    return [jets.partial(dj, (0, k, 0), kmax, coords) for k in range(kmax + 1)]
 
 
 def profile_derivatives(h: Expr, p, kmax: int) -> list:
     """[h, h', ..., h^(kmax)] at the point(s) p for a t-profile."""
-    hj = eval_jet(h, p, kmax)
-    return [jets.partial(hj, (k, 0, 0), kmax, coords_of(h)) for k in range(kmax + 1)]
+    coords = coords_of(h)
+    hj = eval_jet(h, p, kmax, coords)
+    return [jets.partial(hj, (k, 0, 0), kmax, coords) for k in range(kmax + 1)]
 
 
 def place_curvature_block(components: np.ndarray, pair: tuple[int, int], value, tail: tuple[int, ...]):

@@ -224,8 +224,7 @@ def jet_variable(coord: int, value, order: int, coords: tuple[int, ...]) -> np.n
     """
     if coord not in coords:
         raise ValueError(f"coordinate {coord} is not among the jet's coordinates {coords}")
-    c = np.zeros((table_size(order, coords),) + np.shape(value))
-    c[0] = value
+    c = jet_constant(value, order, np.shape(value), coords)
     if order >= 1:
         unit = [0, 0, 0]
         unit[coord] = 1
