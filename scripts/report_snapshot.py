@@ -135,6 +135,18 @@ def commands() -> list[list[str]]:
     ]
     # an expression nested deeper than the parser descends
     out.append(["classify", "--family", "f", "--function", "(" * 300 + "x" + ")" * 300, "--grid", "x=0:1:3"])
+    # settings the command does not read: a tolerance outside classify, a metric outside
+    # the custom family, a function on the custom family
+    base = ["--family", "f", "--function", "exp(x)"]
+    out += [
+        ["verify", *base, "--order", "2", "--grid", "x=0:1:3", "--tol", "1e-30", "--format", "text"],
+        ["invariants", *base, "--grid", "x=0:1:3", "--tol", "5", "--format", "csv"],
+        ["verify", *base, "--metric", "tt=1", "--grid", "x=0:1:3", "--format", "text"],
+        ["classify", *base, "--grid", "x=0:1:3", "--metric", "tt=1"],
+        ["classify", "--family", "custom", "--metric", "tt=1", "--metric", "xy=1", "--function", "x^2", "--grid", "x=0:1:3"],
+    ]
+    # function text that starts with a minus sign, passed in one argument
+    out.append(["classify", "--family", "f", "--function=-x", "--grid", "x=0:1:3"])
     return out
 
 
