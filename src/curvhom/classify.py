@@ -37,7 +37,6 @@ frame at its own points, runs a second pass there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -83,8 +82,7 @@ class HypothesisViolation(Exception):
     """A nonvanishing hypothesis fails at the requested point."""
 
 
-@dataclass(frozen=True)
-class GridAxis:
+class GridAxis(NamedTuple):
     lo: float
     hi: float
     count: int
@@ -97,8 +95,7 @@ class GridAxis:
         return np.linspace(self.lo, self.hi, self.count).tolist()
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Per-coordinate ranges; unspecified coordinates are pinned to 0."""
 
     axes: tuple[Optional[GridAxis], Optional[GridAxis], Optional[GridAxis]]
@@ -115,8 +112,7 @@ class GridSpec:
         return tuple(sorted(pts))
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(NamedTuple):
     points: tuple[Point, ...]
 
     @staticmethod
@@ -145,8 +141,7 @@ def relative_spread(values) -> Optional[float]:
     return float(_spreads(vals[:, None])[0]) if vals.size else None
 
 
-@dataclass(frozen=True)
-class SampleSeries:
+class SampleSeries(NamedTuple):
     name: str
     values: tuple[Optional[float], ...]
 
@@ -165,8 +160,7 @@ class SampleSeries:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     status: str
     notes: tuple[str, ...] = ()
@@ -175,14 +169,12 @@ class Verdict:
         return {"name": self.name, "status": self.status, "notes": list(self.notes)}
 
 
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(NamedTuple):
     point: Point
     reason: str
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(NamedTuple):
     family: str
     function: Optional[str]
     r: int
@@ -231,8 +223,7 @@ class HomogeneityReport:
 # the built-in families
 
 
-@dataclass(frozen=True)
-class FamilySamples:
+class FamilySamples(NamedTuple):
     """One batched evaluation of a family metric over sample points, read off its unit adapted frame alone."""
 
     hyp: np.ndarray       # per point: |the family's hypothesis quantity| = |R(T,X,X,T)| on the unit adapted frame
@@ -299,8 +290,7 @@ def _h_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
     return FamilySamples(hyp, sch_hyp, ok, sch, unit.at(ok), aligned, values)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything that differs between the built-in families."""
 
     metric: Callable                    # profile -> MetricField
@@ -418,8 +408,7 @@ def h_first_invariant(h: Expr, p):
     return s.values["xi"][1].reshape(batch)[()]
 
 
-@dataclass(frozen=True)
-class SecondOrderRatios:
+class SecondOrderRatios(NamedTuple):
     """xi_t, xi_x and psi of family_samples: scalars at one point, arrays
     over a batch."""
 

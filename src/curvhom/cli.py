@@ -22,8 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,8 +49,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     family: str
     function: Optional[str]

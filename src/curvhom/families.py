@@ -16,7 +16,6 @@ checked against each other componentwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,18 +32,25 @@ _ONE = parse("1")
 T, X, Y = 0, 1, 2
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """Which built-in family a metric belongs to, and its profile function."""
 
-    family: str  # "f", "h" or "custom"
-    function: Optional[Expr] = None
+    def __init__(self, family: str, function: Optional[Expr] = None):
+        if family not in ("f", "h", "custom"):
+            raise ValueError(f"unknown family {family!r}")
+        if family in ("f", "h") and function is None:
+            raise ValueError(f"family {family!r} needs a profile function")
+        self.family = family  # "f", "h" or "custom"
+        self.function = function
 
-    def __post_init__(self):
-        if self.family not in ("f", "h", "custom"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family in ("f", "h") and self.function is None:
-            raise ValueError(f"family {self.family!r} needs a profile function")
+    def __eq__(self, other):
+        return (self.family, self.function) == (other.family, other.function) if type(other) is FamilySpec else NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.function))
+
+    def __repr__(self):
+        return f"FamilySpec(family={self.family!r}, function={self.function!r})"
 
 
 def family_f_metric(f: Expr) -> MetricField:

@@ -52,7 +52,6 @@ error"), which names no point; classify.evaluate_points finds the points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -68,16 +67,26 @@ Point = tuple[float, float, float]
 MAX_ENTRIES = 1 << 24  # float64 entries (128 MiB) in the largest array one sequence may need
 
 
-@dataclass(frozen=True)
 class MetricField:
-    """3x3 symmetric matrix of scalar expressions in coordinates (t, x, y).
+    """3x3 symmetric matrix of scalar expressions in coordinates (t, x, y),
+    equal to another with the same entries, whatever their families.
 
     Only the upper triangle of the constructor argument is read; the lower
     triangle is mirrored, so the field is symmetric by construction.
     """
 
-    entries: tuple[tuple[Expr, ...], ...]
-    family: Optional[object] = field(default=None, compare=False)
+    def __init__(self, entries: tuple[tuple[Expr, ...], ...], family: Optional[object] = None):
+        self.entries = entries
+        self.family = family
+
+    def __eq__(self, other):
+        return self.entries == other.entries if type(other) is MetricField else NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"MetricField(entries={self.entries!r}, family={self.family!r})"
 
     @staticmethod
     def from_matrix(matrix, family=None) -> "MetricField":
@@ -120,17 +129,20 @@ def _as_points(points) -> tuple[np.ndarray, tuple[int, ...]]:
     return pts.reshape(-1, 3), pts.shape[:-1]
 
 
-@dataclass(frozen=True, eq=False)
 class ConnectionJet:
     """Christoffel symbols Gamma^a_{ij} as stacked jets over coords at the
     sample points, with the metric and inverse-metric jets they were built
     from."""
 
-    order: int
-    coords: tuple[int, ...]
-    gamma: np.ndarray = field(repr=False)    # [pos, ..., a, i, j], symmetric in (i, j)
-    metric: np.ndarray = field(repr=False)   # [pos, ..., i, j]
-    inverse: np.ndarray = field(repr=False)  # [pos, ..., i, j]
+    def __init__(self, order: int, coords: tuple[int, ...], gamma: np.ndarray, metric: np.ndarray, inverse: np.ndarray):
+        self.order = order
+        self.coords = coords
+        self.gamma = gamma      # [pos, ..., a, i, j], symmetric in (i, j)
+        self.metric = metric    # [pos, ..., i, j]
+        self.inverse = inverse  # [pos, ..., i, j]
+
+    def __repr__(self):
+        return f"ConnectionJet(order={self.order!r}, coords={self.coords!r})"
 
     @cached_property
     def dirs(self) -> tuple[int, ...]:
@@ -304,7 +316,6 @@ _KN = np.einsum("ip,lq,ja,kb->ijklpqab", *[np.eye(3)] * 4)  # P_il g_jk
 _KN = (_KN - _KN.swapaxes(0, 1) - _KN.swapaxes(2, 3) + _KN.swapaxes(0, 1).swapaxes(2, 3)).reshape(81 * 9, 9)
 
 
-@dataclass(frozen=True, eq=False)
 class CurvatureSequence:
     """Curvature tensors nabla^k R at the points, side by side in one array:
     entries[point, (i, j, k, l), column], each tensor's slots past the
@@ -312,9 +323,13 @@ class CurvatureSequence:
     Indexing gives a TensorAtPoint view with the points' leading shape
     `batch`; a slice of consecutive tensors is the sequence of their columns."""
 
-    entries: np.ndarray = field(repr=False)  # (npts, 81, width)
-    tails: tuple
-    batch: tuple = ()
+    def __init__(self, entries: np.ndarray, tails: tuple, batch: tuple = ()):
+        self.entries = entries  # (npts, 81, width)
+        self.tails = tails
+        self.batch = batch
+
+    def __repr__(self):
+        return f"CurvatureSequence(tails={self.tails!r}, batch={self.batch!r})"
 
     @staticmethod
     def of(tensors) -> "CurvatureSequence":

@@ -22,8 +22,7 @@ assuming the triangular shape is sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,17 +36,18 @@ T, X, Y = 0, 1, 2
 PHI_CANONICAL = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
-@dataclass(frozen=True)
 class ModelSpace:
     """Metric and curvature tensors at a point, on a fixed frame."""
 
-    r: int
-    phi: TensorAtPoint
-    tensors: tuple[TensorAtPoint, ...]  # A_0 ... A_r, valence (0, 4+k)
+    def __init__(self, r: int, phi: TensorAtPoint, tensors: tuple[TensorAtPoint, ...]):
+        if len(tensors) != r + 1:
+            raise ValueError(f"expected {r + 1} curvature tensors, got {len(tensors)}")
+        self.r = r
+        self.phi = phi
+        self.tensors = tensors  # A_0 ... A_r, valence (0, 4+k)
 
-    def __post_init__(self):
-        if len(self.tensors) != self.r + 1:
-            raise ValueError(f"expected {self.r + 1} curvature tensors, got {len(self.tensors)}")
+    def __repr__(self):
+        return f"ModelSpace(r={self.r!r}, phi={self.phi!r}, tensors={self.tensors!r})"
 
     def tensor(self, k: int) -> TensorAtPoint:
         return self.tensors[k]
@@ -130,8 +130,7 @@ def _require_block_form(a: TensorAtPoint, tail: tuple[int, ...], tol: float, wha
     return eps
 
 
-@dataclass(frozen=True)
-class AutomorphismCheck:
+class AutomorphismCheck(NamedTuple):
     accepted: bool
     max_deviation: float
     parameters: Optional[dict[str, float]] = None

@@ -13,7 +13,6 @@ old basis, and each slot pulls back by precomposition with the frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,23 +21,23 @@ AXES = tuple(range(DIM))  # a slot's default support: every direction
 DET_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
 class TensorAtPoint:
     """Components of shape batch + shape, where shape holds the size of each
     slot's support; batch is () at one point."""
 
-    rank: int
-    components: np.ndarray = field(repr=False)
-    supports: tuple = None  # per slot, the sorted directions it holds; None: all three
-    shape: tuple = field(init=False, repr=False, compare=False)  # the size of each slot's support
+    __slots__ = ("rank", "components", "supports", "shape")
 
-    def __post_init__(self):
-        if self.supports is None:
-            object.__setattr__(self, "supports", (AXES,) * self.rank)
-        object.__setattr__(self, "shape", tuple(map(len, self.supports)))
-        shape = self.components.shape
-        if len(self.supports) != self.rank or len(shape) < self.rank or shape[len(shape) - self.rank:] != self.shape:
-            raise ValueError(f"components of shape {shape} do not match rank {self.rank} on {self.supports}")
+    def __init__(self, rank: int, components: np.ndarray, supports: tuple = None):
+        self.rank = rank
+        self.components = components
+        self.supports = (AXES,) * rank if supports is None else supports  # per slot, the sorted directions it holds
+        self.shape = tuple(map(len, self.supports))  # the size of each slot's support
+        shape = components.shape
+        if len(self.supports) != rank or len(shape) < rank or shape[len(shape) - rank:] != self.shape:
+            raise ValueError(f"components of shape {shape} do not match rank {rank} on {self.supports}")
+
+    def __repr__(self):
+        return f"TensorAtPoint(rank={self.rank!r}, supports={self.supports!r})"
 
     @property
     def batch(self) -> tuple[int, ...]:
@@ -65,17 +64,18 @@ def singular(matrices: np.ndarray, det) -> np.ndarray:
     return np.abs(det) <= DET_FLOOR * np.prod(np.abs(matrices).max(axis=-1), axis=-1)
 
 
-@dataclass(frozen=True)
 class Frame:
     """Basis change; columns are the new basis vectors in the old basis."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.shape[-2:] != (DIM, DIM):
+    def __init__(self, matrix: np.ndarray):
+        if matrix.shape[-2:] != (DIM, DIM):
             raise ValueError(f"frame matrix must be {DIM}x{DIM}")
-        if np.any(singular(self.matrix, np.linalg.det(self.matrix))):
+        if np.any(singular(matrix, np.linalg.det(matrix))):
             raise ValueError("frame matrix is singular")
+        self.matrix = matrix
+
+    def __repr__(self):
+        return f"Frame(matrix={self.matrix!r})"
 
 
 def pullback(t, frame: Frame):

@@ -172,7 +172,6 @@ def test_representative_scaled_entry_is_stable_under_round_off(monkeypatch):
     """On h = exp(t) many order-2 columns reach |entry| 1 up to round-off,
     with both signs; moving any one of them up by a few ulps leaves the
     printed scaled_order_2 series as it was."""
-    import dataclasses
     import importlib
 
     cl = importlib.import_module("curvhom.classify")  # the package exports the function under this name
@@ -193,7 +192,7 @@ def test_representative_scaled_entry_is_stable_under_round_off(monkeypatch):
             a2[(slice(None),) + np.unravel_index(c, a2.shape[1:])] *= 1 + 1e-15
             return s
 
-        monkeypatch.setitem(cl.FAMILIES, "h", dataclasses.replace(spec, samples=nudged))
+        monkeypatch.setitem(cl.FAMILIES, "h", spec._replace(samples=nudged))
         got = classify(g, 2, grid).series("scaled_order_2").values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 

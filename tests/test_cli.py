@@ -834,6 +834,19 @@ def test_each_command_writes_its_formats(capsys, cmd, fmt):
         assert out.endswith("result: pass\n")
 
 
+def test_importing_the_cli_imports_no_dataclasses():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys\nbefore = set(sys.modules)\nimport curvhom.cli\nprint('dataclasses' in set(sys.modules) - before)\n"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # the parser's nesting and depth limits, and the grid size, are config errors
 
