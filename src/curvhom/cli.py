@@ -41,6 +41,8 @@ REL_TOL = 1e-8   # relative tolerance on closed-form nonzero entries
 ABS_TOL = 1e-10  # absolute tolerance on closed-form zero entries
 
 _FORMATS = {"verify": ("json", "text"), "classify": ("json",), "invariants": ("json", "csv")}  # what each command writes
+# the settings that only some commands or families read, and their readers: given to any other, a config error
+_READERS = {"tol": ("classify",), "function": ("--family f", "--family h"), "metric": ("--family custom",)}
 _COORDS = ("t", "x", "y")
 _METRIC_SLOTS = ("tt", "tx", "ty", "xx", "xy", "yy")
 
@@ -178,6 +180,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if not 0 < tol < math.inf:
         raise ConfigError("tol must be positive and finite")
 
+    for name, readers in _READERS.items():
+        if pick(name, getattr(args, name)) is not None and not {args.command, f"--family {family}"} & set(readers):
+            raise ConfigError(f"{name} is read by {' and '.join(readers)} only, not by {args.command} --family {family}")
     fmt = pick("format", args.format, "json")
     if fmt not in _FORMATS[args.command]:
         raise ConfigError(f"{args.command} writes no format {fmt!r}; expected {' or '.join(_FORMATS[args.command])}")

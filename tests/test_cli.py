@@ -834,6 +834,56 @@ def test_each_command_writes_its_formats(capsys, cmd, fmt):
         assert out.endswith("result: pass\n")
 
 
+# a setting that the command or the family does not read is a config error
+
+UNREAD = {  # a command that exits 0, and a setting it does not read
+    "tol in verify": (["verify", "--family", "f", "--function", "exp(x)", "--order", "2", "--format", "text"], "tol", "1e-30"),
+    "tol in invariants": (["invariants", "--family", "f", "--function", "exp(x)", "--format", "csv"], "tol", "5"),
+    "metric in verify": (["verify", "--family", "f", "--function", "exp(x)", "--format", "text"], "metric", "tt=1"),
+    "metric in classify f": (["classify", "--family", "f", "--function", "exp(x)"], "metric", "tt=1"),
+    "function in custom": (["classify", "--family", "custom", "--metric", "tt=1", "--metric", "xy=1"], "function", "x^2"),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+@pytest.mark.parametrize("argv, name, value", UNREAD.values(), ids=UNREAD.keys())
+def test_a_setting_the_command_does_not_read_is_a_config_error(tmp_path, capsys, source, argv, name, value):
+    argv = [*argv, "--grid", "x=0:1:3"]
+    assert run(capsys, *argv)[0] == EXIT_OK
+    if source == "flag":
+        argv += [f"--{name}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"config error: {name} is read by ")
+    assert "Traceback" not in err
+
+
+def test_function_text_that_starts_with_a_minus_sign(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    base = ["classify", "--family", "f", "--grid", "x=0:1:3"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("function = -x\n")
+    for how in (["--function=-x"], ["--config", str(cfg)]):
+        code, out, err = run(capsys, *base, *how)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["config"]["function"] == "-x"
+    # as a separate argument, argparse reads -x as an option
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "curvhom", *base, "--function", "-x"], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert "argument --function: expected one argument" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_importing_the_cli_imports_no_dataclasses():
     import os
     import subprocess
