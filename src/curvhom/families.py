@@ -43,12 +43,6 @@ class FamilySpec:
         self.family = family  # "f", "h" or "custom"
         self.function = function
 
-    def __eq__(self, other):
-        return (self.family, self.function) == (other.family, other.function) if type(other) is FamilySpec else NotImplemented
-
-    def __hash__(self):
-        return hash((self.family, self.function))
-
     def __repr__(self):
         return f"FamilySpec(family={self.family!r}, function={self.function!r})"
 

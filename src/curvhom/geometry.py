@@ -68,8 +68,7 @@ MAX_ENTRIES = 1 << 24  # float64 entries (128 MiB) in the largest array one sequ
 
 
 class MetricField:
-    """3x3 symmetric matrix of scalar expressions in coordinates (t, x, y),
-    equal to another with the same entries, whatever their families.
+    """3x3 symmetric matrix of scalar expressions in coordinates (t, x, y).
 
     Only the upper triangle of the constructor argument is read; the lower
     triangle is mirrored, so the field is symmetric by construction.
@@ -78,12 +77,6 @@ class MetricField:
     def __init__(self, entries: tuple[tuple[Expr, ...], ...], family: Optional[object] = None):
         self.entries = entries
         self.family = family
-
-    def __eq__(self, other):
-        return self.entries == other.entries if type(other) is MetricField else NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"MetricField(entries={self.entries!r}, family={self.family!r})"

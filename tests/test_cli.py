@@ -693,6 +693,19 @@ def test_classify_leaves_numpy_ma_unimported():
     assert done.stdout == "False\n"
 
 
+def test_importing_the_cli_imports_no_dataclasses():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys\nbefore = set(sys.modules)\nimport curvhom.cli\nprint('dataclasses' in set(sys.modules) - before)\n"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # an order past the array budget is a config error before anything large is allocated
 
@@ -834,6 +847,7 @@ def test_each_command_writes_its_formats(capsys, cmd, fmt):
         assert out.endswith("result: pass\n")
 
 
+# ---------------------------------------------------------------------------
 # a setting that the command or the family does not read is a config error
 
 UNREAD = {  # a command that exits 0, and a setting it does not read
@@ -882,19 +896,6 @@ def test_function_text_that_starts_with_a_minus_sign(tmp_path, capsys):
     assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
     assert "argument --function: expected one argument" in done.stderr
     assert "Traceback" not in done.stderr
-
-
-def test_importing_the_cli_imports_no_dataclasses():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys\nbefore = set(sys.modules)\nimport curvhom.cli\nprint('dataclasses' in set(sys.modules) - before)\n"
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------
