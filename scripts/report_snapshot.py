@@ -147,6 +147,11 @@ def commands() -> list[list[str]]:
     ]
     # function text that starts with a minus sign, passed in one argument
     out.append(["classify", "--family", "f", "--function=-x", "--grid", "x=0:1:3"])
+    # a degenerate custom metric whose |det| is small but not zero
+    out.append(["classify", "--family", "custom", "--metric", "tt=1", "--metric", "xx=1", "--metric", "xy=1",
+                "--metric", "yy=1+x*1e-13", "--grid", "x=0.5:2:3"])
+    # an exponent literal past the float range
+    out += [[cmd, "--family", "f", "--function", "x^1e400", "--grid", "x=0.5:1:2"] for cmd in ("classify", "invariants", "verify")]
     return out
 
 
