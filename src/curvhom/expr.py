@@ -283,8 +283,9 @@ def eval_jet(e: Expr, points, order: int, coords: tuple[int, ...] | None = None)
     zero, abs or non-integer power at a non-differentiable argument); the
     message names the first such value.  Under jets.float_guard, a step
     that leaves the float range at any point raises OverflowError("math
-    range error"), which names no point; so no coefficient is non-finite
-    unless a literal is (1e400 reads as inf, as float() reads it).
+    range error"), which names no point, and so does a literal past the
+    float range (1e400 reads as inf, as float() reads it); so no coefficient
+    is non-finite.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -298,6 +299,8 @@ _UNIVARIATE = {"exp": jets.jet_exp, "log": jets.jet_log, "sin": jets.jet_sin, "c
 
 def _eval(e: Expr, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
     if isinstance(e, Num):
+        if not np.isfinite(e.value):  # a literal past the float range reads as inf
+            raise OverflowError("math range error")
         return jets.jet_constant(e.value, order, pts.shape[:-1], coords)
     if isinstance(e, Var):
         coord = COORDS.index(e.name)

@@ -787,7 +787,7 @@ def test_jet_order_past_the_largest_float_factorial_exits_2_at_once(capsys):
 def test_literal_past_the_float_range_is_excluded_without_numpy_warnings(capsys):
     import warnings
 
-    # 1e400 reads as inf, which no operation flags; the guard stops it in the metric inverse
+    # 1e400 reads as inf, which no operation flags; evaluating the literal is a math range error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "classify", "--family", "custom", "--metric", "tt=1e400", "--metric", "xy=1",
@@ -809,6 +809,21 @@ def test_profile_literal_past_the_float_range_is_excluded_at_every_point(capsys)
     # the family metric is built as a tree around the parsed profile, so inf never goes through text
     for cmd in ("classify", "invariants"):
         code, out, err = run(capsys, cmd, "--family", "f", "--function", "1e400", "--grid", "x=0:1:2")
+        assert (code, err) == (EXIT_HYPOTHESIS, "")
+        reasons = [e["reason"] for e in json.loads(out)["exclusions"]]
+        assert reasons == ["cannot evaluate the metric (OverflowError): math range error"] * 2
+
+
+@pytest.mark.parametrize("cmd", ["classify", "invariants", "verify"])
+@pytest.mark.parametrize("text", ["x^1e400", "x^(-1e400)", "sqrt(x)^1e400"])
+def test_exponent_literal_past_the_float_range_is_a_math_range_error(capsys, cmd, text):
+    # the exponent reads as inf, which int(round(...)) could not convert
+    code, out, err = run(capsys, cmd, "--family", "f", "--function", text, "--grid", "x=0.5:1:2")
+    assert "Traceback" not in out + err
+    if cmd == "verify":
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error: numeric overflow evaluating the function: math range error\n"
+    else:
         assert (code, err) == (EXIT_HYPOTHESIS, "")
         reasons = [e["reason"] for e in json.loads(out)["exclusions"]]
         assert reasons == ["cannot evaluate the metric (OverflowError): math range error"] * 2
