@@ -12,9 +12,13 @@ evidence.  Good smoke test after changes:
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
 
-from curvhom import GridAxis, GridSpec, SampleSet, classify, parse
-from curvhom.classify import FAMILIES
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from curvhom import GridAxis, GridSpec, SampleSet, classify, parse  # noqa: E402
+from curvhom.classify import FAMILIES  # noqa: E402
 
 SURVEY = [
     # family, profile, grid axis (coordinate index, lo, hi)

@@ -74,3 +74,14 @@ def test_a_flag_or_a_wrong_count_is_a_usage_error(snapshot, tmp_path, monkeypatc
     assert snapshot.main(argv) == 2
     assert capsys.readouterr().err.startswith("usage: report_snapshot.py OUTDIR")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_survey_runs_without_pythonpath(tmp_path):
+    import os
+    import subprocess
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(SCRIPTS / "survey_families.py"), "--order", "0", "--points", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split("\n", 1)[0].split() == ["metric", "CH_0", "CH_0(1,3)", "SCH_0(1,3)", "xi", "range"]
