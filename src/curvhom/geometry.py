@@ -18,13 +18,13 @@ Kulkarni-Nomizu product of the Schouten tensor P = Ric - (s/4) g with g,
     R_{ijkl} = P_il g_jk + P_jk g_il - P_ik g_jl - P_jl g_ik,
 
 and since nabla g = 0 the same expansion turns nabla^k P into nabla^k R.
-The engine builds the Ricci jets straight from the Christoffel jets and
-runs the covariant recursion on the symmetric (0, 2+k) field nabla^k P;
-the (0, 4+k) curvature is formed only where it is read: classify and
-build_model expand on their frame, verify at the point, every order with
-one matmul into a CurvatureSequence, so a pass over all orders reads one
-array.  Each covariant derivative trades one jet order for one extra
-tensor slot:
+One jet division (jets.jet_solve) gives g^{-1} and the Christoffel jets
+together, the Ricci jets follow straight from them, and the covariant
+recursion runs on the symmetric (0, 2+k) field nabla^k P; the (0, 4+k)
+curvature is formed only where it is read: classify and build_model
+expand on their frame, verify at the point, every order with one matmul
+into a CurvatureSequence, so a pass over all orders reads one array.
+Each covariant derivative trades one jet order for one extra tensor slot:
 
     (nabla T)_{i1..in; m} = d_m T_{i1..in} - sum_s Gamma^a_{m i_s} T_{..a..}
 
@@ -59,7 +59,7 @@ import numpy as np
 
 from . import jets
 from .expr import Expr, coords_of, eval_jet
-from .jets import jet_div, stacked_product
+from .jets import stacked_product
 from .tensor import AXES, TensorAtPoint, singular
 
 Point = tuple[float, float, float]
@@ -154,40 +154,6 @@ def _metric_jets(g: MetricField, points, order: int) -> np.ndarray:
     return m
 
 
-# Per row i, the two other rows in ascending order; and the cofactor signs.
-_MINOR_ROWS = ([1, 0, 0], [2, 2, 1])
-_COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
-
-
-def _inverse_metric_jets(m: np.ndarray, pts: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
-    """Jets of g^{ij}: the cofactors of the symmetric g over det g.
-
-    The cofactors and det are those of D g D with D = diag(2^-h_i) per
-    point, where 2^(2 h_i) is about row i's largest |g_ij|, and g^{-1} is
-    D (D g D)^{-1} D.  Powers of two scale exactly, so this is the same
-    inverse as without D, but a constant multiple of a fine metric does
-    not overflow det.  h is clipped so that D D stays a normal float.
-    """
-    h = np.clip(np.frexp(np.abs(m[0]).max(axis=-1))[1] // 2, -511, 511)  # [pt, i]
-    dd = np.ldexp(1.0, -h[..., :, None] - h[..., None, :])
-    m = m * dd
-    r1, r2 = _MINOR_ROWS
-    a, b = m[..., r1, :], m[..., r2, :]
-    cof = _COFACTOR_SIGN * (
-        stacked_product("ij,ij->ij", a[..., r1], b[..., r2], order, coords)
-        - stacked_product("ij,ij->ij", a[..., r2], b[..., r1], order, coords)
-    )
-    det = stacked_product("j,j->", m[..., 0, :], cof[..., 0, :], order, coords)
-    bad = singular(m[0], det[0])
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DegenerateMetricError(
-            f"metric is degenerate at {tuple(pts[i].tolist())}: |det| = {np.ldexp(abs(det[0, i]), 2 * h[i].sum()):.3e}"
-        )
-    recip = jet_div(jets.jet_constant(1.0, order, det.shape[1:], coords), det, order, coords)
-    return stacked_product(",ij->ij", recip, cof, order, coords) * dd
-
-
 def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: int) -> np.ndarray:
     """d_l of a stacked jet field of `order` over coords, for l = t, x, y
     along a new axis at `axis`, of order - 1; a zero block along a
@@ -198,11 +164,13 @@ def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: i
 
 @jets.float_guard()
 def christoffel(g: MetricField, points, order: int = 0) -> ConnectionJet:
-    """Christoffel symbols of the Levi-Civita connection as jets over
-    g.coords at the points.
-
-    Gamma^a_{ij} = (1/2) g^{ab} (d_i g_{jb} + d_j g_{ib} - d_b g_{ij});
-    metric entries are evaluated to jet order `order` + 1.
+    """Christoffel symbols of the Levi-Civita connection, and g^{-1}, as jets
+    over g.coords at the points, from metric jets of order `order` + 1: one
+    jets.jet_solve of (D g D) q = D [1 | first], first_{b,ij} = (1/2)(d_i g_{jb}
+    + d_j g_{ib} - d_b g_{ij}), gives D q = [g^{-1} | Gamma].  D = diag(2^-h_i)
+    per point, 2^(2 h_i) about row i's largest |g_ij|, scales exactly and
+    keeps a constant multiple of a fine metric from overflowing; h is clipped
+    so that D D stays a normal float.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -210,15 +178,22 @@ def christoffel(g: MetricField, points, order: int = 0) -> ConnectionJet:
     coords = g.coords
     m = _metric_jets(g, pts, order + 1)
     n = jets.table_size(order, coords)
-    inv = _inverse_metric_jets(m[:n], pts, order, coords)
+    h = np.clip(np.frexp(np.abs(m[0]).max(axis=-1))[1] // 2, -511, 511)  # [pt, i]
+    d = np.ldexp(1.0, -h)[..., :, None]
+    scaled = m[:n] * d * d.swapaxes(-1, -2)
+    det = np.linalg.det(scaled[0])
+    bad = singular(scaled[0], det)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateMetricError(
+            f"metric is degenerate at {tuple(pts[i].tolist())}: |det| = {np.ldexp(abs(det[i]), 2 * h[i].sum()):.3e}"
+        )
     dm = _derivatives(m, order + 1, coords, 2)  # [pos, pt, l, i, j] = d_l g_ij
     first = 0.5 * (dm.transpose(0, 1, 4, 2, 3) + dm.transpose(0, 1, 4, 3, 2) - dm)  # [pos, pt, b, i, j]
-    gamma = stacked_product("ab,bij->aij", inv, first, order, coords)
-
-    def unflat(a):
-        return a.reshape((n,) + batch + a.shape[2:])
-
-    return ConnectionJet(order, coords, unflat(gamma), unflat(m[:n]), unflat(inv))
+    one = jets.jet_constant(np.eye(3), order, (len(pts), 3, 3), coords)
+    q = d * jets.jet_solve(scaled, d * np.concatenate([one, first.reshape(n, len(pts), 3, 9)], axis=-1), order, coords)
+    gamma = q[..., 3:].reshape(first.shape)
+    return ConnectionJet(order, coords, *(a.reshape((n,) + batch + a.shape[2:]) for a in (gamma, m[:n], q[..., :3])))
 
 
 def _schouten_jets(conn: ConnectionJet, order: int) -> np.ndarray:

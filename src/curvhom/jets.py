@@ -241,38 +241,49 @@ def jet_mul(a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...]) -
 def _division_plan(order: int, coords: tuple[int, ...]):
     """Per total degree d >= 1, the convolution rows that reference lower degrees.
 
-    For a = q * b the position of gamma receives q[gamma] * b[0] plus these
+    For a = b q the position of gamma receives b[0] q[gamma] plus these
     rows, all of which touch q at strictly smaller total degree, so the
     quotient solves in one sweep over degrees.  Each entry is
     (lo, hi, q_pos, b_pos, coef, starts): the rows for positions lo..hi-1,
     sorted by position, and each position's first row.
     """
-    a_pos, b_pos, out_pos, coef = product_table(order, coords)
-    keep = b_pos != 0  # b_pos == 0 is the q[gamma] * b[0] row itself
-    perm = np.argsort(out_pos[keep], kind="stable")
-    qa, bb, out, cf = (arr[keep][perm] for arr in (a_pos, b_pos, out_pos, coef))
+    a_pos, b_pos, coef, starts = _sorted_product_table(order, coords)
+    keep = b_pos != 0  # b_pos == 0 is the b[0] q[gamma] row itself, one per position
+    qa, bb, cf = a_pos[keep], b_pos[keep], coef[keep]
+    starts = np.append(starts - np.arange(len(starts)), len(qa))  # every earlier position lost its row
     plan = []
     for d in range(1, order + 1):
         lo, hi = table_size(d - 1, coords), table_size(d, coords)
-        r0, r1 = np.searchsorted(out, [lo, hi])
-        starts = np.searchsorted(out[r0:r1], np.arange(lo, hi))
-        plan.append((lo, hi, qa[r0:r1], bb[r0:r1], cf[r0:r1], starts))
+        r0, r1 = starts[lo], starts[hi]
+        plan.append((lo, hi, qa[r0:r1], bb[r0:r1], cf[r0:r1], starts[lo:hi] - r0))
     return tuple(plan)
 
 
-def jet_div(a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
-    """Quotient stack at `order`; solves the Leibniz relation a = q * b degree by degree."""
+def jet_solve(b: np.ndarray, a: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Stack q at `order` with b q = a, for b of shape (>= table_size(order,
+    coords), *batch, k, k) and a of shape (..., *batch, k, m): degree by
+    degree, q is b_0^{-1} times a less the _division_plan rows.  b_0 must be
+    invertible; an inverse past the float range raises OverflowError("math
+    range error"), since np.linalg.inv ignores numpy's error state.
+    """
     size = table_size(order, coords)
     ac, bc = a[:size], b[:size]
-    b0 = bc[0]
-    if np.any(b0 == 0.0):
-        raise ZeroDivisionError("division by a jet with zero value")
-    q = np.empty(np.broadcast_shapes(ac.shape, bc.shape))
-    q[0] = ac[0] / b0
+    inv0 = np.linalg.inv(bc[0])
+    if not np.isfinite(inv0).all():
+        raise OverflowError("math range error")
+    q = np.empty((size,) + np.broadcast_shapes(ac.shape[1:-2], bc.shape[1:-2]) + ac.shape[-2:])
+    q[0] = inv0 @ ac[0]
     for lo, hi, qa, bb, cf, starts in _division_plan(order, coords):
-        terms = cf.reshape((-1,) + (1,) * (q.ndim - 1)) * q[qa] * bc[bb]
-        q[lo:hi] = (ac[lo:hi] - np.add.reduceat(terms, starts, axis=0)) / b0
+        terms = cf.reshape((-1,) + (1,) * (q.ndim - 1)) * (bc[bb] @ q[qa])
+        q[lo:hi] = inv0 @ (ac[lo:hi] - np.add.reduceat(terms, starts, axis=0))
     return q
+
+
+def jet_div(a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Quotient stack at `order`: jet_solve on 1x1 matrices."""
+    if np.any(b[0] == 0.0):
+        raise ZeroDivisionError("division by a jet with zero value")
+    return jet_solve(b[..., None, None], a[..., None, None], order, coords)[..., 0, 0]
 
 
 def partial(j: np.ndarray, m: Sequence[int], order: int, coords: tuple[int, ...]):

@@ -308,6 +308,27 @@ def test_degenerate_metric_detected():
         riemann(bad, ORIGIN)
 
 
+def test_one_solve_gives_the_inverse_metric_and_the_connection():
+    from curvhom import jets
+
+    g = MetricField.from_matrix([[parse(t) for t in row] for row in
+                                 [["exp(2*x)+y^2", "0", "0"], ["0", "0", "1"], ["0", "1", "t^2"]]])
+    points, order = [(0.4, 0.3, -0.5), (1.1, -0.2, 0.7)], 6
+    conn, top = christoffel(g, points, order), christoffel(g, points, order + 1)
+    assert conn.coords == (T, X, Y)
+
+    def product(spec, a, b):  # the Leibniz product, and the same on absolute values: the size of the terms
+        return (jets.stacked_product(spec, a, b, order, conn.coords),
+                jets.stacked_product(spec, np.abs(a), np.abs(b), order, conn.coords))
+
+    got, scale = product("ij,jk->ik", conn.metric, conn.inverse)
+    assert np.all(np.abs(got - jets.jet_constant(np.eye(3), order, (2, 3, 3), conn.coords)) <= 1e-13 * scale)
+    dm = np.stack([jets.jet_derivative(top.metric, c, order + 1, conn.coords) for c in (T, X, Y)], axis=2)
+    first = 0.5 * (dm.transpose(0, 1, 4, 2, 3) + dm.transpose(0, 1, 4, 3, 2) - dm)  # [pos, pt, b, i, j]
+    want, scale = product("ab,bij->aij", conn.inverse, first)
+    assert np.all(np.abs(conn.gamma - want) <= 1e-13 * scale)
+
+
 @pytest.mark.parametrize(
     "entries, coords",
     [

@@ -290,6 +290,21 @@ def test_tables_over_coords_restrict_the_full_tables(coords):
             np.testing.assert_array_equal(got, expected)  # the same rows, in the same order
 
 
+@pytest.mark.parametrize("coords", COORD_SETS)
+def test_solve_inverts_the_matrix_product(coords):
+    rng = np.random.default_rng(len(coords) * 7 + sum(coords))
+    for order in range(7):
+        n = jets.table_size(order, coords)
+        b = rng.normal(size=(n, 4, 3, 3))
+        b[0] += 3.0 * np.eye(3)  # b_0 well conditioned
+        a = rng.normal(size=(n, 4, 3, 2))
+        q = jets.jet_solve(b, a, order, coords)
+        back = jets.stacked_product("ab,bc->ac", b, q, order, coords)
+        # relative to the same product on absolute values, the size of the terms that cancel
+        scale = jets.stacked_product("ab,bc->ac", np.abs(b), np.abs(q), order, coords)
+        assert np.all(np.abs(back - a) <= 1e-12 * scale)
+
+
 def test_coords_must_be_sorted_and_hold_the_variable():
     with pytest.raises(ValueError):
         jet_variable(T, 1.0, 2, (X,))
@@ -378,6 +393,20 @@ def test_the_guard_leaves_numpy_error_state_as_it_found_it(fails):
 def test_zero_division_is_raised_before_the_guard_sees_it():
     with jets.float_guard(), pytest.raises(ZeroDivisionError):
         jet_div(jet_constant(1.0, 2, (), ALL), jet_constant(0.0, 2, (), ALL), 2, ALL)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_an_inverse_past_the_float_range_is_a_math_range_error(k):
+    # np.linalg.inv ignores numpy's error state, so the solve checks b_0's inverse itself
+    b = np.zeros((jets.table_size(1, ALL), 2, k, k))
+    b[0], b[2] = np.eye(k), 1.0
+    b[0, 1, 0, 0] = 1e-320
+    a = jet_constant(1.0, 1, (2, k, 1), ALL)
+    with jets.float_guard(), pytest.raises(OverflowError, match=r"^math range error$"):
+        if k == 1:
+            jet_div(a[..., 0, 0], b[..., 0, 0], 1, ALL)
+        else:
+            jets.jet_solve(b, a, 1, ALL)
 
 
 # ---------------------------------------------------------------------------
