@@ -817,7 +817,7 @@ def test_profile_literal_past_the_float_range_is_excluded_at_every_point(capsys)
 @pytest.mark.parametrize("cmd", ["classify", "invariants", "verify"])
 @pytest.mark.parametrize("text", ["x^1e400", "x^(-1e400)", "sqrt(x)^1e400"])
 def test_exponent_literal_past_the_float_range_is_a_math_range_error(capsys, cmd, text):
-    # the exponent reads as inf, which int(round(...)) could not convert
+    # each spelling's exponent reads as inf, and evaluating that literal is a math range error
     code, out, err = run(capsys, cmd, "--family", "f", "--function", text, "--grid", "x=0.5:1:2")
     assert "Traceback" not in out + err
     if cmd == "verify":
