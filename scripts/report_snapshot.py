@@ -152,6 +152,15 @@ def commands() -> list[list[str]]:
                 "--metric", "yy=1+x*1e-13", "--grid", "x=0.5:2:3"])
     # an exponent literal past the float range
     out += [[cmd, "--family", "f", "--function", "x^1e400", "--grid", "x=0.5:1:2"] for cmd in ("classify", "invariants", "verify")]
+    # an unknown metric slot, a metric entry with no expression, an unknown and a repeated grid coordinate
+    custom = ["classify", "--family", "custom"]
+    base = ["classify", "--family", "f", "--function", "x"]
+    out += [
+        [*custom, "--metric", "zz=1", "--grid", "x=0:1:3"],
+        [*custom, "--metric", "tt", "--grid", "x=0:1:3"],
+        [*base, "--grid", "z=0:1:3"],
+        [*base, "--grid", "x=0:1:3", "--grid", "x=0:1:2"],
+    ]
     return out
 
 
