@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from curvhom import GridAxis, GridSpec, SampleSet, classify, parse  # noqa: E402
-from curvhom.classify import FAMILIES  # noqa: E402
+from curvhom.classify import FAMILIES, SPREAD_FLOOR  # noqa: E402
 
 SURVEY = [
     # family, profile, grid axis (coordinate index, lo, hi)
@@ -41,6 +41,12 @@ def run_one(family: str, profile: str, axis_spec, order: int, points: int):
     return classify(FAMILIES[family].metric(parse(profile)), order, samples)
 
 
+def _shown(v: float) -> float:
+    """v, or 0 below the floor under which classify reads a series as constant:
+    the round-off of an exactly-zero invariant prints the same on every run."""
+    return 0.0 if abs(v) < SPREAD_FLOOR else v
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--order", type=int, default=2, help="highest derivative order")
@@ -59,7 +65,7 @@ def main() -> int:
             xi = report.series("xi")
             lo = min(v for v in xi.values if v is not None)
             hi = max(v for v in xi.values if v is not None)
-            xi_txt = f"[{lo:.3g}, {hi:.3g}]"
+            xi_txt = f"[{_shown(lo):.3g}, {_shown(hi):.3g}]"
         except (KeyError, ValueError):
             xi_txt = "-"
         print(f"g_{family}[{profile}]".ljust(28) + cells + f"{xi_txt:>22s}")
