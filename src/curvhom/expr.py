@@ -100,9 +100,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     """Recursive descent that returns each node with the depth of its tree."""
 
-    def __init__(self, text: str, variables: tuple[str, ...]):
+    def __init__(self, text: str):
         self.text = text
-        self.variables = variables
         self.tokens = _tokenize(text)
         self.i = 0
         self.open = 0  # parentheses, calls, unary minuses and exponents being parsed
@@ -196,7 +195,7 @@ class _Parser:
                 arg, d = self.nested(at, self.sum)
                 self.expect_op(")")
                 return self.node(Call(value, arg), d, at)
-            if value in self.variables:
+            if value in COORDS:
                 return Var(value), 1
             raise ParseError(at, f"unknown identifier {value!r}")
         if value == "(":
@@ -207,14 +206,11 @@ class _Parser:
         raise ParseError(at, f"unexpected token {value!r}")
 
 
-def parse(text: str, variables: tuple[str, ...] = COORDS) -> Expr:
-    """Parse expression text over the given coordinate names (default t, x, y)."""
+def parse(text: str) -> Expr:
+    """Parse expression text over the coordinates t, x and y."""
     if not text.strip():
         raise ParseError(0, "empty expression")
-    unknown = [v for v in variables if v in FUNCTIONS]
-    if unknown:
-        raise ParseError(0, f"coordinate name collides with function: {unknown[0]}")
-    return _Parser(text, tuple(variables)).parse()
+    return _Parser(text).parse()
 
 
 def variables_of(e: Expr) -> set[str]:

@@ -27,11 +27,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .expr import Expr
-from .families import delta_derivatives, family_f_metric, family_h_metric, place_curvature_block, profile_derivatives
+from .families import T, X, Y, delta_derivatives, family_f_metric, family_h_metric, place_curvature_block, profile_derivatives
 from .geometry import MetricField, Point, kulkarni_nomizu, nabla_schouten_sequence
 from .tensor import Frame, TensorAtPoint, pullback
-
-T, X, Y = 0, 1, 2
 
 PHI_CANONICAL = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
