@@ -181,13 +181,13 @@ class HomogeneityReport(NamedTuple):
     tol: float
     points: tuple[Point, ...]
     verdicts: tuple[Verdict, ...]
-    invariants: tuple[SampleSeries, ...]
-    psi: Optional[SampleSeries]
-    scaled_entries: tuple[SampleSeries, ...]
-    diagnostics: tuple[SampleSeries, ...]
-    exclusions: tuple[Exclusion, ...]
-    degenerate: bool
-    notes: tuple[str, ...]
+    invariants: tuple[SampleSeries, ...] = ()
+    psi: Optional[SampleSeries] = None
+    scaled_entries: tuple[SampleSeries, ...] = ()
+    diagnostics: tuple[SampleSeries, ...] = ()
+    exclusions: tuple[Exclusion, ...] = ()
+    degenerate: bool = False
+    notes: tuple[str, ...] = ()
 
     def verdict(self, name: str) -> Verdict:
         for v in self.verdicts:
@@ -619,8 +619,6 @@ def _vacuous_report(family, function, r, pts, tol, note, exclusions=()) -> Homog
         verdicts=tuple(Verdict(n, PASS, (note,)) for n in _verdict_names(r)),
         invariants=(zeros,),
         psi=SampleSeries("psi", tuple(0.0 for _ in pts)),
-        scaled_entries=(),
-        diagnostics=(),
         exclusions=tuple(exclusions),
         degenerate=True,
         notes=(note,),
@@ -629,10 +627,14 @@ def _vacuous_report(family, function, r, pts, tol, note, exclusions=()) -> Homog
 
 def _unevaluated_report(family, function, r, pts, tol, note, exclusions) -> HomogeneityReport:
     return HomogeneityReport(
-        family=family, function=function, r=r, tol=tol, points=pts,
+        family=family,
+        function=function,
+        r=r,
+        tol=tol,
+        points=pts,
         verdicts=tuple(Verdict(n, HYP, (note,)) for n in _verdict_names(r)),
-        invariants=(), psi=None, scaled_entries=(), diagnostics=(),
-        exclusions=tuple(exclusions), degenerate=False, notes=(note,),
+        exclusions=tuple(exclusions),
+        notes=(note,),
     )
 
 
@@ -776,6 +778,5 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         scaled_entries=tuple(scaled_series),
         diagnostics=tuple(series[n] for n in spec.diagnostics if n in series),
         exclusions=exclusions,
-        degenerate=False,
         notes=tuple(notes),
     )
