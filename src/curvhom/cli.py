@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .classify import FAMILIES, GridAxis, GridSpec, SampleSet, below_floor, classify, evaluate_points, family_samples
-from .expr import DomainError, ParseError, parse
+from .expr import COORDS, DomainError, ParseError, parse
 from .geometry import CurvatureSequence, kulkarni_nomizu, nabla_schouten_sequence
 from .tensor import AXES, TensorAtPoint
 
@@ -42,12 +42,12 @@ ABS_TOL = 1e-10  # absolute tolerance on closed-form zero entries
 
 _FORMATS = {"verify": ("json", "text"), "classify": ("json",), "invariants": ("json", "csv")}  # what each command writes
 # the settings that only some commands or families read, and their readers: given to any other, a config error
-_READERS = {"tol": ("classify",), "function": ("--family f", "--family h"), "metric": ("--family custom",)}
-_COORDS = ("t", "x", "y")
-_METRIC_SLOTS = ("tt", "tx", "ty", "xx", "xy", "yy")
+_READERS = {"tol": ("classify",), "function": tuple(f"--family {f}" for f in FAMILIES), "metric": ("--family custom",)}
+_FAMILY_NAMES = f"{', '.join(FAMILIES)} or custom"
+_METRIC_SLOTS = {"tt": (0, 0), "tx": (0, 1), "ty": (0, 2), "xx": (1, 1), "xy": (1, 2), "yy": (2, 2)}  # slot: (i, j)
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -76,7 +76,7 @@ class RunConfig(NamedTuple):
 
 def _grid_summary(grid: GridSpec) -> dict:
     out = {}
-    for name, axis in zip(_COORDS, grid.axes):
+    for name, axis in zip(COORDS, grid.axes):
         if axis is not None:
             out[name] = f"{axis.lo:g}:{axis.hi:g}:{axis.count}"
     return out
@@ -90,8 +90,8 @@ def _parse_grid_arg(text: str) -> tuple[str, GridAxis]:
         axis = GridAxis(float(lo), float(hi), int(count))
     except ValueError:
         raise ConfigError(f"bad grid spec {text!r}; expected coord=min:max:count") from None
-    if coord not in _COORDS:
-        raise ConfigError(f"unknown grid coordinate {coord!r}; expected one of {_COORDS}")
+    if coord not in COORDS:
+        raise ConfigError(f"unknown grid coordinate {coord!r}; expected one of {COORDS}")
     if axis.count < 1:
         raise ConfigError(f"grid count must be >= 1 in {text!r}")
     if not math.isfinite(axis.hi - axis.lo):  # else np.linspace makes inf and nan points, which no guard flags
@@ -134,7 +134,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     family = pick("family", args.family)
     if family is None:
-        raise ConfigError("missing --family (f, h or custom)")
+        raise ConfigError(f"missing --family ({_FAMILY_NAMES})")
     if family not in (*FAMILIES, "custom"):
         raise ConfigError(f"unknown family {family!r}")
 
@@ -153,7 +153,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         axes[coord] = axis
     if not axes:
         raise ConfigError("missing --grid (at least one coordinate range)")
-    grid = GridSpec(tuple(axes.get(c) for c in _COORDS))
+    grid = GridSpec(tuple(axes.get(c) for c in COORDS))
 
     metric_args = list(args.metric or [])
     if not metric_args and "metric" in file_values:
@@ -165,7 +165,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         slot, text = item.split("=", 1)
         slot = slot.strip()
         if slot not in _METRIC_SLOTS:
-            raise ConfigError(f"unknown metric slot {slot!r}; expected one of {_METRIC_SLOTS}")
+            raise ConfigError(f"unknown metric slot {slot!r}; expected one of {tuple(_METRIC_SLOTS)}")
         metric[slot] = text.strip()
     if family == "custom" and not metric:
         raise ConfigError("custom family needs --metric entries")
@@ -205,12 +205,10 @@ def _build_metric(config: RunConfig):
     from .families import custom_metric
 
     zero = parse("0")
-    exprs = {slot: parse(text) for slot, text in config.metric.items()}
-    order = {"tt": (0, 0), "tx": (0, 1), "ty": (0, 2), "xx": (1, 1), "xy": (1, 2), "yy": (2, 2)}
     matrix = [[zero] * 3 for _ in range(3)]
-    for slot, (i, j) in order.items():
-        if slot in exprs:
-            matrix[i][j] = exprs[slot]  # from_matrix mirrors the upper triangle
+    for slot, text in config.metric.items():
+        i, j = _METRIC_SLOTS[slot]
+        matrix[i][j] = parse(text)  # from_matrix mirrors the upper triangle
     return custom_metric(matrix)
 
 
@@ -220,6 +218,11 @@ def _emit(text: str, output: Optional[str]):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(config: RunConfig, body: dict):
+    """Every JSON report: the run's settings first, then the command's fields, then the tool version."""
+    _emit(json.dumps({"config": config.summary(), **body, "tool_version": __version__}, indent=2) + "\n", config.output)
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +287,16 @@ def cmd_verify(config: RunConfig) -> int:
     orders = [(r, a, r <= REL_TOL and a <= ABS_TOL) for r, a in zip(rel.tolist(), absdev.tolist())]  # per order
     ok = all(passed for _, _, passed in orders)
     if config.format == "json":
-        report = {
-            "config": config.summary(),
-            "verdicts": [
-                {
-                    "name": f"order_{k}",
-                    "status": "pass" if passed else "fail",
-                    "max_relative_deviation": rel,
-                    "max_absolute_deviation_on_zeros": absdev,
-                }
-                for k, (rel, absdev, passed) in enumerate(orders)
-            ],
-            "invariants": [],
-            "exclusions": [],
-            "tool_version": __version__,
-        }
-        _emit(json.dumps(report, indent=2) + "\n", config.output)
+        verdicts = [
+            {
+                "name": f"order_{k}",
+                "status": "pass" if passed else "fail",
+                "max_relative_deviation": rel,
+                "max_absolute_deviation_on_zeros": absdev,
+            }
+            for k, (rel, absdev, passed) in enumerate(orders)
+        ]
+        _emit_json(config, {"verdicts": verdicts, "invariants": [], "exclusions": []})
     else:
         lines = [f"verify family={config.family} function={config.function!r} points={len(points)}"]
         for k, (rel, absdev, passed) in enumerate(orders):
@@ -322,8 +319,7 @@ def cmd_classify(config: RunConfig) -> int:
     report = classify(metric, config.order, samples, config.tol)
     body = report.to_dict()
     keys = ("verdicts", "invariants", "psi", "scaled_entries", "diagnostics", "exclusions", "degenerate", "notes")
-    payload = {"config": config.summary(), **{k: body[k] for k in keys}, "tool_version": __version__}
-    _emit(json.dumps(payload, indent=2) + "\n", config.output)
+    _emit_json(config, {k: body[k] for k in keys})
     all_hyp = all(v.status == "hypothesis-violated" for v in report.verdicts)
     return EXIT_HYPOTHESIS if all_hyp and not report.degenerate else EXIT_OK
 
@@ -352,14 +348,14 @@ def _invariant_rows(config: RunConfig) -> tuple[list[str], list[dict]]:
     spec = FAMILIES[config.family]
     points = config.grid.points()
     derivs = spec.derivative_columns(config.order)
-    header = ["t", "x", "y", *derivs, *spec.columns, "excluded"]
+    header = [*COORDS, *derivs, *spec.columns, "excluded"]
     metric = _build_metric(config)
     good, cols, failed = evaluate_points(lambda p: _invariant_columns(metric, derivs, p), points)
-    rows = [dict(zip(("t", "x", "y"), p)) for p in points]
+    rows = [dict(zip(COORDS, p)) for p in points]
     for i, exclusion in failed.items():
-        rows[i].update({c: None for c in header[3:-1]}, excluded=exclusion.reason)
+        rows[i].update({c: None for c in header[len(COORDS):-1]}, excluded=exclusion.reason)
     for j, i in enumerate(good):
-        rows[i].update({c: cols[c][j] for c in header[3:-1]})
+        rows[i].update({c: cols[c][j] for c in header[len(COORDS):-1]})
         low = cols["below_floor"][j]
         rows[i]["excluded"] = below_floor(*low, points[i]) if low else ""
     return header, rows
@@ -378,18 +374,15 @@ def cmd_invariants(config: RunConfig) -> int:
             writer.writerow({k: ("" if row[k] is None else row[k]) for k in header})
         _emit(buf.getvalue(), config.output)
     else:
-        payload = {
-            "config": config.summary(),
+        _emit_json(config, {
             "verdicts": [],
             "invariants": [{k: row[k] for k in header} for row in rows],
             "exclusions": [
-                {"point": [row["t"], row["x"], row["y"]], "reason": row["excluded"]}
+                {"point": [row[c] for c in COORDS], "reason": row["excluded"]}
                 for row in rows
                 if row["excluded"]
             ],
-            "tool_version": __version__,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", config.output)
+        })
     return EXIT_HYPOTHESIS if all_excluded else EXIT_OK
 
 
@@ -409,7 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
         ("invariants", "tabulate invariant values per grid point"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--family", help="f, h or custom")
+        p.add_argument("--family", help=_FAMILY_NAMES)
         p.add_argument("--function", help="profile function text, e.g. 'exp(x)' or 't^3'")
         p.add_argument("--order", help="highest derivative order r")
         p.add_argument("--grid", action="append", help="coord=min:max:count (repeatable)")
@@ -430,9 +423,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if config.command == "classify":
             return cmd_classify(config)
         return cmd_invariants(config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except ParseError as err:
         print(f"config error: cannot parse function: {err}", file=sys.stderr)
         return EXIT_CONFIG

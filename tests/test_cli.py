@@ -1019,3 +1019,52 @@ def test_any_grammar_text_keeps_the_exit_code_contract(argv):
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_HYPOTHESIS)
     assert code != EXIT_CHECK_FAILED or argv[0] == "verify"
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# one report envelope, and the front end's names read from one place
+
+ENVELOPED = {  # a JSON report of every command, on each exit path that writes one
+    "verify": ["verify", "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3"],
+    "classify f": ["classify", "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3"],
+    "classify custom": ["classify", "--family", "custom", "--metric", "tt=exp(2*x)", "--metric", "xy=1", "--grid", "x=0:1:3"],
+    "classify flat": ["classify", "--family", "h", "--function", "0", "--grid", "t=0:1:3"],
+    "invariants": ["invariants", "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3"],
+    "invariants all excluded": ["invariants", "--family", "h", "--function", "t", "--grid", "t=0:1:3"],
+}
+
+
+@pytest.mark.parametrize("argv", ENVELOPED.values(), ids=ENVELOPED.keys())
+def test_every_json_report_has_config_first_and_tool_version_last(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    keys = list(json.loads(out))
+    assert code in (EXIT_OK, EXIT_HYPOTHESIS)
+    assert (keys[0], keys[-1]) == ("config", "tool_version")
+    assert keys.count("config") == keys.count("tool_version") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["classify", "--family", "custom", "--metric", "zz=1", "--grid", "x=0:1:3"],
+         "config error: unknown metric slot 'zz'; expected one of ('tt', 'tx', 'ty', 'xx', 'xy', 'yy')\n"),
+        (["classify", "--family", "f", "--function", "x", "--grid", "z=0:1:3"],
+         "config error: unknown grid coordinate 'z'; expected one of ('t', 'x', 'y')\n"),
+    ],
+)
+def test_unknown_metric_slot_and_grid_coordinate_messages(capsys, argv, err):
+    assert run(capsys, *argv) == (EXIT_CONFIG, "", err)
+
+
+@pytest.mark.parametrize("cmd", ["verify", "classify", "invariants"])
+def test_family_help_and_missing_family_name_the_family_table_and_custom(capsys, cmd):
+    from curvhom.classify import FAMILIES
+
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("--family FAMILY"))
+    help_text = line.split("--family FAMILY", 1)[1].strip()
+    code, _, err = run(capsys, cmd, "--grid", "x=0:1:3")
+    assert (code, err) == (EXIT_CONFIG, f"config error: missing --family ({help_text})\n")
+    assert help_text.replace(" or ", ", ").split(", ") == [*FAMILIES, "custom"]
+    assert help_text == "f, h or custom"
