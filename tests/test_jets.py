@@ -162,19 +162,18 @@ def test_stacked_product_rejects_unsupported_specs(spec):
         jets.stacked_product(spec, np.ones((1, 3, 3)), np.ones((1, 3)), 0, ALL)
 
 
-def _jet(order, **entries):
-    """A jet over (t, x, y) from its entries by multi-index name, e.g. y=6.0 for (0, 0, 1)."""
-    names = {"one": (0, 0, 0), "t": (1, 0, 0), "x": (0, 1, 0), "y": (0, 0, 1)}
+def _jet(entries, order=3):
+    """A jet over (t, x, y) from its nonzero entries, {multi-index: value}."""
     idx = jets.multi_indices(order, ALL)
     out = np.zeros(len(idx))
-    for name, value in entries.items():
-        out[idx.index(names[name])] = value
+    for m, value in entries.items():
+        out[idx.index(m)] = value
     return out
 
 
 @given(finite_jets(), finite_jets())
-# the forward error grows like (max |b_k| / |b_0|)^3, here 9.8e4: a misses 1e-10 by 1.7e-10, the residual is 2e-16
-@example(_jet(3, one=8.3125), _jet(3, one=0.13034632496618137, y=6.0))
+# the forward error grows like (max |b_k| / |b_0|)^3, here 9.8e4: a comes back off by 1.7e-10 of its size, the residual is 2e-16
+@example(_jet({(0, 0, 0): 8.3125}), _jet({(0, 0, 0): 0.13034632496618137, (0, 0, 1): 6.0}))
 @settings(max_examples=60)
 def test_div_inverts_mul(a, b):
     if abs(b[0]) < 0.1:
@@ -183,7 +182,7 @@ def test_div_inverts_mul(a, b):
     back = jet_div(prod, b, 3, ALL)
     # backward stable on every draw: back times b gives prod back to round-off
     np.testing.assert_allclose(jet_mul(back, b, 3, ALL) - prod, 0.0, atol=1e-13 * max(1.0, np.abs(prod).max()))
-    if (np.abs(b).max() / abs(b[0])) ** 3 < 1e4:  # a conditioned divisor: a itself comes back
+    if (np.abs(b).max() / abs(b[0])) ** 3 < 1e4:  # a well-conditioned divisor: a itself comes back
         scale = max(1.0, np.abs(a).max())
         np.testing.assert_allclose(back / scale, a / scale, atol=1e-10)
 
