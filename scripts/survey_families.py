@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from curvhom import GridAxis, GridSpec, SampleSet, classify, parse  # noqa: E402
+from curvhom import GridAxis, GridSpec, classify, parse  # noqa: E402
 from curvhom.classify import FAMILIES, SPREAD_FLOOR  # noqa: E402
 
 SURVEY = [
@@ -37,8 +37,7 @@ def run_one(family: str, profile: str, axis_spec, order: int, points: int):
     coord, lo, hi = axis_spec
     axes = [None, None, None]
     axes[coord] = GridAxis(lo, hi, points)
-    samples = SampleSet.from_grid(GridSpec(tuple(axes)))
-    return classify(FAMILIES[family].metric(parse(profile)), order, samples)
+    return classify(FAMILIES[family].metric(parse(profile)), order, GridSpec(tuple(axes)).points())
 
 
 def _shown(v: float) -> float:

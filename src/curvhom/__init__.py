@@ -6,7 +6,6 @@ from .classify import (
     GridSpec,
     HomogeneityReport,
     HypothesisViolation,
-    SampleSet,
     classify,
     f_first_invariant,
     f_scale_ratio,
@@ -48,7 +47,6 @@ __all__ = [
     "MetricField",
     "ModelSpace",
     "ParseError",
-    "SampleSet",
     "TensorAtPoint",
     "__version__",
     "adapted_frame_f",

@@ -42,9 +42,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .expr import DomainError, Expr, pretty
+from .expr import DomainError, Expr
 from .families import (
-    FamilySpec,
     delta_derivatives,
     family_f_metric,
     family_f_oracles,
@@ -112,18 +111,6 @@ class GridSpec(NamedTuple):
         return tuple(sorted(pts))
 
 
-class SampleSet(NamedTuple):
-    points: tuple[Point, ...]
-
-    @staticmethod
-    def from_grid(grid: GridSpec) -> "SampleSet":
-        return SampleSet(grid.points())
-
-    @staticmethod
-    def from_points(points) -> "SampleSet":
-        return SampleSet(tuple(sorted(tuple(float(c) for c in p) for p in points)))
-
-
 def _spreads(columns: np.ndarray) -> np.ndarray:
     """(max - min) / max(|median|, floor) of each column of a (n_points, n)
     array, 0 where every |entry| is below the floor, from one sort.  The
@@ -175,11 +162,6 @@ class Exclusion(NamedTuple):
 
 
 class HomogeneityReport(NamedTuple):
-    family: str
-    function: Optional[str]
-    r: int
-    tol: float
-    points: tuple[Point, ...]
     verdicts: tuple[Verdict, ...]
     invariants: tuple[SampleSeries, ...] = ()
     psi: Optional[SampleSeries] = None
@@ -202,12 +184,8 @@ class HomogeneityReport(NamedTuple):
         raise KeyError(name)
 
     def to_dict(self) -> dict:
+        """The classify report's JSON body."""
         return {
-            "family": self.family,
-            "function": self.function,
-            "r": self.r,
-            "tol": self.tol,
-            "points": [list(p) for p in self.points],
             "verdicts": [v.summary() for v in self.verdicts],
             "invariants": [s.summary() for s in self.invariants],
             "psi": self.psi.summary() if self.psi else None,
@@ -294,7 +272,7 @@ class Family(NamedTuple):
     """Everything that differs between the built-in families."""
 
     metric: Callable                    # profile -> MetricField
-    oracle: Callable                    # (profile, points, kmax, dirs) -> closed-form [R, ..., nabla^kmax R]
+    oracle: Callable                    # (profile, points, kmax, dirs) -> CurvatureSequence of closed-form R..nabla^kmax R
     min_order: int                      # sequence order the invariants need
     hypothesis: str                     # the profile quantity that must not vanish
     samples: Callable                   # (g, kmax, points) -> FamilySamples
@@ -589,18 +567,17 @@ def evaluate_points(evaluate, pts):
     return good, (evaluate([pts[i] for i in good]) if good else None), failed
 
 
-def classify(g: MetricField, r: int, samples: SampleSet, tol: float = 1e-6) -> HomogeneityReport:
-    """Finite-sample homogeneity verdicts for a metric over a sample set."""
+def classify(g: MetricField, r: int, points, tol: float = 1e-6) -> HomogeneityReport:
+    """Finite-sample homogeneity verdicts for a metric over sample points, any iterable of (t, x, y)."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if not samples.points:
+    pts = tuple(sorted(tuple(map(float, p)) for p in points))
+    if not pts:
         raise ValueError("sample set is empty")
-    pts = tuple(sorted(samples.points))
-    fam: Optional[FamilySpec] = g.family
-    if fam is not None and fam.family in FAMILIES:
-        return _classify_family(g, fam, r, pts, tol)
+    if g.family is not None and g.family.family in FAMILIES:
+        return _classify_family(g, FAMILIES[g.family.family], r, pts, tol)
     return _classify_custom(g, r, pts, tol)
 
 
@@ -608,34 +585,21 @@ def _verdict_names(r: int) -> list[str]:
     return ["CH_0"] + [f"CH_{k}(1,3)" for k in range(r + 1)] + [f"SCH_{k}(1,3)" for k in range(r + 1)]
 
 
-def _vacuous_report(family, function, r, pts, tol, note, exclusions=()) -> HomogeneityReport:
-    zeros = SampleSeries("xi", tuple(0.0 for _ in pts))
+def _vacuous_report(r, npts, exclusions) -> HomogeneityReport:
+    note = "degenerate: zero curvature"
     return HomogeneityReport(
-        family=family,
-        function=function,
-        r=r,
-        tol=tol,
-        points=pts,
         verdicts=tuple(Verdict(n, PASS, (note,)) for n in _verdict_names(r)),
-        invariants=(zeros,),
-        psi=SampleSeries("psi", tuple(0.0 for _ in pts)),
+        invariants=(SampleSeries("xi", (0.0,) * npts),),
+        psi=SampleSeries("psi", (0.0,) * npts),
         exclusions=tuple(exclusions),
         degenerate=True,
         notes=(note,),
     )
 
 
-def _unevaluated_report(family, function, r, pts, tol, note, exclusions) -> HomogeneityReport:
-    return HomogeneityReport(
-        family=family,
-        function=function,
-        r=r,
-        tol=tol,
-        points=pts,
-        verdicts=tuple(Verdict(n, HYP, (note,)) for n in _verdict_names(r)),
-        exclusions=tuple(exclusions),
-        notes=(note,),
-    )
+def _unevaluated_report(r, note, exclusions) -> HomogeneityReport:
+    verdicts = tuple(Verdict(n, HYP, (note,)) for n in _verdict_names(r))
+    return HomogeneityReport(verdicts, exclusions=tuple(exclusions), notes=(note,))
 
 
 def _sorted_values(by_index: dict) -> tuple:
@@ -653,23 +617,21 @@ def _custom_curvature(g: MetricField, points) -> float:
 def _classify_custom(g: MetricField, r, pts, tol) -> HomogeneityReport:
     good, curv, failed = evaluate_points(lambda p: _custom_curvature(g, p), pts)
     if good and curv < DEGENERATE_FLOOR:
-        return _vacuous_report("custom", None, r, pts, tol, "degenerate: zero curvature", _sorted_values(failed))
+        return _vacuous_report(r, len(pts), _sorted_values(failed))
     if good:
         note = "no adapted frame construction for custom metrics; raw curvature available via verify/invariants"
     else:
         note = "the metric cannot be evaluated at any sample point"
     exclusions = [failed.get(i, Exclusion(p, note)) for i, p in enumerate(pts)]
-    return _unevaluated_report("custom", None, r, pts, tol, note, exclusions)
+    return _unevaluated_report(r, note, exclusions)
 
 
-def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> HomogeneityReport:
-    spec = FAMILIES[fam.family]
-    fn = fam.function
+def _classify_family(g: MetricField, spec: Family, r, pts, tol) -> HomogeneityReport:
     kmax = max(r, spec.min_order)
     npts = len(pts)
     good, s, failed = evaluate_points(lambda p: family_samples(g, kmax, p), pts)
     if good and float(s.hyp.max()) < DEGENERATE_FLOOR:  # scale-free: R on the unit adapted frame
-        return _vacuous_report(fam.family, pretty(fn), r, pts, tol, "degenerate: zero curvature", _sorted_values(failed))
+        return _vacuous_report(r, npts, _sorted_values(failed))
     included = [i for j, i in enumerate(good) if s.ok[j]]  # the hypothesis-satisfying points
     sch_idx = [i for j, i in enumerate(good) if s.sch[j]]  # of those, the ones with an SCH frame
     excluded = dict(failed)
@@ -682,7 +644,7 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
             note = "the metric cannot be evaluated at any sample point"
         else:
             note = "nonvanishing hypothesis fails at every sample point"
-        return _unevaluated_report(fam.family, pretty(fn), r, pts, tol, note, exclusions)
+        return _unevaluated_report(r, note, exclusions)
 
     hyp_heavy = len(included) <= npts / 2.0
     e0 = s.adapted[0].dense()[:, T, X, X, T]
@@ -767,11 +729,6 @@ def _classify_family(g: MetricField, fam: FamilySpec, r, pts, tol) -> Homogeneit
         notes.append("all sampled order-1 invariants constant within tol")
 
     return HomogeneityReport(
-        family=fam.family,
-        function=pretty(fn),
-        r=r,
-        tol=tol,
-        points=pts,
         verdicts=tuple(verdicts),
         invariants=tuple(series[n] for n in spec.invariants if n in series),
         psi=SampleSeries("psi", s.column("psi", good, npts)),

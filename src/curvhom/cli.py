@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .classify import FAMILIES, GridAxis, GridSpec, SampleSet, below_floor, classify, evaluate_points, family_samples
+from .classify import FAMILIES, GridAxis, GridSpec, below_floor, classify, evaluate_points, family_samples
 from .expr import COORDS, DomainError, ParseError, parse
 from .geometry import CurvatureSequence, kulkarni_nomizu, nabla_schouten_sequence
 from .tensor import AXES, TensorAtPoint
@@ -120,8 +120,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict[str, list[str]] = {}
     if args.config:
         file_values = _read_config_file(args.config)
-        known = {"family", "function", "order", "grid", "tol", "output", "format", "metric"}
-        unknown = set(file_values) - known
+        unknown = set(file_values) - (set(RunConfig._fields) - {"command"})
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -269,7 +268,6 @@ def cmd_verify(config: RunConfig) -> int:
     top = spec.oracle_max_order
     if top is not None and config.order > top:
         raise ConfigError(f"the {config.family}-family closed forms stop at order {top}; rerun with --order <= {top}")
-    fn = parse(config.function)
     metric = _build_metric(config)
     points = config.grid.points()
     g0, schouten = nabla_schouten_sequence(metric, points, config.order)
@@ -278,7 +276,7 @@ def cmd_verify(config: RunConfig) -> int:
     gscale = np.maximum(1.0, np.abs(g0.components).max(axis=(1, 2)))
     # compare on the oracle's box: the engine's, widened where a closed form may put an entry (rel dev 1 there)
     dirs = schouten[-1].supports[-1] if config.order else ()
-    closed = CurvatureSequence.of(spec.oracle(fn, points, config.order, dirs))
+    closed = spec.oracle(metric.family.function, points, config.order, dirs)
     boxes = [(AXES, AXES) + tail for tail in closed.tails]
     expect = _nonzeros(closed, len(points))
     del closed  # mostly zeros: dropped before the engine's expansion, so the two are never held at once
@@ -314,12 +312,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_classify(config: RunConfig) -> int:
-    metric = _build_metric(config)
-    samples = SampleSet.from_grid(config.grid)
-    report = classify(metric, config.order, samples, config.tol)
-    body = report.to_dict()
-    keys = ("verdicts", "invariants", "psi", "scaled_entries", "diagnostics", "exclusions", "degenerate", "notes")
-    _emit_json(config, {k: body[k] for k in keys})
+    report = classify(_build_metric(config), config.order, config.grid.points(), config.tol)
+    _emit_json(config, report.to_dict())
     all_hyp = all(v.status == "hypothesis-violated" for v in report.verdicts)
     return EXIT_HYPOTHESIS if all_hyp and not report.degenerate else EXIT_OK
 

@@ -16,7 +16,7 @@ checked against each other componentwise.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,19 +32,11 @@ _ONE = parse("1")
 T, X, Y = 0, 1, 2
 
 
-class FamilySpec:
-    """Which built-in family a metric belongs to, and its profile function."""
+class FamilySpec(NamedTuple):
+    """Which family a metric belongs to, a key of classify.FAMILIES or "custom", and its profile function."""
 
-    def __init__(self, family: str, function: Optional[Expr] = None):
-        if family not in ("f", "h", "custom"):
-            raise ValueError(f"unknown family {family!r}")
-        if family in ("f", "h") and function is None:
-            raise ValueError(f"family {family!r} needs a profile function")
-        self.family = family  # "f", "h" or "custom"
-        self.function = function
-
-    def __repr__(self):
-        return f"FamilySpec(family={self.family!r}, function={self.function!r})"
+    family: str
+    function: Optional[Expr] = None
 
 
 def family_f_metric(f: Expr) -> MetricField:

@@ -156,10 +156,8 @@ def _metric_jets(g: MetricField, points, order: int) -> np.ndarray:
 
 def _derivatives(stack: np.ndarray, order: int, coords: tuple[int, ...], axis: int) -> np.ndarray:
     """d_l of a stacked jet field of `order` over coords, for l = t, x, y
-    along a new axis at `axis`, of order - 1; a zero block along a
-    coordinate outside coords."""
-    zero = np.zeros((jets.table_size(order - 1, coords),) + stack.shape[1:])
-    return np.stack([stack[jets.shift_table(order, c, coords)] if c in coords else zero for c in AXES], axis=axis)
+    along a new axis at `axis`, of order - 1."""
+    return np.stack([jets.jet_derivative(stack, c, order, coords) for c in AXES], axis=axis)
 
 
 @jets.float_guard()

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from curvhom.classify import GridAxis, GridSpec, SampleSet, classify
+from curvhom.classify import GridAxis, GridSpec, classify
 from curvhom.expr import parse
 from curvhom.families import (
     delta_derivatives,
@@ -149,7 +149,7 @@ def test_criterion_4_unit_curvature_normalization():
 
 def test_criterion_5_f_exponential_classification():
     start = time.perf_counter()
-    samples = SampleSet.from_grid(GridSpec((None, GridAxis(0.0, 1.0, 9), None)))
+    samples = GridSpec((None, GridAxis(0.0, 1.0, 9), None)).points()
     report = classify(family_f_metric(parse("exp(x)")), 5, samples)
     elapsed = time.perf_counter() - start
     for k in range(6):
@@ -186,7 +186,7 @@ def test_criterion_6_h_cubic_scaling_identities():
         assert np.sign(e0) == sign0 and np.sign(e1) == sign1
     assert worst <= 1e-10
 
-    samples = SampleSet.from_grid(GridSpec((GridAxis(1.0, 2.0, 9), None, None)))
+    samples = GridSpec((GridAxis(1.0, 2.0, 9), None, None)).points()
     report = classify(g, 2, samples)
     elapsed = time.perf_counter() - start
     assert report.verdict("SCH_1(1,3)").status == "pass"
@@ -204,7 +204,7 @@ def test_criterion_6_h_cubic_scaling_identities():
 
 
 def test_criterion_7_homogeneous_controls():
-    samples = SampleSet.from_grid(GridSpec((GridAxis(0.0, 1.0, 9), None, None)))
+    samples = GridSpec((GridAxis(0.0, 1.0, 9), None, None)).points()
     report = classify(family_h_metric(parse("exp(t)")), 2, samples)
     worst = 0.0
     for series in list(report.invariants) + [report.psi] + list(report.scaled_entries):

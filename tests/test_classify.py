@@ -8,7 +8,6 @@ from curvhom.classify import (
     GridAxis,
     GridSpec,
     HypothesisViolation,
-    SampleSet,
     classify,
     f_first_invariant,
     f_scale_ratio,
@@ -28,11 +27,11 @@ O = (0.0, 0.0, 0.0)
 
 
 def x_grid(lo, hi, n):
-    return SampleSet.from_grid(GridSpec((None, GridAxis(lo, hi, n), None)))
+    return GridSpec((None, GridAxis(lo, hi, n), None)).points()
 
 
 def t_grid(lo, hi, n):
-    return SampleSet.from_grid(GridSpec((GridAxis(lo, hi, n), None, None)))
+    return GridSpec((GridAxis(lo, hi, n), None, None)).points()
 
 
 # --- invariant evaluators -------------------------------------------------------
@@ -179,8 +178,8 @@ def test_representative_scaled_entry_is_stable_under_round_off(monkeypatch):
     spec = cl.FAMILIES["h"]
     g, grid = family_h_metric(parse("exp(t)")), t_grid(0, 1, 9)
     want = classify(g, 2, grid).series("scaled_order_2").values
-    a2 = spec.samples(g, 2, np.asarray(grid.points)).aligned[2]
-    flat = a2.components.reshape(len(grid.points), -1)
+    a2 = spec.samples(g, 2, np.asarray(grid)).aligned[2]
+    flat = a2.components.reshape(len(grid), -1)
     top = np.abs(flat).max(axis=0)
     tied = np.flatnonzero(top >= (1 - 1e-12) * top.max())
     assert set(np.sign(flat[0, tied]).tolist()) == {-1.0, 1.0}
@@ -263,8 +262,8 @@ def test_classify_validates_inputs():
     g = family_f_metric(parse("x"))
     with pytest.raises(ValueError):
         classify(g, -1, x_grid(0, 1, 3))
-    with pytest.raises(ValueError):
-        classify(g, 1, SampleSet(()))
+    with pytest.raises(ValueError, match="^sample set is empty$"):
+        classify(g, 1, ())
     with pytest.raises(ValueError):
         classify(g, 1, x_grid(0, 1, 3), tol=0.0)
 
@@ -338,6 +337,24 @@ def test_report_serializes_deterministically():
     assert a == b
 
 
+@pytest.mark.parametrize("metric, profile, grid", [
+    (family_f_metric, "exp(x) + log(x + 2)", GridSpec((None, GridAxis(-1.0, 1.0, 5), GridAxis(0.0, 1.0, 2)))),
+    (family_h_metric, "t^3", GridSpec((GridAxis(1.0, 2.0, 5), None, None))),
+])
+def test_classify_takes_any_iterable_of_points(metric, profile, grid):
+    """An unsorted list of points, int coordinates included, and an array of
+    them give the report of the grid's own sorted points, byte for byte."""
+    import json
+
+    g, pts = metric(parse(profile)), grid.points()
+    want = json.dumps(classify(g, 2, pts).to_dict())
+    shuffled = [list(p) for p in pts[1::2] + pts[::2]]
+    shuffled[0] = [int(c) if c == int(c) else c for c in shuffled[0]]
+    assert [tuple(p) for p in shuffled] != list(pts)
+    for points in (shuffled, np.asarray(shuffled), (tuple(p) for p in shuffled)):
+        assert json.dumps(classify(g, 2, points).to_dict()) == want
+
+
 def test_relative_spread_definition():
     assert relative_spread([1.0, 1.0, 1.0]) == 0.0
     assert relative_spread([1.0, 2.0]) == pytest.approx(1.0 / 1.5)
@@ -355,14 +372,14 @@ def test_grid_points_sorted_and_pinned():
 def test_bad_points_excluded_with_their_own_reasons():
     # log(0) is undefined at x = 0, and g_tt = exp(2 exp(9)) overflows at x = 3
     g = family_f_metric(parse("exp(x^2) + log(x)"))
-    rep = classify(g, 1, SampleSet.from_grid(GridSpec((None, GridAxis(0.0, 3.0, 3), None))))
+    rep = classify(g, 1, x_grid(0.0, 3.0, 3))
     want = [
         ((0.0, 0.0, 0.0), "cannot evaluate the metric (DomainError): log of nonpositive value 0.0 in 'log(x)'"),
         ((0.0, 3.0, 0.0), "cannot evaluate the metric (OverflowError): math range error"),
     ]
     assert [(e.point, e.reason) for e in rep.exclusions] == want
     for point, reason in want:
-        alone = classify(g, 1, SampleSet.from_points([point]))
+        alone = classify(g, 1, [point])
         assert [e.reason for e in alone.exclusions] == [reason]
 
 
@@ -679,7 +696,7 @@ def test_family_samples_read_the_metric_alone(metric, profile, grid):
 
     g = metric(parse(profile))
     blind = MetricField(g.entries, FamilySpec(g.family.family, Call("log", Num(-1.0))))
-    pts = np.asarray(grid.points)
+    pts = np.asarray(grid)
     want, got = family_samples(g, 3, pts), family_samples(blind, 3, pts)
     for name in ("hyp", "sch_hyp", "ok", "sch"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -702,7 +719,7 @@ def test_sch_sequence_is_the_pullback_to_the_scaled_frame():
     from curvhom.tensor import TensorAtPoint, pullback
 
     h = parse("t^4 + t^2")
-    pts = np.asarray(t_grid(-1.0, 1.0, 5).points)
+    pts = np.asarray(t_grid(-1.0, 1.0, 5))
     s = family_samples(family_h_metric(h), 4, pts)
     assert s.ok.all() and s.sch.tolist() == [True, True, False, True, True]
     frame = adapted_frame_h(h, pts[s.sch], scaling_lambda_h(h, pts[s.sch]))

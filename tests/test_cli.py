@@ -258,6 +258,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     import importlib
 
     import numpy as np
+    from curvhom.geometry import CurvatureSequence
     from curvhom.tensor import TensorAtPoint
 
     def fake_oracle(k):
@@ -266,7 +267,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         return TensorAtPoint(4 + k, comp)
 
     def fake_oracles(fn, p, kmax, dirs):
-        return [fake_oracle(k) for k in range(kmax + 1)]
+        return CurvatureSequence.of([fake_oracle(k) for k in range(kmax + 1)])
 
     monkeypatch.setattr(importlib.import_module("curvhom.classify"), "family_h_oracles", fake_oracles)
     code, out, _ = run(
@@ -1068,3 +1069,25 @@ def test_family_help_and_missing_family_name_the_family_table_and_custom(capsys,
     assert (code, err) == (EXIT_CONFIG, f"config error: missing --family ({help_text})\n")
     assert help_text.replace(" or ", ", ").split(", ") == [*FAMILIES, "custom"]
     assert help_text == "f, h or custom"
+
+
+@pytest.mark.parametrize("name", [name for name in ENVELOPED if name.startswith("classify")])
+def test_classify_body_is_the_report_dict(capsys, name):
+    """The classify JSON between config and tool_version is the report's
+    to_dict(), key for key and in order."""
+    from curvhom import cli
+    from curvhom.classify import classify
+
+    argv = ENVELOPED[name]
+    _, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    config = cli._build_config(cli.make_parser().parse_args(argv))
+    body = classify(cli._build_metric(config), config.order, config.grid.points(), config.tol).to_dict()
+    assert list(payload)[1:-1] == list(body)
+    assert {k: payload[k] for k in body} == json.loads(json.dumps(body))
+
+
+def test_command_is_not_a_config_file_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = verify\nfamily = h\nfunction = t^3\ngrid = t=1:2:5\n")
+    assert run(capsys, "classify", "--config", str(cfg)) == (EXIT_CONFIG, "", "config error: unknown config keys: ['command']\n")

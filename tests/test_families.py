@@ -3,7 +3,6 @@ import pytest
 
 from curvhom.expr import parse
 from curvhom.families import (
-    FamilySpec,
     delta_derivatives,
     family_f_metric,
     family_f_oracle,
@@ -42,13 +41,6 @@ def test_h_metric_entries():
     assert m[T, T] == 1.0
     assert m[X, Y] == 1.0
     assert m[X, X] == pytest.approx(-2.0)
-
-
-def test_family_spec_validation():
-    with pytest.raises(ValueError):
-        FamilySpec("g")
-    with pytest.raises(ValueError):
-        FamilySpec("f")
 
 
 def test_delta_derivatives_exponential():
