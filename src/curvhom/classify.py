@@ -578,7 +578,7 @@ def classify(g: MetricField, r: int, points, tol: float = 1e-6) -> HomogeneityRe
         raise ValueError("sample set is empty")
     if g.family is not None and g.family.family in FAMILIES:
         return _classify_family(g, FAMILIES[g.family.family], r, pts, tol)
-    return _classify_custom(g, r, pts, tol)
+    return _classify_custom(g, r, pts)
 
 
 def _verdict_names(r: int) -> list[str]:
@@ -614,7 +614,7 @@ def _custom_curvature(g: MetricField, points) -> float:
     return float(np.abs(np.einsum("...im,...mjkl->...ijkl", np.linalg.inv(g0.components), curv)).max())
 
 
-def _classify_custom(g: MetricField, r, pts, tol) -> HomogeneityReport:
+def _classify_custom(g: MetricField, r, pts) -> HomogeneityReport:
     good, curv, failed = evaluate_points(lambda p: _custom_curvature(g, p), pts)
     if good and curv < DEGENERATE_FLOOR:
         return _vacuous_report(r, len(pts), _sorted_values(failed))
