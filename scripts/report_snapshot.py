@@ -161,6 +161,9 @@ def commands() -> list[list[str]]:
         [*base, "--grid", "z=0:1:3"],
         [*base, "--grid", "x=0:1:3", "--grid", "x=0:1:2"],
     ]
+    # a repeated metric slot, and a grid bound with more significant digits than %g prints
+    out.append([*custom, "--metric", "tt=1", "--metric", "tt=exp(2*x)", "--metric", "xy=1", "--grid", "x=0.5:1.5:3"])
+    out.append(["invariants", "--family", "f", "--function", "x^2", "--grid", "x=0.12345678:0.1234568:2"])
     return out
 
 
