@@ -200,17 +200,28 @@ def _schouten_jets(conn: ConnectionJet, order: int) -> np.ndarray:
 
     Ric_jk = d_a Gamma^a_jk - d_k Gamma^a_aj + Gamma^a_ab Gamma^b_jk
     - Gamma^a_kb Gamma^b_aj, symmetrized once; P stays symmetric after.
+    Each product is one jets.stacked_product on slots shaped here:
+    Gamma^a_ab Gamma^b_jk as a (1, b) @ (b, jk) matmul, Gamma^a_kb Gamma^b_aj
+    as (k, ab) @ (ab, j), s = g^jk Ric_jk as (1, jk) @ (jk, 1), and s g as a
+    broadcast multiply.
     """
     coords = conn.coords
     n = jets.table_size(order, coords)
     ga = conn.gamma[:n]
+    npts = ga.shape[1]
     dga = _derivatives(conn.gamma, conn.order, coords, 2)[:n]  # [pos, pt, l, a, i, j] = d_l Gamma^a_ij
+
+    def matmul(a, b):
+        return stacked_product(a, b, order, coords, np.matmul)
+
     ric = np.einsum("nzaajk->nzjk", dga) - np.einsum("nzkaaj->nzjk", dga)
-    ric += stacked_product("b,bjk->jk", np.einsum("nzaab->nzb", ga), ga, order, coords)
-    ric -= stacked_product("akb,baj->jk", ga, ga, order, coords)
+    trace = np.einsum("nzaab->nzb", ga)[:, :, None, :]  # [pos, pt, 1, b]
+    ric += matmul(trace, ga.reshape(n, npts, 3, 9)).reshape(n, npts, 3, 3)
+    swapped = ga.transpose(0, 1, 3, 2, 4)  # [pos, pt, i, a, j] = Gamma^a_ij: both [k, a, b] and [a, b, j]
+    ric -= matmul(swapped.reshape(n, npts, 3, 9), swapped.reshape(n, npts, 9, 3)).swapaxes(-1, -2)
     ric = 0.5 * (ric + ric.transpose(0, 1, 3, 2))
-    s = stacked_product("jk,jk->", conn.inverse[:n], ric, order, coords)
-    return ric - 0.25 * stacked_product(",jk->jk", s, conn.metric[:n], order, coords)
+    s = matmul(conn.inverse[:n].reshape(n, npts, 1, 9), ric.reshape(n, npts, 9, 1))  # [pos, pt, 1, 1]
+    return ric - 0.25 * stacked_product(s, conn.metric[:n], order, coords)
 
 
 def _gamma_operators(gamma: np.ndarray, order_out: int, coords: tuple[int, ...], dirs) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +235,7 @@ def _gamma_operators(gamma: np.ndarray, order_out: int, coords: tuple[int, ...],
     do not depend on the truncation order, so the operator at a lower order
     is the leading (q, p) block (_cut): one build serves a whole sequence.
     """
-    a_pos, b_pos, out_pos, coef = jets.product_table(order_out, coords)
+    a_pos, b_pos, out_pos, coef, _ = jets.product_table(order_out, coords)
     n, d, dirs = jets.table_size(order_out, coords), len(dirs), list(dirs)
     w = np.zeros((gamma.shape[1], 3, n, 3, d, n))
     w[:, :, b_pos, :, :, out_pos] = coef[:, None, None, None, None] * gamma[a_pos][..., dirs]

@@ -24,11 +24,12 @@ at once, so one call evaluates the whole grid.  A single point is a batch
 of one, or a stack with no point axis at all; the code is the same either
 way.  Stacks of one order and coords add, subtract and scale as arrays.
 ``stacked_product`` multiplies whole tensor fields of jets, stored as
-coefficient arrays of shape ``(table_size(n, coords), npts, 3, ..., 3)``;
-``jet_mul`` is its scalar case.  It gathers the coefficients of each
-Leibniz row, contracts the tensor slots of all rows and points with one
-batched matmul (a broadcast multiply when no slot is summed), and sums the
-rows into jet positions with one ``np.add.reduceat``.
+coefficient arrays of shape ``(table_size(n, coords), npts, ...)``, under
+a row operation the caller picks: ``np.multiply`` on broadcast slots, or
+``np.matmul`` on slots the caller has shaped into matrices; ``jet_mul`` is
+its scalar case.  It gathers the coefficients of each Leibniz row, applies
+the operation to all rows and points at once, and sums the rows into jet
+positions with one ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -85,15 +86,14 @@ def table_size(order: int, coords: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def product_table(
-    order: int, coords: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def product_table(order: int, coords: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Index/coefficient arrays implementing the Leibniz convolution.
 
-    Returns (a_pos, b_pos, out_pos, coef) so that for coefficient vectors
-    a, b over coords truncated at `order`:
+    Returns (a_pos, b_pos, out_pos, coef, starts) so that for coefficient
+    vectors a, b over coords truncated at `order`:
     out[out_pos] += coef * a[a_pos] * b[b_pos].
-    Rows run over a_pos, then b_pos, both ascending.
+    Rows are stably sorted by out_pos (within a position they run over a_pos,
+    then b_pos, both ascending), and starts[p] is position p's first row.
     """
     idx = np.asarray(multi_indices(order, coords), dtype=np.intp)
     degree = idx.sum(axis=1)
@@ -101,92 +101,34 @@ def product_table(
     gamma = idx[a_pos] + idx[b_pos]
     lookup = np.zeros((order + 1,) * DIM, dtype=np.intp)
     lookup[tuple(idx.T)] = np.arange(len(idx))
+    out_pos = lookup[tuple(gamma.T)]
     binom = np.array([[math.comb(n, k) for k in range(order + 1)] for n in range(order + 1)], dtype=np.float64)
     coef = binom[gamma, idx[a_pos]].prod(axis=1)  # multinomial weight on raw derivatives
-    return a_pos, b_pos, lookup[tuple(gamma.T)], coef
-
-
-@lru_cache(maxsize=None)
-def _sorted_product_table(order: int, coords: tuple[int, ...]):
-    """product_table sorted by output position, with each position's start."""
-    a_pos, b_pos, out_pos, coef = product_table(order, coords)
     perm = np.argsort(out_pos, kind="stable")
-    starts = np.searchsorted(out_pos[perm], np.arange(table_size(order, coords)))
-    return a_pos[perm], b_pos[perm], coef[perm], starts
-
-
-@lru_cache(maxsize=None)
-def _slot_plan(spec: str, ndim_a: int, ndim_b: int):
-    """How stacked_product contracts the tensor slots of an einsum spec,
-    for operands with ndim_a and ndim_b axes.
-
-    Each slot letter is shared (in both operands and the output), free (in
-    one operand and the output) or summed (in both operands only).  Returns
-    the point-axis counts of a and b, the axis orders that put a's slots in
-    (shared, free_a, summed) order and b's in (shared, summed, free_b)
-    order, the lengths of shared, free_a and free_b, and the axis order
-    that takes the result from (shared, free_a, free_b) to the spec's order.
-    """
-    operands, out = spec.split("->")
-    sa, sb = operands.split(",")
-    if any(len(set(s)) != len(s) for s in (sa, sb, out)) or not (
-        set(out) <= set(sa) | set(sb) and set(sa) ^ set(sb) <= set(out)
-    ):
-        raise ValueError(f"unsupported slot spec {spec!r}")
-    shared = [c for c in out if c in sa and c in sb]
-    free_a = [c for c in out if c not in sb]
-    free_b = [c for c in out if c not in sa]
-    summed = [c for c in sa if c in sb and c not in out]
-    pa, pb = ndim_a - 1 - len(sa), ndim_b - 1 - len(sb)
-
-    def axes(points: int, slots, order) -> tuple[int, ...]:
-        return (*range(1 + points), *(1 + points + slots.index(c) for c in order))
-
-    return (
-        pa,
-        pb,
-        axes(pa, sa, shared + free_a + summed),
-        axes(pb, sb, shared + summed + free_b),
-        (len(shared), len(free_a), len(free_b)),
-        axes(max(pa, pb), shared + free_a + free_b, out),
-    )
+    starts = np.searchsorted(out_pos[perm], np.arange(len(idx)))
+    return a_pos[perm], b_pos[perm], out_pos[perm], coef[perm], starts
 
 
 def stacked_product(
-    spec: str, a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...]
+    a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...], op=np.multiply
 ) -> np.ndarray:
-    """Leibniz product of two stacked jet fields, contracted over tensor slots.
+    """Leibniz product of two stacked jet fields at `order`, row by row under op.
 
-    a and b have shape (>= table_size(order, coords), *batch, d, ..., d): coefficient
-    vectors along the first axis, then the point axes, then tensor slots.
-    spec is an einsum over the slots only, e.g. "ab,bij->aij", with no
-    repeated letter in an operand; the point axes broadcast.  The result has
-    the jet axis first, at `order`.
-
-    Every Leibniz row gathers a's and b's coefficients (with the row weight
-    folded into a, the smaller operand), the slots contract by one batched
-    matmul over (rows, points, shared slots), or by a broadcast multiply when
-    no slot is summed, and np.add.reduceat sums the rows into jet positions.
+    a and b have shape (>= table_size(order, coords), *batch, ...):
+    coefficient vectors along the first axis, then the point axes, then the
+    same number of tensor slots in both, shaped for op: np.multiply
+    broadcasts them, np.matmul multiplies the trailing two as matrices.  An
+    operand with fewer axes gains size-1 axes right after its jet axis, where
+    the point axes are.  Each Leibniz row gathers
+    a's and b's coefficients, with the row weight folded into a, applies op,
+    and np.add.reduceat sums the rows into jet positions.
     """
-    pa, pb, axes_a, axes_b, (n_shared, n_free_a, n_free_b), axes_out = _slot_plan(spec, a.ndim, b.ndim)
-    a_pos, b_pos, coef, starts = _sorted_product_table(order, coords)
-    rows, npt = len(a_pos), max(pa, pb)
-    ga = a.transpose(axes_a)[a_pos]
-    gb = b.transpose(axes_b)[b_pos]
-    slots_a = ga.shape[1 + pa :]
-    shared, free_a = slots_a[:n_shared], slots_a[n_shared : n_shared + n_free_a]
-    free_b = gb.shape[gb.ndim - n_free_b :]
-    s, fa, fb = math.prod(shared), math.prod(free_a), math.prod(free_b)
-    # one (fa x summed) and one (summed x fb) matrix per row, point and shared
-    # slot; the point axes padded to a common count so that they broadcast
-    ga = ga.reshape((rows,) + (1,) * (npt - pa) + a.shape[1 : 1 + pa] + (s, fa, -1))
-    gb = gb.reshape((rows,) + (1,) * (npt - pb) + b.shape[1 : 1 + pb] + (s, -1, fb))
-    ga *= coef.reshape((rows,) + (1,) * (ga.ndim - 1))
-    # a matmul with an inner size of 1 is a broadcast multiply, and `*` is faster
-    terms = ga @ gb if ga.shape[-1] > 1 else ga * gb
-    total = np.add.reduceat(terms, starts, axis=0)
-    total = total.reshape((table_size(order, coords),) + terms.shape[1 : 1 + npt] + shared + free_a + free_b)
-    return total.transpose(axes_out)
+    a_pos, b_pos, _, coef, starts = product_table(order, coords)
+    ndim = max(a.ndim, b.ndim)
+    ga = a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])[a_pos]
+    gb = b.reshape(b.shape[:1] + (1,) * (ndim - b.ndim) + b.shape[1:])[b_pos]
+    ga *= coef.reshape((-1,) + (1,) * (ndim - 1))
+    return np.add.reduceat(op(ga, gb), starts, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +176,7 @@ def jet_variable(coord: int, value, order: int, coords: tuple[int, ...]) -> np.n
 
 def jet_mul(a: np.ndarray, b: np.ndarray, order: int, coords: tuple[int, ...]) -> np.ndarray:
     """Leibniz product of two scalar stacks at `order`."""
-    return stacked_product(",->", a, b, order, coords)
+    return stacked_product(a, b, order, coords)
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +189,7 @@ def _division_plan(order: int, coords: tuple[int, ...]):
     (lo, hi, q_pos, b_pos, coef, starts): the rows for positions lo..hi-1,
     sorted by position, and each position's first row.
     """
-    a_pos, b_pos, coef, starts = _sorted_product_table(order, coords)
+    a_pos, b_pos, _, coef, starts = product_table(order, coords)
     keep = b_pos != 0  # b_pos == 0 is the b[0] q[gamma] row itself, one per position
     qa, bb, cf = a_pos[keep], b_pos[keep], coef[keep]
     starts = np.append(starts - np.arange(len(starts)), len(qa))  # every earlier position lost its row
@@ -325,7 +267,7 @@ def jet_compose_univariate(inner: np.ndarray, outer_derivs: Sequence, order: int
     acc = np.zeros_like(w)
     acc[0] = outer_derivs[n] / math.factorial(n)
     for k in range(n - 1, -1, -1):
-        acc = stacked_product(",->", acc, w, n, coords)
+        acc = stacked_product(acc, w, n, coords)
         acc[0] += outer_derivs[k] / math.factorial(k)
     return acc
 

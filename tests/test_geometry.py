@@ -317,16 +317,16 @@ def test_one_solve_gives_the_inverse_metric_and_the_connection():
     conn, top = christoffel(g, points, order), christoffel(g, points, order + 1)
     assert conn.coords == (T, X, Y)
 
-    def product(spec, a, b):  # the Leibniz product, and the same on absolute values: the size of the terms
-        return (jets.stacked_product(spec, a, b, order, conn.coords),
-                jets.stacked_product(spec, np.abs(a), np.abs(b), order, conn.coords))
+    def product(a, b):  # the Leibniz matrix product, and the same on absolute values: the size of the terms
+        return (jets.stacked_product(a, b, order, conn.coords, np.matmul),
+                jets.stacked_product(np.abs(a), np.abs(b), order, conn.coords, np.matmul))
 
-    got, scale = product("ij,jk->ik", conn.metric, conn.inverse)
+    got, scale = product(conn.metric, conn.inverse)
     assert np.all(np.abs(got - jets.jet_constant(np.eye(3), order, (2, 3, 3), conn.coords)) <= 1e-13 * scale)
     dm = np.stack([jets.jet_derivative(top.metric, c, order + 1, conn.coords) for c in (T, X, Y)], axis=2)
     first = 0.5 * (dm.transpose(0, 1, 4, 2, 3) + dm.transpose(0, 1, 4, 3, 2) - dm)  # [pos, pt, b, i, j]
-    want, scale = product("ab,bij->aij", conn.inverse, first)
-    assert np.all(np.abs(conn.gamma - want) <= 1e-13 * scale)
+    want, scale = product(conn.inverse, first.reshape(first.shape[:3] + (9,)))
+    assert np.all(np.abs(conn.gamma - want.reshape(first.shape)) <= 1e-13 * scale.reshape(first.shape))
 
 
 @pytest.mark.parametrize(
@@ -474,7 +474,7 @@ def _reference_operators(gamma, order_out, coords, dirs):
     slots and the same over dirs for a derivative slot."""
     from curvhom import jets
 
-    a_pos, b_pos, out_pos, coef = jets.product_table(order_out, coords)
+    a_pos, b_pos, out_pos, coef, _ = jets.product_table(order_out, coords)
     n, d, dirs = jets.table_size(order_out, coords), len(dirs), list(dirs)
     npts = gamma.shape[1]
     w = np.zeros((npts, n, d, 3, n, 3))

@@ -114,52 +114,58 @@ def test_mul_matches_leibniz_expansion_exhaustively():
         assert partial(prod, gamma, order, ALL) == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
-def _row_reference(spec, a, b, order):
-    """stacked_product as the plain Leibniz loop: one einsum per product-table row."""
-    operands, out = spec.split("->")
-    sa, sb = operands.split(",")
+def _row_reference(op, a, b, points_a, points_b, order, coords):
+    """stacked_product as the plain Leibniz loop: one einsum per product-table
+    row, with the point axis z named in the operands that have it."""
+    slots = ("...", "...", "...") if op is np.multiply else ("...ik", "...kj", "...ij")
+    subscripts = f"{'z' * points_a}{slots[0]},{'z' * points_b}{slots[1]}->{'z' * (points_a or points_b)}{slots[2]}"
     total = None
-    for pos_a, pos_b, pos_out, coef in zip(*jets.product_table(order, ALL)):
-        term = coef * np.einsum(f"...{sa},...{sb}->...{out}", a[pos_a], b[pos_b])
+    for pos_a, pos_b, pos_out, coef in zip(*jets.product_table(order, coords)[:4]):
+        term = coef * np.einsum(subscripts, a[pos_a], b[pos_b])
         if total is None:
-            total = np.zeros((jets.table_size(order, ALL),) + term.shape)
+            total = np.zeros((jets.table_size(order, coords),) + term.shape)
         total[pos_out] += term
     return total
 
 
-# every spec geometry.py passes, and a plain matrix product; slot widths vary
-# by letter (2, 3, 4) so that a mixed-up slot order changes the shape or values
-PRODUCT_SPECS = [
-    "ij,ij->ij", "j,j->", ",ij->ij", "ab,bij->aij", "b,bjk->jk",
-    "akb,baj->jk", "jk,jk->", ",jk->jk", ",->", "ik,kj->ij",
-]
-SLOT_SIZE = {"a": 2, "b": 3, "i": 3, "j": 2, "k": 4}
+# the row operation and slot shapes of each contraction geometry.py does, of a plain
+# matrix product and of a broadcast, keyed by the einsum over the slots each stands
+# for; slot sizes vary so that a mixed-up axis changes the shape or the values
+PRODUCTS = {
+    "ij,ij->ij": (np.multiply, (3, 2), (3, 2)),
+    "j,j->": (np.matmul, (1, 2), (2, 1)),
+    ",ij->ij": (np.multiply, (1, 1), (3, 2)),
+    "ab,bij->aij": (np.matmul, (2, 3), (3, 6)),
+    "b,bjk->jk": (np.matmul, (1, 3), (3, 8)),
+    "akb,baj->jk": (np.matmul, (4, 6), (6, 2)),
+    "jk,jk->": (np.matmul, (1, 8), (8, 1)),
+    ",jk->jk": (np.multiply, (1, 1), (2, 4)),
+    ",->": (np.multiply, (), ()),
+    "ik,kj->ij": (np.matmul, (3, 4), (4, 2)),
+    "broadcast": (np.multiply, (2, 1, 4), (1, 3, 4)),
+}
 
 
-@pytest.mark.parametrize("order", range(7))
-@pytest.mark.parametrize("spec", PRODUCT_SPECS)
-def test_stacked_product_matches_row_reference(spec, order):
+# order 1 over one coordinate has 3 Leibniz rows, as many as the 3 points: an
+# operand without a point axis must not pair its rows with the other's points
+@pytest.mark.parametrize(
+    "order, coords", [*((order, ALL) for order in range(7)), (1, (X,))], ids=[*map(str, range(7)), "1-x"]
+)
+@pytest.mark.parametrize("op, slots_a, slots_b", PRODUCTS.values(), ids=PRODUCTS)
+def test_stacked_product_matches_row_reference(op, slots_a, slots_b, order, coords):
     rng = np.random.default_rng(order)
-    n = jets.table_size(order, ALL)
-    operands, out = spec.split("->")
-    sa, sb = operands.split(",")
-    slots_a, slots_b = tuple(SLOT_SIZE[c] for c in sa), tuple(SLOT_SIZE[c] for c in sb)
-    for npts in (1, 33):
+    n = jets.table_size(order, coords)
+    slots = np.broadcast_shapes(slots_a, slots_b) if op is np.multiply else slots_a[:-1] + slots_b[-1:]
+    for npts in (1, 3, 33):
         for points_a, points_b in ((True, True), (True, False), (False, True), (False, False)):
             # a is longer than the table: only the prefix is read
             a = rng.normal(size=(n + 3,) + (npts,) * points_a + slots_a)
             b = rng.normal(size=(n,) + (npts,) * points_b + slots_b)
-            got = jets.stacked_product(spec, a, b, order, ALL)
-            want = _row_reference(spec, a, b, order)
-            assert got.shape == want.shape == (n,) + (npts,) * (points_a or points_b) + tuple(SLOT_SIZE[c] for c in out)
+            got = jets.stacked_product(a, b, order, coords, op)
+            want = _row_reference(op, a, b, points_a, points_b, order, coords)
+            assert got.shape == want.shape == (n,) + (npts,) * (points_a or points_b) + slots
             # the loop sums in another order: allow a few ulps of the largest entry
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
-
-
-@pytest.mark.parametrize("spec", ["ii,i->i", "ab,b->b", "a,a->b"])
-def test_stacked_product_rejects_unsupported_specs(spec):
-    with pytest.raises(ValueError):
-        jets.stacked_product(spec, np.ones((1, 3, 3)), np.ones((1, 3)), 0, ALL)
 
 
 def _jet(entries, order=3):
@@ -240,14 +246,14 @@ def _loop_product_table(order):
 
 def test_tables_match_loop_reference():
     for order in range(11):
-        table = jets.product_table(order, ALL)
         ref = _loop_product_table(order)
-        for got, want in zip(table, ref):
-            np.testing.assert_array_equal(got, want)  # same rows, in the same order
         a_pos, b_pos, out_pos, coef = ref
         perm = np.argsort(out_pos, kind="stable")
-        for got, want in zip(jets._sorted_product_table(order, ALL)[:3], (a_pos[perm], b_pos[perm], coef[perm])):
-            np.testing.assert_array_equal(got, want)
+        *table, starts = jets.product_table(order, ALL)
+        for got, want in zip(table, (col[perm] for col in ref), strict=True):
+            np.testing.assert_array_equal(got, want)  # same rows, in the same order
+        size = jets.table_size(order, ALL)
+        np.testing.assert_array_equal(starts, [np.count_nonzero(out_pos < p) for p in range(size)])
         # division: per position gamma, every row except q[gamma] * b[0]
         plan = jets._division_plan(order, ALL)
         assert len(plan) == order
@@ -297,7 +303,7 @@ def test_tables_over_coords_restrict_the_full_tables(coords):
         assert jets.multi_indices(order, coords) == tuple(full[p] for p in keep)
         assert jets.table_size(order, coords) == len(keep)
         position = {p: i for i, p in enumerate(keep)}  # full-table position -> position over coords
-        a_pos, b_pos, out_pos, coef = jets.product_table(order, ALL)
+        a_pos, b_pos, out_pos, coef, _ = jets.product_table(order, ALL)
         rows = [r for r in range(len(a_pos)) if int(a_pos[r]) in position and int(b_pos[r]) in position]
         want = [[position[int(col[r])] for r in rows] for col in (a_pos, b_pos, out_pos)] + [coef[rows]]
         for got, expected in zip(jets.product_table(order, coords), want):
@@ -313,9 +319,9 @@ def test_solve_inverts_the_matrix_product(coords):
         b[0] += 3.0 * np.eye(3)  # b_0 well conditioned
         a = rng.normal(size=(n, 4, 3, 2))
         q = jets.jet_solve(b, a, order, coords)
-        back = jets.stacked_product("ab,bc->ac", b, q, order, coords)
+        back = jets.stacked_product(b, q, order, coords, np.matmul)
         # relative to the same product on absolute values, the size of the terms that cancel
-        scale = jets.stacked_product("ab,bc->ac", np.abs(b), np.abs(q), order, coords)
+        scale = jets.stacked_product(np.abs(b), np.abs(q), order, coords, np.matmul)
         assert np.all(np.abs(back - a) <= 1e-12 * scale)
 
 
