@@ -165,6 +165,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         slot = slot.strip()
         if slot not in _METRIC_SLOTS:
             raise ConfigError(f"unknown metric slot {slot!r}; expected one of {tuple(_METRIC_SLOTS)}")
+        if slot in metric:
+            raise ConfigError(f"duplicate metric slot {slot!r}")
         metric[slot] = text.strip()
     if family == "custom" and not metric:
         raise ConfigError("custom family needs --metric entries")

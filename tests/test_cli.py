@@ -1057,6 +1057,20 @@ def test_unknown_metric_slot_and_grid_coordinate_messages(capsys, argv, err):
     assert run(capsys, *argv) == (EXIT_CONFIG, "", err)
 
 
+@pytest.mark.parametrize("source", ["flags", "config file"])
+def test_a_repeated_metric_slot_is_a_config_error(tmp_path, capsys, source):
+    entries = ["tt=1", "tt=exp(2*x)", "xy=1"]
+    if source == "flags":
+        argv = [f for m in entries for f in ("--metric", m)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"metric = {m}\n" for m in entries))
+        argv = ["--config", str(cfg)]
+    assert run(capsys, "classify", "--family", "custom", *argv, "--grid", "x=0.5:1.5:3") == (
+        EXIT_CONFIG, "", "config error: duplicate metric slot 'tt'\n"
+    )
+
+
 @pytest.mark.parametrize("cmd", ["verify", "classify", "invariants"])
 def test_family_help_and_missing_family_name_the_family_table_and_custom(capsys, cmd):
     from curvhom.classify import FAMILIES
