@@ -78,8 +78,14 @@ def _grid_summary(grid: GridSpec) -> dict:
     out = {}
     for name, axis in zip(COORDS, grid.axes):
         if axis is not None:
-            out[name] = f"{axis.lo:g}:{axis.hi:g}:{axis.count}"
+            out[name] = f"{_bound(axis.lo)}:{_bound(axis.hi)}:{axis.count}"
     return out
+
+
+def _bound(value: float) -> str:
+    """value as %g where that reads back to the same float, in full otherwise."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def _parse_grid_arg(text: str) -> tuple[str, GridAxis]:

@@ -190,6 +190,26 @@ def test_config_file_supplies_flags(tmp_path, capsys):
     assert payload["config"]["grid"] == {"t": "1:2:5"}
 
 
+@pytest.mark.parametrize(
+    "grid, echoed",
+    [
+        ("x=0.12345678:0.1234568:2", "0.12345678:0.1234568:2"),  # %g prints both bounds as 0.123457
+        (f"x={1 / 3!r}:2:2", "0.3333333333333333:2:2"),
+        ("x=0.1:1:3", "0.1:1:3"),
+        ("x=0.00001:2.5e5:2", "1e-05:250000:2"),
+    ],
+)
+def test_report_grid_reads_back_to_the_same_points(capsys, grid, echoed):
+    from curvhom import cli
+
+    argv = ["invariants", "--family", "f", "--function", "x^2", "--grid", grid]
+    _, out, _ = run(capsys, *argv)
+    assert json.loads(out)["config"]["grid"] == {"x": echoed}
+    again = [*argv[:-1], f"x={echoed}"]
+    points = [cli._build_config(cli.make_parser().parse_args(a)).grid.points() for a in (argv, again)]
+    np.testing.assert_array_equal(*points)
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = h\nfunction = t^3\norder = 2\ngrid = t=1:2:5\n")
