@@ -119,9 +119,10 @@ def stacked_product(
     same number of tensor slots in both, shaped for op: np.multiply
     broadcasts them, np.matmul multiplies the trailing two as matrices.  An
     operand with fewer axes gains size-1 axes right after its jet axis, where
-    the point axes are.  Each Leibniz row gathers
-    a's and b's coefficients, with the row weight folded into a, applies op,
-    and np.add.reduceat sums the rows into jet positions.
+    the point axes are.  Each Leibniz row gathers a's and b's coefficients,
+    with the row weight folded into a, applies op, and np.add.reduceat sums
+    the rows into jet positions.  The result has the jet axis first, at
+    `order`.
     """
     a_pos, b_pos, _, coef, starts = product_table(order, coords)
     ndim = max(a.ndim, b.ndim)
