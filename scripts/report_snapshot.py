@@ -164,6 +164,13 @@ def commands() -> list[list[str]]:
     # a repeated metric slot, and a grid bound with more significant digits than %g prints
     out.append([*custom, "--metric", "tt=1", "--metric", "tt=exp(2*x)", "--metric", "xy=1", "--grid", "x=0.5:1.5:3"])
     out.append(["invariants", "--family", "f", "--function", "x^2", "--grid", "x=0.12345678:0.1234568:2"])
+    # a single-valued setting given twice, and a report path that cannot be written
+    out += [
+        ["classify", "--family", "f", "--function", "x", "--function", "exp(x)", "--grid", "x=0:1:3"],
+        ["verify", "--family", "f", "--function", "exp(x)", "--order", "2", "--order", "3", "--grid", "x=0:1:3",
+         "--format", "text"],
+        ["classify", "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3", "--output", "/dev/null/report.json"],
+    ]
     return out
 
 
