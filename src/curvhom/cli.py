@@ -1,14 +1,12 @@
-"""Command-line front end.
-
-Three subcommands over a family metric and a sample grid:
-
-  verify      engine-vs-closed-form equivalence of nabla^k R, per order
-  classify    homogeneity verdicts as a JSON report
-  invariants  per-point table of profile derivatives and invariants
+"""Command-line front end: the commands of ``_COMMANDS`` (verify, classify,
+invariants) over a metric and a sample grid, each taking the settings of
+``_SETTINGS``.
 
 Grids are given per coordinate as ``--grid x=0:1:9`` (min:max:count);
 unspecified coordinates are pinned to 0.  Every flag can also be supplied
-from a ``key = value`` config file via ``--config``; explicit flags win.
+from a ``key = value`` config file via ``--config``; explicit flags win, and
+a second value of a setting other than ``--grid`` and ``--metric`` is a
+configuration error.
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 nonvanishing hypothesis violated at every sample point.
 """
@@ -22,7 +20,7 @@ import io
 import json
 import math
 import sys
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,15 +38,30 @@ EXIT_HYPOTHESIS = 3
 REL_TOL = 1e-8   # relative tolerance on closed-form nonzero entries
 ABS_TOL = 1e-10  # absolute tolerance on closed-form zero entries
 
-_FORMATS = {"verify": ("json", "text"), "classify": ("json",), "invariants": ("json", "csv")}  # what each command writes
-# the settings that only some commands or families read, and their readers: given to any other, a config error
-_READERS = {"tol": ("classify",), "function": tuple(f"--family {f}" for f in FAMILIES), "metric": ("--family custom",)}
 _FAMILY_NAMES = f"{', '.join(FAMILIES)} or custom"
 _METRIC_SLOTS = {"tt": (0, 0), "tx": (0, 1), "ty": (0, 2), "xx": (1, 1), "xy": (1, 2), "yy": (2, 2)}  # slot: (i, j)
 
 
 class ConfigError(ValueError):
     pass
+
+
+class Setting(NamedTuple):
+    help: str  # {formats} reads the command's formats
+    repeats: bool = False  # else a second value is a config error
+    readers: tuple = ()  # the only commands or families that read it, if any: given to any other, a config error
+
+
+_SETTINGS = {  # every setting, by flag and config-file key, in the order of RunConfig
+    "family": Setting(_FAMILY_NAMES),
+    "function": Setting("profile function text, e.g. 'exp(x)' or 't^3'", readers=tuple(f"--family {f}" for f in FAMILIES)),
+    "order": Setting("highest derivative order r"),
+    "grid": Setting("coord=min:max:count (repeatable)", repeats=True),
+    "tol": Setting("relative constancy tolerance", readers=("classify",)),
+    "output": Setting("write the report here instead of stdout"),
+    "format": Setting("{formats}"),
+    "metric": Setting("custom metric entry slot=expr (repeatable)", repeats=True, readers=("--family custom",)),
+}
 
 
 class RunConfig(NamedTuple):
@@ -71,15 +84,12 @@ class RunConfig(NamedTuple):
             "grid": _grid_summary(self.grid),
             "tol": self.tol,
             "format": self.format,
+            **({"metric": self.metric} if self.metric else {}),
         }
 
 
 def _grid_summary(grid: GridSpec) -> dict:
-    out = {}
-    for name, axis in zip(COORDS, grid.axes):
-        if axis is not None:
-            out[name] = f"{_bound(axis.lo)}:{_bound(axis.hi)}:{axis.count}"
-    return out
+    return {c: f"{_bound(axis.lo)}:{_bound(axis.hi)}:{axis.count}" for c, axis in zip(COORDS, grid.axes) if axis is not None}
 
 
 def _bound(value: float) -> str:
@@ -123,35 +133,32 @@ def _read_config_file(path: str) -> dict[str, list[str]]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict[str, list[str]] = {}
-    if args.config:
-        file_values = _read_config_file(args.config)
-        unknown = set(file_values) - (set(RunConfig._fields) - {"command"})
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if len(args.config or ()) > 1:
+        raise ConfigError("duplicate setting 'config'")
+    file_values = _read_config_file(args.config[0]) if args.config else {}
+    unknown = set(file_values) - set(_SETTINGS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(name, flag_value, default=None):
-        if flag_value is not None:
-            return flag_value
-        if name in file_values:
-            return file_values[name][-1]
-        return default
+    given = {}  # each given setting's values, from the flags or else from the config file: a list if it repeats
+    for name, setting in _SETTINGS.items():
+        if values := getattr(args, name) or file_values.get(name):
+            if len(values) > 1 and not setting.repeats:
+                raise ConfigError(f"duplicate setting {name!r}")
+            given[name] = values if setting.repeats else values[0]
 
-    family = pick("family", args.family)
+    family = given.get("family")
     if family is None:
         raise ConfigError(f"missing --family ({_FAMILY_NAMES})")
     if family not in (*FAMILIES, "custom"):
         raise ConfigError(f"unknown family {family!r}")
 
-    function = pick("function", args.function)
+    function = given.get("function")
     if family in FAMILIES and function is None:
         raise ConfigError("missing --function for a profile family")
 
-    grid_args = list(args.grid or [])
-    if not grid_args and "grid" in file_values:
-        grid_args = file_values["grid"]
     axes: dict[str, GridAxis] = {}
-    for spec in grid_args:
+    for spec in given.get("grid", ()):
         coord, axis = _parse_grid_arg(spec)
         if coord in axes:
             raise ConfigError(f"duplicate grid coordinate {coord!r}")
@@ -160,11 +167,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("missing --grid (at least one coordinate range)")
     grid = GridSpec(tuple(axes.get(c) for c in COORDS))
 
-    metric_args = list(args.metric or [])
-    if not metric_args and "metric" in file_values:
-        metric_args = file_values["metric"]
     metric: dict[str, str] = {}
-    for item in metric_args:
+    for item in given.get("metric", ()):
         if "=" not in item:
             raise ConfigError(f"bad metric entry {item!r}; expected slot=expression")
         slot, text = item.split("=", 1)
@@ -178,8 +182,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("custom family needs --metric entries")
 
     try:
-        order = int(pick("order", args.order, "2"))
-        tol = float(pick("tol", args.tol, "1e-6"))
+        order = int(given.get("order", "2"))
+        tol = float(given.get("tol", "1e-6"))
     except ValueError as err:
         raise ConfigError(str(err)) from None
     if order < 0:
@@ -187,23 +191,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if not 0 < tol < math.inf:
         raise ConfigError("tol must be positive and finite")
 
-    for name, readers in _READERS.items():
-        if pick(name, getattr(args, name)) is not None and not {args.command, f"--family {family}"} & set(readers):
+    for name, setting in _SETTINGS.items():
+        readers = setting.readers
+        if name in given and readers and not {args.command, f"--family {family}"} & set(readers):
             raise ConfigError(f"{name} is read by {' and '.join(readers)} only, not by {args.command} --family {family}")
-    fmt = pick("format", args.format, "json")
-    if fmt not in _FORMATS[args.command]:
-        raise ConfigError(f"{args.command} writes no format {fmt!r}; expected {' or '.join(_FORMATS[args.command])}")
-    return RunConfig(
-        command=args.command,
-        family=family,
-        function=function,
-        order=order,
-        grid=grid,
-        tol=tol,
-        output=pick("output", args.output),
-        format=fmt,
-        metric=metric,
-    )
+    formats = _COMMANDS[args.command].formats
+    fmt = given.get("format", formats[0])
+    if fmt not in formats:
+        raise ConfigError(f"{args.command} writes no format {fmt!r}; expected {' or '.join(formats)}")
+    return RunConfig(args.command, family, function, order, grid, tol, given.get("output"), fmt, metric)
 
 
 def _build_metric(config: RunConfig):
@@ -221,8 +217,11 @@ def _build_metric(config: RunConfig):
 
 def _emit(text: str, output: Optional[str]):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ConfigError(f"cannot write report to {output!r}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -391,6 +390,19 @@ def cmd_invariants(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class Command(NamedTuple):
+    help: str
+    formats: tuple  # what the command writes; the first is the default
+    run: Callable[[RunConfig], int]
+
+
+_COMMANDS = {
+    "verify": Command("check the curvature engine against the family closed forms", ("json", "text"), cmd_verify),
+    "classify": Command("emit a JSON homogeneity report over a sample grid", ("json",), cmd_classify),
+    "invariants": Command("tabulate invariant values per grid point", ("json", "csv"), cmd_invariants),
+}
+
+
 @functools.cache  # parsing leaves the parser as it was, so one serves every main() call
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -398,21 +410,11 @@ def make_parser() -> argparse.ArgumentParser:
         description="curvature derivatives and homogeneity classification for metrics on R^3",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "check the curvature engine against the family closed forms"),
-        ("classify", "emit a JSON homogeneity report over a sample grid"),
-        ("invariants", "tabulate invariant values per grid point"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--family", help=_FAMILY_NAMES)
-        p.add_argument("--function", help="profile function text, e.g. 'exp(x)' or 't^3'")
-        p.add_argument("--order", help="highest derivative order r")
-        p.add_argument("--grid", action="append", help="coord=min:max:count (repeatable)")
-        p.add_argument("--tol", help="relative constancy tolerance")
-        p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--format", help=" or ".join(_FORMATS[name]))
-        p.add_argument("--metric", action="append", help="custom metric entry slot=expr (repeatable)")
-        p.add_argument("--config", help="flat key = value file mirroring the flags")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for setting, spec in _SETTINGS.items():
+            p.add_argument(f"--{setting}", action="append", help=spec.help.format(formats=" or ".join(command.formats)))
+        p.add_argument("--config", action="append", help="flat key = value file mirroring the flags")
     return parser
 
 
@@ -420,11 +422,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         config = _build_config(args)
-        if config.command == "verify":
-            return cmd_verify(config)
-        if config.command == "classify":
-            return cmd_classify(config)
-        return cmd_invariants(config)
+        return _COMMANDS[config.command].run(config)
     except ParseError as err:
         print(f"config error: cannot parse function: {err}", file=sys.stderr)
         return EXIT_CONFIG

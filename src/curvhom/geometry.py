@@ -308,16 +308,6 @@ class CurvatureSequence:
     def __repr__(self):
         return f"CurvatureSequence(tails={self.tails!r}, batch={self.batch!r})"
 
-    @staticmethod
-    def of(tensors) -> "CurvatureSequence":
-        """Tensors on one batch, whose first four slots hold every direction,
-        as a sequence: the tensors themselves if they are one, else a copy."""
-        if isinstance(tensors, CurvatureSequence):
-            return tensors
-        n = math.prod(tensors[0].batch)
-        parts = [t.components.reshape(n, 81, math.prod(t.shape[4:])) for t in tensors]
-        return CurvatureSequence(np.concatenate(parts, axis=2), tuple(t.supports[4:] for t in tensors), tensors[0].batch)
-
     @cached_property
     def bounds(self) -> list[int]:
         """Tensor k's columns run from bounds[k] to bounds[k + 1]."""

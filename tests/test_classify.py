@@ -20,6 +20,7 @@ from curvhom.families import family_f_metric, family_h_metric
 from curvhom.models import adapted_frame_f, adapted_frame_h, build_model, ch0_lambda_h, scaling_lambda_h
 from curvhom.tensor import Frame
 
+from .test_geometry import curvature_sequence
 from .test_models import order0_group_frame, order1_group_frame
 
 T, X, Y = 0, 1, 2
@@ -496,10 +497,8 @@ def _random_orders(seed):
 def test_one_pass_order_tests_equal_the_per_order_reference(seed):
     from curvhom.classify import _order_tests
 
-    from curvhom.geometry import CurvatureSequence
-
     psi, tensors = _random_orders(seed)
-    got = _order_tests(CurvatureSequence.of(tensors[:-1]), 1e-6, psi=psi, entry=tensors[-1].components[:, T, X, X, T])
+    got = _order_tests(curvature_sequence(tensors[:-1]), 1e-6, psi=psi, entry=tensors[-1].components[:, T, X, X, T])
     for i, t in enumerate(tensors):
         flat = t.components.reshape(5, -1)
         assert got.scale[i] == np.abs(flat).max()
@@ -512,7 +511,7 @@ def test_one_pass_order_tests_equal_the_per_order_reference(seed):
             if sign[0] != "vacuous":
                 np.testing.assert_array_equal(got.scaled[:, i], _representative_reference(t, psi))
     # each test runs only where it is asked for
-    alone = _order_tests(CurvatureSequence.of(tensors), 1e-6, ratios=False)
+    alone = _order_tests(curvature_sequence(tensors), 1e-6, ratios=False)
     assert alone.ch == alone.sch == [_sign_reference(t.components.reshape(5, -1))[:2] for t in tensors]
     assert alone.scaled is None
 
@@ -521,7 +520,6 @@ def test_order_tests_keep_groups_apart_at_high_multiplicity():
     # a tail of twelve X slots lifts X-multiplicities to 16: groups keyed by
     # (order, multiplicity) must not run into the next order's
     from curvhom.classify import _order_tests
-    from curvhom.geometry import CurvatureSequence
     from curvhom.tensor import AXES, TensorAtPoint
 
     p = np.linspace(1.0, 2.0, 5)
@@ -529,18 +527,17 @@ def test_order_tests_keep_groups_apart_at_high_multiplicity():
     low[:, T, T, T, T], low[:, Y, T, T, Y] = p, 2 * p  # multiplicity 0, one ratio
     high[:, X, X, X, X] = (p**3).reshape(5, *(1,) * 12)  # multiplicity 16, its own group
     tensors = [TensorAtPoint(16, high, (AXES,) * 4 + ((X,),) * 12), TensorAtPoint(4, low)]
-    got = _order_tests(CurvatureSequence.of(tensors), 1e-6)
+    got = _order_tests(curvature_sequence(tensors), 1e-6)
     assert got.ch == [_q_condition_reference(t, 1e-6) for t in tensors] == [("pass", ()), ("pass", ())]
 
 
 def test_random_orders_cover_every_outcome():
     from curvhom.classify import _order_tests
-    from curvhom.geometry import CurvatureSequence
 
     statuses, notes = set(), []
     for seed in range(12):
         psi, tensors = _random_orders(seed)
-        got = _order_tests(CurvatureSequence.of(tensors[:-1]), 1e-6, psi=psi, entry=tensors[-1].components[:, T, X, X, T])
+        got = _order_tests(curvature_sequence(tensors[:-1]), 1e-6, psi=psi, entry=tensors[-1].components[:, T, X, X, T])
         statuses |= {s for s, _ in got.ch + got.sch}
         notes += [n for _, found in got.ch + got.sch for n in found]
     assert statuses == {"pass", "fail", "vacuous"}
@@ -580,11 +577,10 @@ def _multiplicity_stack(rank, bend=None):
 )
 def test_q_condition_matches_brute_force_multiplicities(rank, bend, status):
     from curvhom.classify import _order_tests
-    from curvhom.geometry import CurvatureSequence
     from curvhom.tensor import TensorAtPoint
 
     t = TensorAtPoint(rank, _multiplicity_stack(rank, bend))
-    got = _order_tests(CurvatureSequence.of([t]), 1e-6).ch[0]
+    got = _order_tests(curvature_sequence([t]), 1e-6).ch[0]
     assert got == _q_condition_reference(t, 1e-6)
     assert got[0] == status
     if status == "pass":

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from curvhom.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, main
 
+from .test_geometry import curvature_sequence
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -278,7 +280,6 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     import importlib
 
     import numpy as np
-    from curvhom.geometry import CurvatureSequence
     from curvhom.tensor import TensorAtPoint
 
     def fake_oracle(k):
@@ -287,7 +288,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         return TensorAtPoint(4 + k, comp)
 
     def fake_oracles(fn, p, kmax, dirs):
-        return CurvatureSequence.of([fake_oracle(k) for k in range(kmax + 1)])
+        return curvature_sequence([fake_oracle(k) for k in range(kmax + 1)])
 
     monkeypatch.setattr(importlib.import_module("curvhom.classify"), "family_h_oracles", fake_oracles)
     code, out, _ = run(
@@ -493,7 +494,6 @@ def test_compare_is_bit_identical_to_dividing_full_copies(npts, rank, oracle_kin
 @pytest.mark.parametrize("npts", [1, 2, 5])
 def test_compare_reads_every_order_in_one_pass(npts):
     from curvhom.cli import _compare, _nonzeros
-    from curvhom.geometry import CurvatureSequence
     from curvhom.tensor import AXES, TensorAtPoint
 
     rng = np.random.default_rng(npts)
@@ -511,7 +511,7 @@ def test_compare_reads_every_order_in_one_pass(npts):
         oracles.append(oracle)
 
     def joined(arrays):
-        return CurvatureSequence.of([TensorAtPoint(a.ndim - 1, a, (AXES,) * 4 + ((0, 1),) * (a.ndim - 5)) for a in arrays])
+        return curvature_sequence([TensorAtPoint(a.ndim - 1, a, (AXES,) * 4 + ((0, 1),) * (a.ndim - 5)) for a in arrays])
 
     rel, absdev = _compare(joined(engines), _nonzeros(joined(oracles), npts), gscale)
     want = [_compare_reference(e, o, gscale) for e, o in zip(engines, oracles)]
@@ -561,8 +561,12 @@ def test_overflow_excludes_without_numpy_warnings(capsys, argv, code, reason):
         assert out == "" and err == "config error: numeric overflow evaluating the function: math range error\n"
         return
     assert err == ""
-    if isinstance(reason, tuple):  # the metric whose report this one must equal
-        assert run(capsys, *argv[:3], *reason, "--grid", "x=0.1:1:3") == (code, out, err)
+    if isinstance(reason, tuple):  # the metric whose report this one must equal, apart from the echoed metric
+        flat_code, flat_out, flat_err = run(capsys, *argv[:3], *reason, "--grid", "x=0.1:1:3")
+        report, flat = json.loads(out), json.loads(flat_out)
+        assert report["config"].pop("metric") == {"tt": "1e200", "xy": "1e200"}
+        assert flat["config"].pop("metric") == {"tt": "1", "xy": "1"}
+        assert (flat_code, flat, flat_err) == (code, report, err)
         return
     reasons = _exclusion_reasons(out)
     assert len(reasons) == 3
@@ -1125,3 +1129,61 @@ def test_command_is_not_a_config_file_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("command = verify\nfamily = h\nfunction = t^3\ngrid = t=1:2:5\n")
     assert run(capsys, "classify", "--config", str(cfg)) == (EXIT_CONFIG, "", "config error: unknown config keys: ['command']\n")
+
+
+# ---------------------------------------------------------------------------
+# a setting given twice, a report path that cannot be written, and the echoed metric
+
+REPEATED = {"family": ("h", "f"), "function": ("x", "exp(x)"), "order": ("3", "2"), "tol": ("1e-3", "1e-6"),
+            "output": ("a.json", "b.json"), "format": ("json", "json")}  # the parent ran the last value
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+@pytest.mark.parametrize("name", REPEATED)
+def test_a_repeated_single_valued_setting_is_a_config_error(tmp_path, monkeypatch, capsys, source, name):
+    monkeypatch.chdir(tmp_path)
+    base = {"family": "f", "function": "exp(x)", "grid": "x=0:1:3"}
+    argv = ["classify", *(flag for key, value in base.items() if key != name for flag in (f"--{key}", value))]
+    if source == "flag":
+        argv += [flag for value in REPEATED[name] for flag in (f"--{name}", value)]
+    else:
+        (tmp_path / "run.cfg").write_text("".join(f"{name} = {value}\n" for value in REPEATED[name]))
+        argv += ["--config", "run.cfg"]
+    assert run(capsys, *argv) == (EXIT_CONFIG, "", f"config error: duplicate setting {name!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"] * (source == "config file")  # no report written
+
+
+def test_a_repeated_config_file_is_a_config_error(tmp_path, capsys):
+    files = []
+    for name, function in (("a.cfg", "x"), ("b.cfg", "exp(x)")):
+        (tmp_path / name).write_text(f"function = {function}\n")
+        files += ["--config", str(tmp_path / name)]
+    base = ["classify", "--family", "f", "--grid", "x=0:1:3"]
+    assert run(capsys, *base, *files[:2])[0] == EXIT_OK
+    assert run(capsys, *base, *files) == (EXIT_CONFIG, "", "config error: duplicate setting 'config'\n")
+
+
+@pytest.mark.parametrize("cause", ["missing directory", "directory"])
+@pytest.mark.parametrize("cmd, fmt", [(cmd, fmt) for cmd, written in FORMATS.items() for fmt in written])
+def test_a_report_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys, cause, cmd, fmt):
+    dest = str(tmp_path / "missing" / "report" if cause == "missing directory" else tmp_path)
+    argv = [cmd, "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3", "--format", fmt, "--output", dest]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"config error: cannot write report to {dest!r}: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_a_custom_report_reruns_from_its_echoed_config(tmp_path, capsys):
+    metric = ["--metric", "tt=exp(2*x)+y^2", "--metric", "xy=1", "--metric", "yy=t^2"]
+    code, out, err = run(capsys, "classify", "--family", "custom", *metric, "--order", "3", "--grid", "x=0.5:1.5:3")
+    assert err == ""
+    config = json.loads(out)["config"]
+    assert list(config)[-2:] == ["format", "metric"]
+    assert config["metric"] == {"tt": "exp(2*x)+y^2", "xy": "1", "yy": "t^2"}
+    lines = []
+    for key, value in config.items():
+        if key != "command" and value is not None:
+            lines += [f"{key} = {k}={v}" for k, v in value.items()] if isinstance(value, dict) else [f"{key} = {value}"]
+    (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+    assert run(capsys, config["command"], "--config", str(tmp_path / "run.cfg")) == (code, out, err)
