@@ -1134,8 +1134,8 @@ def test_command_is_not_a_config_file_key(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # a setting given twice, a report path that cannot be written, and the echoed metric
 
-REPEATED = {"family": ("h", "f"), "function": ("x", "exp(x)"), "order": ("3", "2"), "tol": ("1e-3", "1e-6"),
-            "output": ("a.json", "b.json"), "format": ("json", "json")}  # the parent ran the last value
+REPEATED = {"family": ("f", "f"), "function": ("x", "exp(x)"), "order": ("3", "2"), "tol": ("1e-3", "1e-6"),
+            "output": ("a.json", "b.json"), "format": ("json", "json")}  # either value alone runs
 
 
 @pytest.mark.parametrize("source", ["flag", "config file"])
