@@ -171,6 +171,18 @@ def commands() -> list[list[str]]:
          "--format", "text"],
         ["classify", "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3", "--output", "/dev/null/report.json"],
     ]
+    # flat at order 0 only: nabla R does not vanish at the sample point, as f and as h spelled in custom slots
+    out += [
+        ["classify", "--family", "f", "--function", "x^3/3", "--order", "1", "--grid", "x=0:0:1"],
+        ["classify", "--family", "custom", "--metric", "tt=1", "--metric", "xy=1", "--metric", "xx=-2*t^3",
+         "--order", "1", "--grid", "t=0:0:1"],
+    ]
+    # verify on grids with one point that cannot be evaluated, and with no point that can
+    base = ["verify", "--family", "f", "--function", "1/x", "--order", "2", "--grid", "x=0:1:3"]
+    out += [[*base, "--format", fmt] for fmt in ("json", "text")]
+    out.append(["verify", "--family", "f", "--function", "log(x)", "--grid", "x=-1:0:2"])
+    # an empty report path
+    out.append(["classify", "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3", "--output", ""])
     return out
 
 
