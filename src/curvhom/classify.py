@@ -17,8 +17,9 @@ Verdicts over a sample set, per order k <= r:
 (max - min) / max(|median|, 1e-9) below `tol` over the samples (default
 1e-6).  Points violating the nonvanishing hypotheses are excluded and
 counted; a verdict degrades to "hypothesis-violated" when more than half
-the points are excluded.  Identically flat metrics short-circuit to
-vacuous passes marked "degenerate: zero curvature".
+the points are excluded.  A metric whose every computed nabla^k R vanishes
+at every evaluated point (_curvature_size below DEGENERATE_FLOOR)
+short-circuits to vacuous passes marked "degenerate: zero curvature".
 
 `FAMILIES` is the one place a built-in family is described: its metric,
 oracle, hypotheses, frames, invariants and report columns.  The classifier,
@@ -75,6 +76,7 @@ PASS, FAIL, HYP = "pass", "fail", "hypothesis-violated"
 # What evaluating the metric at one bad sample point can raise; the point
 # becomes an exclusion and the run carries on.
 POINT_ERRORS = (DomainError, OverflowError, DegenerateMetricError)
+UNEVALUATED = "the metric cannot be evaluated at any sample point"
 
 
 class HypothesisViolation(Exception):
@@ -160,6 +162,9 @@ class Exclusion(NamedTuple):
     point: Point
     reason: str
 
+    def summary(self) -> dict:
+        return {"point": list(self.point), "reason": self.reason}
+
 
 class HomogeneityReport(NamedTuple):
     verdicts: tuple[Verdict, ...]
@@ -191,7 +196,7 @@ class HomogeneityReport(NamedTuple):
             "psi": self.psi.summary() if self.psi else None,
             "scaled_entries": [s.summary() for s in self.scaled_entries],
             "diagnostics": [s.summary() for s in self.diagnostics],
-            "exclusions": [{"point": list(e.point), "reason": e.reason} for e in self.exclusions],
+            "exclusions": [e.summary() for e in self.exclusions],
             "degenerate": self.degenerate,
             "notes": list(self.notes),
         }
@@ -211,6 +216,7 @@ class FamilySamples(NamedTuple):
     adapted: CurvatureSequence    # nabla^k R on the unit adapted frame, at the ok points
     aligned: CurvatureSequence    # nabla^k R on the SCH frame, at the sch points
     values: dict          # invariant -> (its mask, ok or sch; its values there)
+    size: float           # _curvature_size of the sequence these were read from
 
     def column(self, name: str, index, n: int) -> tuple:
         """Invariant `name` over n samples, None where undefined; this batch's point j is sample index[j]."""
@@ -218,15 +224,21 @@ class FamilySamples(NamedTuple):
         return per_point([index[j] for j in np.flatnonzero(mask)], values, n)
 
 
-def _unit_frame_sequence(g: MetricField, kmax: int, points: np.ndarray) -> tuple[CurvatureSequence, list]:
+def _curvature_size(seq) -> float:
+    """The largest |nabla^k P| over the points and orders of a nabla_schouten_sequence, 0 on an empty box: 0 exactly
+    where every nabla^k R = nabla^k P ⊙ g is.  P and nabla do not change under g -> c g, so neither does this size."""
+    return max(float(np.abs(p.components).max(initial=0.0)) for p in seq)
+
+
+def _unit_frame_sequence(g: MetricField, kmax: int, points: np.ndarray) -> tuple[CurvatureSequence, list, float]:
     """nabla^k R at every point on the unit adapted frame of g's own matrices, from one sequence, pullback and
-    expansion; and its entries R(T,X,X,T; T, ..., T), k <= min(kmax, 2), per point, read in place on the box
-    of a family, whose derivative slots hold t and x at most."""
+    expansion; its entries R(T,X,X,T; T, ..., T), k <= min(kmax, 2), per point, read in place on the box
+    of a family, whose derivative slots hold t and x at most; and the sequence's _curvature_size."""
     g0, seq = nabla_schouten_sequence(g, points, kmax)
-    phi, *seq = pullback([g0, *seq], adapted_frame(g0.components, 1.0))
-    unit = kulkarni_nomizu(phi, seq)
+    phi, *framed = pullback([g0, *seq], adapted_frame(g0.components, 1.0))
+    unit = kulkarni_nomizu(phi, framed)
     tx = [unit[k].embed((AXES,) * 4 + ((T, X),) * k) for k in range(min(kmax, 2) + 1)]
-    return unit, [t[(slice(None), T, X, X, T) + (T,) * k] for k, t in enumerate(tx)]
+    return unit, [t[(slice(None), T, X, X, T) + (T,) * k] for k, t in enumerate(tx)], _curvature_size(seq)
 
 
 def _rescaled(seq: CurvatureSequence, lam) -> CurvatureSequence:
@@ -238,13 +250,13 @@ def _rescaled(seq: CurvatureSequence, lam) -> CurvatureSequence:
 def _f_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
     """On the unit adapted frame R(T,X,X,T) = -delta, xi = nabla R(T,X,X,T;X)^2 = (delta')^2, and the
     scale-free sch_ratio = xi / R(T,X,X,T)^3.  The SCH frame is that frame."""
-    unit, (e0, *_) = _unit_frame_sequence(g, kmax, points)
+    unit, (e0, *_), size = _unit_frame_sequence(g, kmax, points)
     hyp = np.abs(e0)
     ok = hyp >= FLOOR
     adapted = unit.at(ok)
     e0, xi = e0[ok], adapted[1].dense()[:, T, X, X, T, X] ** 2
     values = dict(xi=(ok, xi), sch_ratio=(ok, xi / e0**3), psi=(ok, np.abs(e0)))
-    return FamilySamples(hyp, hyp, ok, ok, adapted, adapted, values)
+    return FamilySamples(hyp, hyp, ok, ok, adapted, adapted, values, size)
 
 
 def _h_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
@@ -257,7 +269,7 @@ def _h_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
 
     The sign on xi_X compensates the recursion's -Gamma^t_{xx} term so that exponential profiles report +1.
     """
-    unit, (e0, e1, e2) = _unit_frame_sequence(g, kmax, points)
+    unit, (e0, e1, e2), size = _unit_frame_sequence(g, kmax, points)
     hyp, sch_hyp = np.abs(e0), np.abs(e1)
     ok, sch = hyp >= FLOOR, (hyp >= FLOOR) & (sch_hyp >= FLOOR)
     values = dict(xi=(ok, e1[ok] ** 2 / e0[ok] ** 2), xi_T_alt=(ok, e2[ok] / e0[ok] ** 2))
@@ -265,7 +277,7 @@ def _h_samples(g: MetricField, kmax: int, points: np.ndarray) -> FamilySamples:
     if sch.any():  # else classify reports no xi_T and xi_X series
         psi, a2 = np.abs(aligned[0].components[:, T, X, X, T]), aligned[2].dense()[:, T, X, X, T]
         values.update(psi=(sch, psi), xi_T=(sch, a2[:, T, T] / psi**2), xi_X=(sch, -a2[:, X, X] / psi**2))
-    return FamilySamples(hyp, sch_hyp, ok, sch, unit.at(ok), aligned, values)
+    return FamilySamples(hyp, sch_hyp, ok, sch, unit.at(ok), aligned, values, size)
 
 
 class Family(NamedTuple):
@@ -551,7 +563,7 @@ def evaluate_points(evaluate, pts):
     to find the points it fails at; each becomes an Exclusion naming the
     error, and evaluate runs once more on the rest.  Returns the indices of
     the good points, the result on them (None if there are none) and the
-    exclusions by point index.
+    exclusions by point index, in index order.
     """
     try:
         return list(range(len(pts))), evaluate(pts), {}
@@ -602,26 +614,12 @@ def _unevaluated_report(r, note, exclusions) -> HomogeneityReport:
     return HomogeneityReport(verdicts, exclusions=tuple(exclusions), notes=(note,))
 
 
-def _sorted_values(by_index: dict) -> tuple:
-    return tuple(by_index[i] for i in sorted(by_index))
-
-
-def _custom_curvature(g: MetricField, points) -> float:
-    """max |R^i_jkl| = max |g^im R_mjkl| over the points: the (1,3) curvature
-    operator, which a constant rescaling g -> c g leaves unchanged."""
-    g0, seq = nabla_schouten_sequence(g, points, 0)
-    curv = kulkarni_nomizu(g0, seq)[0].components
-    return float(np.abs(np.einsum("...im,...mjkl->...ijkl", np.linalg.inv(g0.components), curv)).max())
-
-
 def _classify_custom(g: MetricField, r, pts) -> HomogeneityReport:
-    good, curv, failed = evaluate_points(lambda p: _custom_curvature(g, p), pts)
-    if good and curv < DEGENERATE_FLOOR:
-        return _vacuous_report(r, len(pts), _sorted_values(failed))
-    if good:
-        note = "no adapted frame construction for custom metrics; raw curvature available via verify/invariants"
-    else:
-        note = "the metric cannot be evaluated at any sample point"
+    good, size, failed = evaluate_points(lambda p: _curvature_size(nabla_schouten_sequence(g, p, r)[1]), pts)
+    if good and size < DEGENERATE_FLOOR:
+        return _vacuous_report(r, len(pts), failed.values())
+    note = "no adapted frame construction for custom metrics; raw curvature available via verify/invariants"
+    note = note if good else UNEVALUATED
     exclusions = [failed.get(i, Exclusion(p, note)) for i, p in enumerate(pts)]
     return _unevaluated_report(r, note, exclusions)
 
@@ -630,20 +628,17 @@ def _classify_family(g: MetricField, spec: Family, r, pts, tol) -> HomogeneityRe
     kmax = max(r, spec.min_order)
     npts = len(pts)
     good, s, failed = evaluate_points(lambda p: family_samples(g, kmax, p), pts)
-    if good and float(s.hyp.max()) < DEGENERATE_FLOOR:  # scale-free: R on the unit adapted frame
-        return _vacuous_report(r, npts, _sorted_values(failed))
+    if good and s.size < DEGENERATE_FLOOR:
+        return _vacuous_report(r, npts, failed.values())
     included = [i for j, i in enumerate(good) if s.ok[j]]  # the hypothesis-satisfying points
     sch_idx = [i for j, i in enumerate(good) if s.sch[j]]  # of those, the ones with an SCH frame
     excluded = dict(failed)
     for j, i in enumerate(good):
         if not s.ok[j]:
             excluded[i] = Exclusion(pts[i], f"|{spec.hypothesis}| = {s.hyp[j]:.2e} below {FLOOR:.0e}")
-    exclusions = _sorted_values(excluded)
+    exclusions = tuple(excluded[i] for i in sorted(excluded))
     if not included:
-        if not good:
-            note = "the metric cannot be evaluated at any sample point"
-        else:
-            note = "nonvanishing hypothesis fails at every sample point"
+        note = "nonvanishing hypothesis fails at every sample point" if good else UNEVALUATED
         return _unevaluated_report(r, note, exclusions)
 
     hyp_heavy = len(included) <= npts / 2.0

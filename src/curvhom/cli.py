@@ -7,8 +7,9 @@ unspecified coordinates are pinned to 0.  Every flag can also be supplied
 from a ``key = value`` config file via ``--config``; explicit flags win, and
 a second value of a setting other than ``--grid`` and ``--metric`` is a
 configuration error.
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 nonvanishing hypothesis violated at every sample point.
+Exit codes: 0 success, 1 verification failure, 2 configuration error, 3 no
+sample point left.  In every command a point where the metric cannot be
+evaluated is an exclusion, as is one where a nonvanishing hypothesis fails.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .classify import FAMILIES, GridAxis, GridSpec, below_floor, classify, evaluate_points, family_samples
+from .classify import FAMILIES, UNEVALUATED, GridAxis, GridSpec, below_floor, classify, evaluate_points, family_samples
 from .expr import COORDS, DomainError, ParseError, parse
 from .geometry import CurvatureSequence, kulkarni_nomizu, nabla_schouten_sequence
 from .tensor import AXES, TensorAtPoint
@@ -195,6 +196,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         readers = setting.readers
         if name in given and readers and not {args.command, f"--family {family}"} & set(readers):
             raise ConfigError(f"{name} is read by {' and '.join(readers)} only, not by {args.command} --family {family}")
+    if given.get("output") == "":
+        raise ConfigError("output must name a file; leave it out to write to stdout")
     formats = _COMMANDS[args.command].formats
     fmt = given.get("format", formats[0])
     if fmt not in formats:
@@ -268,6 +271,24 @@ def _compare(engine: CurvatureSequence, expect, scale: np.ndarray) -> tuple[np.n
     return rel, absdev.max(axis=1)
 
 
+def _verify_orders(metric, spec, order: int, points) -> list[tuple[float, float, bool]]:
+    """Per order, the two deviations of _compare between the engine and the closed forms at the points, and
+    whether both are within tolerance."""
+    g0, schouten = nabla_schouten_sequence(metric, points, order)
+    # measure each point's deviations in units of its largest |g_ij|: the
+    # (0, 4+k) curvature of the metric rescaled to unit size
+    gscale = np.maximum(1.0, np.abs(g0.components).max(axis=(1, 2)))
+    # compare on the oracle's box: the engine's, widened where a closed form may put an entry (rel dev 1 there)
+    dirs = schouten[-1].supports[-1] if order else ()
+    closed = spec.oracle(metric.family.function, points, order, dirs)
+    boxes = [(AXES, AXES) + tail for tail in closed.tails]
+    expect = _nonzeros(closed, len(points))
+    del closed  # mostly zeros: dropped before the engine's expansion, so the two are never held at once
+    engine = kulkarni_nomizu(g0, [TensorAtPoint(p.rank, p.embed(box), box) for p, box in zip(schouten, boxes, strict=True)])
+    rel, absdev = _compare(engine, expect, gscale)
+    return [(r, a, r <= REL_TOL and a <= ABS_TOL) for r, a in zip(rel.tolist(), absdev.tolist())]
+
+
 def cmd_verify(config: RunConfig) -> int:
     if config.family not in FAMILIES:
         raise ConfigError("verify needs a built-in family with a closed-form oracle")
@@ -277,41 +298,20 @@ def cmd_verify(config: RunConfig) -> int:
         raise ConfigError(f"the {config.family}-family closed forms stop at order {top}; rerun with --order <= {top}")
     metric = _build_metric(config)
     points = config.grid.points()
-    g0, schouten = nabla_schouten_sequence(metric, points, config.order)
-    # measure each point's deviations in units of its largest |g_ij|: the
-    # (0, 4+k) curvature of the metric rescaled to unit size
-    gscale = np.maximum(1.0, np.abs(g0.components).max(axis=(1, 2)))
-    # compare on the oracle's box: the engine's, widened where a closed form may put an entry (rel dev 1 there)
-    dirs = schouten[-1].supports[-1] if config.order else ()
-    closed = spec.oracle(metric.family.function, points, config.order, dirs)
-    boxes = [(AXES, AXES) + tail for tail in closed.tails]
-    expect = _nonzeros(closed, len(points))
-    del closed  # mostly zeros: dropped before the engine's expansion, so the two are never held at once
-    engine = kulkarni_nomizu(g0, [TensorAtPoint(p.rank, p.embed(box), box) for p, box in zip(schouten, boxes, strict=True)])
-    rel, absdev = _compare(engine, expect, gscale)
-    orders = [(r, a, r <= REL_TOL and a <= ABS_TOL) for r, a in zip(rel.tolist(), absdev.tolist())]  # per order
-    ok = all(passed for _, _, passed in orders)
+    good, orders, failed = evaluate_points(lambda p: _verify_orders(metric, spec, config.order, p), points)
+    orders, exclusions = orders or [], list(failed.values())  # orders is None if no point is good
+    result = UNEVALUATED if not good else "pass" if all(passed for *_, passed in orders) else "FAIL"
     if config.format == "json":
-        verdicts = [
-            {
-                "name": f"order_{k}",
-                "status": "pass" if passed else "fail",
-                "max_relative_deviation": rel,
-                "max_absolute_deviation_on_zeros": absdev,
-            }
-            for k, (rel, absdev, passed) in enumerate(orders)
-        ]
-        _emit_json(config, {"verdicts": verdicts, "invariants": [], "exclusions": []})
+        verdicts = [{"name": f"order_{k}", "status": "pass" if passed else "fail", "max_relative_deviation": rel,
+                     "max_absolute_deviation_on_zeros": absdev} for k, (rel, absdev, passed) in enumerate(orders)]
+        _emit_json(config, {"verdicts": verdicts, "invariants": [], "exclusions": [e.summary() for e in exclusions]})
     else:
         lines = [f"verify family={config.family} function={config.function!r} points={len(points)}"]
-        for k, (rel, absdev, passed) in enumerate(orders):
-            lines.append(
-                f"  order {k}: max rel dev {rel:.3e}"
-                f"  max abs dev on zeros {absdev:.3e}  [{'pass' if passed else 'FAIL'}]"
-            )
-        lines.append("result: " + ("pass" if ok else "FAIL"))
-        _emit("\n".join(lines) + "\n", config.output)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        lines += [f"  excluded {e.point}: {e.reason}" for e in exclusions]
+        lines += [f"  order {k}: max rel dev {rel:.3e}  max abs dev on zeros {absdev:.3e}  [{'pass' if passed else 'FAIL'}]"
+                  for k, (rel, absdev, passed) in enumerate(orders)]
+        _emit("\n".join(lines + [f"result: {result}"]) + "\n", config.output)
+    return EXIT_HYPOTHESIS if not good else EXIT_OK if result == "pass" else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

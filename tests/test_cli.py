@@ -275,6 +275,22 @@ def test_custom_flatness_is_unchanged_by_a_constant_rescaling(capsys):
     assert flat["notes"] == ["degenerate: zero curvature"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "f", "--function", "x^3/3", "--grid", "x=0:0:1"],
+        ["--family", "custom", "--metric", "tt=1", "--metric", "xy=1", "--metric", "xx=-2*t^3", "--grid", "t=0:0:1"],
+    ],
+    ids=["f x^3/3", "h t^3 as a custom metric"],
+)
+def test_a_metric_flat_at_order_0_only_is_not_degenerate(capsys, argv):
+    # R vanishes at the point, nabla R does not
+    code, out, err = run(capsys, "classify", *argv, "--order", "1")
+    report = json.loads(out)
+    assert (code, err, report["degenerate"]) == (EXIT_HYPOTHESIS, "", False)
+    assert {v["status"] for v in report["verdicts"]} == {"hypothesis-violated"}
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     # force a mismatch by patching the oracle the family table calls
     import importlib
@@ -318,10 +334,47 @@ def test_classify_excludes_overflowing_points(capsys):
     assert (0.0, 0.0, 0.0) not in excluded
 
 
-def test_verify_overflow_exits_2(capsys):
-    code, _, err = run(capsys, "verify", "--family", "f", "--function", "exp(x^2)", "--grid", "x=0:30:3")
-    assert code == EXIT_CONFIG
-    assert "overflow" in err
+def _exclusion_reasons(out):
+    return {tuple(e["point"]): e["reason"] for e in json.loads(out)["exclusions"]}
+
+
+@pytest.mark.parametrize(
+    "function, grid, rest",
+    [("1/x", "x=0:1:3", "x=0.5:1:2"), ("exp(x^2)", "x=0:30:3", "x=0:0:1")],
+    ids=["division by zero", "overflow"],
+)
+def test_verify_excludes_the_points_classify_excludes(capsys, function, grid, rest):
+    base = ("--family", "f", "--function", function, "--grid", grid)
+    excluded = _exclusion_reasons(run(capsys, "classify", *base)[1])
+    code, out, err = run(capsys, "verify", *base)
+    assert (code, err) == (EXIT_OK, "")
+    assert excluded and _exclusion_reasons(out) == excluded
+    # the other points are compared: the verdicts of a grid of those alone
+    verdicts = json.loads(out)["verdicts"]
+    assert [v["status"] for v in verdicts] == ["pass"] * 3
+    assert verdicts == json.loads(run(capsys, "verify", *base[:4], "--grid", rest)[1])["verdicts"]
+    code, text, err = run(capsys, "verify", *base, "--format", "text")
+    assert (code, err) == (EXIT_OK, "")
+    assert [line for line in text.splitlines() if line.startswith("  excluded ")] == [
+        f"  excluded {point}: {reason}" for point, reason in excluded.items()
+    ]
+    assert text.endswith("result: pass\n")
+
+
+def test_verify_with_no_point_that_can_be_evaluated_exits_3(capsys):
+    base = ("verify", "--family", "f", "--function", "log(x)", "--grid", "x=-1:0:2")
+    code, out, err = run(capsys, *base)
+    assert (code, err) == (EXIT_HYPOTHESIS, "")
+    assert json.loads(out)["verdicts"] == []
+    assert _exclusion_reasons(out) == {
+        (0.0, -1.0, 0.0): "cannot evaluate the metric (DomainError): log of nonpositive value -1.0 in 'log(x)'",
+        (0.0, 0.0, 0.0): "cannot evaluate the metric (DomainError): log of nonpositive value 0.0 in 'log(x)'",
+    }
+    code, text, err = run(capsys, *base, "--format", "text")
+    assert (code, err) == (EXIT_HYPOTHESIS, "")
+    assert text.splitlines()[1:] == [
+        f"  excluded {point}: {reason}" for point, reason in _exclusion_reasons(out).items()
+    ] + ["result: the metric cannot be evaluated at any sample point"]
 
 
 def test_large_constant_in_f_profile_is_not_a_singular_frame(capsys):
@@ -338,10 +391,6 @@ def test_verify_small_metric_determinant_passes(capsys):
     )
     assert code == EXIT_OK, err
     assert "result: pass" in out
-
-
-def _exclusion_reasons(out):
-    return {tuple(e["point"]): e["reason"] for e in json.loads(out)["exclusions"]}
 
 
 def test_invariants_excludes_point_outside_domain(capsys):
@@ -384,14 +433,11 @@ def _strict_json(text):
 @pytest.mark.parametrize("function", [f"{fn}(x*1e300*1e300)" for fn in ("cos", "exp", "log", "sqrt")])
 def test_overflow_inside_an_expression_excludes_the_points(capsys, function):
     base = ("--family", "f", "--function", function, "--grid", "x=0.1:1:3")
-    for command in ("classify", "invariants"):
+    for command in ("classify", "invariants", "verify"):
         code, out, _ = run(capsys, command, *base)
         assert code == EXIT_HYPOTHESIS
         reasons = [e["reason"] for e in _strict_json(out)["exclusions"]]
         assert reasons == ["cannot evaluate the metric (OverflowError): math range error"] * 3
-    code, out, err = run(capsys, "verify", *base)
-    assert code == EXIT_CONFIG
-    assert out == "" and "numeric overflow" in err
 
 
 def _expressions(variables):
@@ -534,7 +580,7 @@ def test_compare_reads_every_order_in_one_pass(npts):
     "argv, code, reason",
     [
         (["invariants", "--family", "f", "--function", "cos(x*1e300*1e300)"], EXIT_HYPOTHESIS, "math range error"),
-        (["verify", "--family", "f", "--function", "cos(x*1e300*1e300)"], EXIT_CONFIG, None),
+        (["verify", "--family", "f", "--function", "cos(x*1e300*1e300)"], EXIT_HYPOTHESIS, "math range error"),
         (
             ["classify", "--family", "custom", "--metric", "tt=cos(x*1e300*1e300)", "--metric", "xy=1"],
             EXIT_HYPOTHESIS,
@@ -557,9 +603,6 @@ def test_overflow_excludes_without_numpy_warnings(capsys, argv, code, reason):
         warnings.simplefilter("error")
         got, out, err = run(capsys, *argv, "--grid", "x=0.1:1:3")
     assert got == code
-    if reason is None:
-        assert out == "" and err == "config error: numeric overflow evaluating the function: math range error\n"
-        return
     assert err == ""
     if isinstance(reason, tuple):  # the metric whose report this one must equal, apart from the echoed metric
         flat_code, flat_out, flat_err = run(capsys, *argv[:3], *reason, "--grid", "x=0.1:1:3")
@@ -845,13 +888,9 @@ def test_exponent_literal_past_the_float_range_is_a_math_range_error(capsys, cmd
     # each spelling's exponent reads as inf, and evaluating that literal is a math range error
     code, out, err = run(capsys, cmd, "--family", "f", "--function", text, "--grid", "x=0.5:1:2")
     assert "Traceback" not in out + err
-    if cmd == "verify":
-        assert (code, out) == (EXIT_CONFIG, "")
-        assert err == "config error: numeric overflow evaluating the function: math range error\n"
-    else:
-        assert (code, err) == (EXIT_HYPOTHESIS, "")
-        reasons = [e["reason"] for e in json.loads(out)["exclusions"]]
-        assert reasons == ["cannot evaluate the metric (OverflowError): math range error"] * 2
+    assert (code, err) == (EXIT_HYPOTHESIS, "")
+    reasons = [e["reason"] for e in json.loads(out)["exclusions"]]
+    assert reasons == ["cannot evaluate the metric (OverflowError): math range error"] * 2
 
 
 FORMATS = {"verify": ("json", "text"), "classify": ("json",), "invariants": ("json", "csv")}
@@ -1032,7 +1071,23 @@ def _grammar_argv(draw):
     return argv + ["--grid", f"{coord}={lo}:{hi}:{draw(st.integers(1, 4))}"]
 
 
+def _evaluable_verify(argv) -> bool:
+    """verify on an f or h profile whose text parses and names only the family's coordinate: a point
+    where it cannot be evaluated is an exclusion, so nothing in such a run is a config error."""
+    from curvhom.expr import ParseError, parse, variables_of
+
+    if argv[0] != "verify" or argv[2] == "custom":
+        return False
+    text = next(a.removeprefix("--function=") for a in argv if a.startswith("--function="))
+    try:
+        names = variables_of(parse(text))
+    except ParseError:
+        return False
+    return names <= {"x" if argv[2] == "f" else "t"}
+
+
 @given(_grammar_argv())
+@example(["verify", "--family", "f", "--order", "0", "--function=1/x", "--grid", "x=0.0:1.0:2"])
 @settings(max_examples=40, deadline=None)
 def test_any_grammar_text_keeps_the_exit_code_contract(argv):
     import contextlib
@@ -1043,6 +1098,7 @@ def test_any_grammar_text_keeps_the_exit_code_contract(argv):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_HYPOTHESIS)
     assert code != EXIT_CHECK_FAILED or argv[0] == "verify"
+    assert code != EXIT_CONFIG or not _evaluable_verify(argv), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 
@@ -1172,6 +1228,22 @@ def test_a_report_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith(f"config error: cannot write report to {dest!r}: ") and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+@pytest.mark.parametrize("cmd", FORMATS)
+def test_an_empty_report_path_is_a_config_error(tmp_path, monkeypatch, capsys, source, cmd):
+    monkeypatch.chdir(tmp_path)
+    argv = [cmd, "--family", "f", "--function", "exp(x)", "--grid", "x=0:1:3"]
+    if source == "flag":
+        argv.append("--output=")
+    else:
+        (tmp_path / "run.cfg").write_text("output =\n")
+        argv += ["--config", "run.cfg"]
+    assert run(capsys, *argv) == (
+        EXIT_CONFIG, "", "config error: output must name a file; leave it out to write to stdout\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"] * (source == "config file")
 
 
 def test_a_custom_report_reruns_from_its_echoed_config(tmp_path, capsys):
