@@ -618,8 +618,8 @@ def _classify_custom(g: MetricField, r, pts) -> HomogeneityReport:
     good, size, failed = evaluate_points(lambda p: _curvature_size(nabla_schouten_sequence(g, p, r)[1]), pts)
     if good and size < DEGENERATE_FLOOR:
         return _vacuous_report(r, len(pts), failed.values())
-    note = "no adapted frame construction for custom metrics; raw curvature available via verify/invariants"
-    note = note if good else UNEVALUATED
+    unsupported = "no adapted frame construction for custom metrics; raw curvature available via verify/invariants"
+    note = unsupported if good else UNEVALUATED
     exclusions = [failed.get(i, Exclusion(p, note)) for i, p in enumerate(pts)]
     return _unevaluated_report(r, note, exclusions)
 
